@@ -54,8 +54,9 @@ class ConvexBody:
     """Gauge representation of a strongly convex body with 0 in its interior.
 
     Evaluators accept points of shape (2n,) or batches (..., 2n); Hessians
-    are per-point.  All evaluators are pure; instances are immutable in
-    practice and safe to share.
+    of G are batched to (..., 2n, 2n), those of H are per-point.  All
+    evaluators are pure; instances are immutable in practice and safe to
+    share.
     """
 
     def __init__(self, a: Sequence, epsilon: float = 0.0, quartic: Sequence | None = None,
@@ -81,6 +82,9 @@ class ConvexBody:
         # per-coordinate quadric weights: Q(z) = sum w_i z_i^2
         self._w = np.repeat(np.pi / self.a, 2)
         self._q4 = np.repeat(self.quartic, 2)
+        self._hessQ = np.diag(2.0 * self._w)
+        # q_h on the 2x2 diagonal block of plane h: the pattern of the quartic Hessian
+        self._q4_blocks = np.kron(np.diag(self.quartic), np.ones((2, 2)))
         self.kind = "quadric" if self.epsilon == 0.0 else "perturbed"
         self.convexity_margin = None
         if validate:
@@ -134,23 +138,21 @@ class ConvexBody:
         return (G[..., None] * gradQ + self.epsilon * gradP) / denom[..., None]
 
     def hess_gauge2(self, z: np.ndarray) -> np.ndarray:
+        """Hessian of G at points (..., 2n), shape (..., 2n, 2n)."""
         z = np.asarray(z, dtype=float)
-        hessQ = np.diag(2.0 * self._w)
         if self.epsilon == 0.0:
-            return hessQ
-        Q = float(self.quadric(z))
-        G = float(self.gauge2(z))
+            return self._hessQ * np.ones(z.shape[:-1] + (1, 1))
+        Q = self.quadric(z)[..., None, None]
+        G = self.gauge2(z)[..., None, None]
         gradQ = 2.0 * self._w * z
         gradG = self.grad_gauge2(z)
-        r2 = z[0::2] ** 2 + z[1::2] ** 2
-        hessP = np.zeros((self.dim, self.dim))
-        for h in range(self.n):
-            sl = slice(2 * h, 2 * h + 2)
-            zh = z[sl]
-            hessP[sl, sl] = self.quartic[h] * (4.0 * r2[h] * np.eye(2) + 8.0 * np.outer(zh, zh))
-        denom = 2.0 * G - Q
-        sym = np.outer(gradG, gradQ)
-        return (G * hessQ + self.epsilon * hessP + sym + sym.T - 2.0 * np.outer(gradG, gradG)) / denom
+        r2 = np.repeat(z[..., 0::2] ** 2 + z[..., 1::2] ** 2, 2, axis=-1)
+        hessP = (8.0 * self._q4_blocks * (z[..., :, None] * z[..., None, :])
+                 + (4.0 * self._q4 * r2)[..., None] * np.eye(self.dim))
+        sym = gradG[..., :, None] * gradQ[..., None, :]
+        outer_G = gradG[..., :, None] * gradG[..., None, :]
+        return (G * self._hessQ + self.epsilon * hessP + sym + np.swapaxes(sym, -1, -2)
+                - 2.0 * outer_G) / (2.0 * G - Q)
 
     # -- alpha-degree Hamiltonian ------------------------------------------
 
@@ -200,15 +202,16 @@ class ConvexBody:
 
     def _validate_convexity(self):
         pts = self.surface_samples(CONVEXITY_SAMPLES)
-        min_eig = np.inf
-        for z in pts[:: max(1, len(pts) // CONVEXITY_SAMPLES)]:
-            Hs = self.hess_gauge2(z)
-            g = self.grad_gauge2(z)
-            # restrict to the tangent space ker(dG)
-            g = g / np.linalg.norm(g)
-            basis = _orthonormal_complement(g)
-            eigs = np.linalg.eigvalsh(basis.T @ Hs @ basis)
-            min_eig = min(min_eig, eigs[0])
+        g = self.grad_gauge2(pts)
+        # restrict to the tangent space ker(dG): the Householder reflection
+        # taking g to -sign(g_0) e_0 has its other columns orthonormal in g^perp
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        v = g.copy()
+        v[:, 0] += np.where(g[:, 0] >= 0.0, 1.0, -1.0)
+        vv = v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
+        basis = (np.eye(self.dim) - 2.0 * vv)[:, :, 1:]
+        restricted = np.swapaxes(basis, -1, -2) @ self.hess_gauge2(pts) @ basis
+        min_eig = np.linalg.eigvalsh(restricted)[:, 0].min()
         self.convexity_margin = float(min_eig)
         if min_eig <= CONVEXITY_MIN_EIG:
             raise ValueError(
@@ -276,14 +279,14 @@ class ConvexBody:
 
     def _support_kkt(self, W, U, lam):
         m = len(W)
+        g = self.grad_gauge2(U)
         res = np.empty((m, self.dim + 1))
-        res[:, : self.dim] = lam[:, None] * self.grad_gauge2(U) - W
+        res[:, : self.dim] = lam[:, None] * g - W
         res[:, self.dim] = self.gauge2(U) - 1.0
         jac = np.zeros((m, self.dim + 1, self.dim + 1))
-        for i in range(m):
-            jac[i, : self.dim, : self.dim] = lam[i] * self.hess_gauge2(U[i])
-        jac[:, : self.dim, self.dim] = self.grad_gauge2(U)
-        jac[:, self.dim, : self.dim] = self.grad_gauge2(U)
+        jac[:, : self.dim, : self.dim] = lam[:, None, None] * self.hess_gauge2(U)
+        jac[:, : self.dim, self.dim] = g
+        jac[:, self.dim, : self.dim] = g
         return res, jac
 
     def legendre_dual(self, w: np.ndarray):
@@ -364,12 +367,3 @@ class ConvexBody:
             f"ConvexBody(perturbed a={self.a.tolist()}, eps={self.epsilon}, "
             f"quartic={self.quartic.tolist()}, alpha={self.alpha})"
         )
-
-
-def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector."""
-    d = len(unit)
-    M = np.eye(d) - np.outer(unit, unit)
-    q, r = np.linalg.qr(M)
-    cols = np.abs(np.diag(r)) > 1e-10
-    return q[:, cols][:, : d - 1]

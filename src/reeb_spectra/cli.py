@@ -239,7 +239,7 @@ def cmd_pinch(args) -> int:
         invariants_c=invariants,
     )
     payload = res.as_dict()
-    payload["meta"] = _meta(args.ellipsoid is not None and _parse_ellipsoid(args.ellipsoid).exact)
+    payload["meta"] = _meta(bool(args.ellipsoid) and E.exact)
     _emit(payload, [payload], {}, args)
     return EXIT_OK
 
@@ -262,7 +262,7 @@ def cmd_systole(args) -> int:
         "grad_norm": res.grad_norm,
         "orbit": res.orbit.as_dict(),
         "diagnostics": res.diagnostics,
-        "meta": _meta(False, modes=cfg.modes, starts=len(res.diagnostics) and cfg.starts),
+        "meta": _meta(False, modes=cfg.modes, starts=cfg.starts),
     }
     u = res.loop.values()
     ts = res.loop.grid()

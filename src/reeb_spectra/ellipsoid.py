@@ -3,13 +3,17 @@
 The action spectrum is the set of positive multiples of the parameters a_h;
 with the multiplicity m_j = #{h : tau_j / a_h integer} each value tau_j
 carries Morse index 2 sum_h (ceil(tau_j/a_h) - 1), nullity 2 m_j - 1 and
-Conley-Zehnder index morse + n.  Rational parameter vectors are handled in
-exact arithmetic (scaled int64 enumeration with a Fraction fallback); float
-vectors are merged at a relative tolerance and flagged.
+Conley-Zehnder index morse + n.  Rational parameter vectors are handled on
+Python ints over the common denominator D (a_h = P_h / D): invariants come
+from the counting function N(X) = sum_h floor(X / P_h) by integer bisection
+and a walk of the merged progressions k P_h; spectrum tables are enumerated
+in int64 numpy, falling back to the same walk where int64 could overflow.
+Float vectors are merged at a relative tolerance and flagged.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -159,7 +163,7 @@ def _scaled_spectrum(P: list[int], bound_scaled: int):
     """(values, multiplicities, morse indices) of the scaled integer spectrum.
 
     Exact int64 arithmetic; returns None when the scaled bound would risk
-    overflow (callers fall back to Fractions).
+    overflow (callers fall back to `_walk`).
     """
     if bound_scaled > 2**62 or any(p > 2**32 for p in P):
         return None
@@ -179,37 +183,36 @@ def _scaled_spectrum(P: list[int], bound_scaled: int):
     return vals, mult, morse
 
 
+def _walk(P: list[int], start: int):
+    """Yield (v, multiplicity, morse index) for the scaled values v >= start >= 1.
+
+    Ceil counters k_h = ceil(v / P_h): v = min_h k_h P_h, Morse 2 sum_h (k_h - 1).
+    """
+    k = [-(-start // p) for p in P]
+    while True:
+        v = min(kh * p for kh, p in zip(k, P))
+        hit = [kh * p == v for kh, p in zip(k, P)]
+        yield v, sum(hit), 2 * sum(kh - 1 for kh in k)
+        k = [kh + h for kh, h in zip(k, hit)]
+
+
 def _spectrum_exact(E: Ellipsoid, max_action: Fraction) -> list[SpectrumEntry]:
     P, D = E.scaled_integer_params()
     n = E.n
-    scaled = _scaled_spectrum(P, int(max_action * D))
-    if scaled is not None:
-        vals, mult, morse = scaled
-        return [
-            SpectrumEntry(
-                tau=Fraction(int(v), D),
-                multiplicity=int(m),
-                morse_index=int(mo),
-                nullity=2 * int(m) - 1,
-                cz_index=int(mo) + n,
-            )
-            for v, m, mo in zip(vals, mult, morse)
-        ]
-    # Fraction fallback for extreme parameter sizes
-    values: set[Fraction] = set()
-    for ah in E.a:
-        k = 1
-        while k * ah <= max_action:
-            values.add(k * ah)
-            k += 1
-    entries = []
-    for tau in sorted(values):
-        m = sum(1 for ah in E.a if (tau / ah).denominator == 1)
-        morse = 2 * sum(math.ceil(tau / ah) - 1 for ah in E.a)
-        entries.append(
-            SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + n)
+    bound = int(max_action * D)
+    scaled = _scaled_spectrum(P, bound)
+    rows = zip(*scaled) if scaled is not None else (
+        itertools.takewhile(lambda r: r[0] <= bound, _walk(P, 1)))
+    return [
+        SpectrumEntry(
+            tau=Fraction(int(v), D),
+            multiplicity=int(m),
+            morse_index=int(mo),
+            nullity=2 * int(m) - 1,
+            cz_index=int(mo) + n,
         )
-    return entries
+        for v, m, mo in rows
+    ]
 
 
 def _spectrum_float(E: Ellipsoid, max_action: float):
@@ -269,14 +272,10 @@ def spectral_invariants(E: Ellipsoid, count: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # slots up to action X: sum_h floor(X / a_h) >= count once X is big enough
-    a_top = E.a[-1]
-    bound = a_top * max(2, (count // E.n) + 2)
-    while True:
-        entries = action_spectrum(E, bound)
-        if sum(e.multiplicity for e in entries) >= count:
-            break
-        bound = bound * 2
+    if E.exact:
+        return invariant_window(E, 0, count - 1)
+    # N(a_1 count) >= count; the pad keeps k = count of plane 1 below the bound
+    entries = action_spectrum(E, E.floats[0] * count * (1 + TOL_MERGE))
     out = []
     for e in entries:
         out.extend([e.tau] * e.multiplicity)
@@ -286,33 +285,31 @@ def spectral_invariants(E: Ellipsoid, count: int) -> list:
 
 
 def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:
-    """c_lo, ..., c_hi without materializing the whole prefix list.
+    """c_lo, ..., c_hi without materializing the prefix c_0, ..., c_{lo-1}.
 
-    In exact mode the slot positions come from cumulative multiplicities of
-    the scaled integer spectrum, so windows at lcm-sized indices stay cheap.
+    Exact mode bisects for c_lo = min{X : N(X) >= lo + 1}, always a spectrum
+    value whose first slot is N(c_lo - 1), then walks up to c_hi: O(n (log(P_1
+    lo) + hi - lo)) integer operations whatever the index.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     if not E.exact:
         return spectral_invariants(E, hi + 1)[lo : hi + 1]
     P, D = E.scaled_integer_params()
-    n = E.n
-    # sum_h floor(X/a_h) slots up to action X; grow the bound until covered
-    bound = (max(P) * ((hi + 1) // n + 2))
-    while True:
-        scaled = _scaled_spectrum(P, bound)
-        if scaled is None:
-            return spectral_invariants(E, hi + 1)[lo : hi + 1]
-        vals, mult, _ = scaled
-        cum = np.cumsum(mult)
-        if cum.size and cum[-1] >= hi + 1:
-            break
-        bound *= 2
+    left, right = 0, P[0] * (lo + 1)  # N(left) < lo + 1 <= N(right)
+    while right - left > 1:
+        mid = (left + right) // 2
+        if sum(mid // p for p in P) > lo:
+            right = mid
+        else:
+            left = mid
+    slot = sum((right - 1) // p for p in P)
     out = []
-    for slot in range(lo, hi + 1):
-        j = int(np.searchsorted(cum, slot, side="right"))
-        out.append(Fraction(int(vals[j]), D))
-    return out
+    for v, m, _ in _walk(P, right):
+        out.extend([Fraction(v, D)] * (min(slot + m, hi + 1) - max(slot, lo)))
+        slot += m
+        if slot > hi:
+            return out
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,16 @@ class TestConstruction:
     def test_convexity_margin_reported(self, perturbed):
         assert perturbed.convexity_margin > 1e-8
 
+    def test_convexity_margin_matches_pointwise_reference(self, perturbed):
+        # per-point loop with a QR tangent basis, as the batched check replaced
+        worst = np.inf
+        for z in perturbed.surface_samples(1000):
+            g = perturbed.grad_gauge2(z) / np.linalg.norm(perturbed.grad_gauge2(z))
+            q, r = np.linalg.qr(np.eye(4) - np.outer(g, g))
+            basis = q[:, np.abs(np.diag(r)) > 1e-10][:, :3]
+            worst = min(worst, np.linalg.eigvalsh(basis.T @ perturbed.hess_gauge2(z) @ basis)[0])
+        assert abs(perturbed.convexity_margin - worst) < 1e-12
+
 
 class TestHomogenization:
     def test_ellipsoid_closed_form(self, e12):
@@ -96,6 +106,15 @@ class TestHomogenization:
             z = rng.normal(size=4)
             H_fd = np.array([fd_grad(lambda y: perturbed.grad_H(y)[i], z) for i in range(4)]).T
             assert np.abs(perturbed.hess_H(z) - H_fd).max() < 1e-5
+
+    @pytest.mark.parametrize("name", ["e12", "perturbed"])
+    def test_batched_hess_gauge2_matches_points(self, name, request):
+        body = request.getfixturevalue(name)
+        Z = np.random.default_rng(4).normal(size=(3, 5, 4))
+        H = body.hess_gauge2(Z)
+        assert H.shape == (3, 5, 4, 4)
+        assert np.array_equal(H, [[body.hess_gauge2(z) for z in row] for row in Z])
+        assert body.hess_gauge2(Z[0, 0]).shape == (4, 4)
 
 
 class TestSupportAndDual:

@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction as F
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_spectra.ellipsoid import (
     action_spectrum,
     besse_cz_index,
     classify,
     ellipsoid,
+    invariant_window,
     lcm_fractions,
     rational_reconstruct,
     reeb_flow,
@@ -112,6 +117,13 @@ class TestActionSpectrum:
             got = [(e.tau, e.multiplicity, e.morse_index) for e in action_spectrum(E, 8)]
             assert got == brute_force_spectrum(a, F(8))
 
+    def test_beyond_int64_against_brute_force(self):
+        # a numerator above 2^32 leaves the int64 enumeration for the walk
+        a = [F(2**33 + 1, 3), F(2**34 + 7, 5), F(2**35, 7)]
+        got = [(e.tau, e.multiplicity, e.morse_index) for e in action_spectrum(ellipsoid(a), F(2**36))]
+        assert len(got) > 20
+        assert got == brute_force_spectrum(a, F(2**36))
+
     def test_float_mode_merging(self):
         E = ellipsoid([1.0, 2.0])
         entries = action_spectrum(E, 6.0)
@@ -144,6 +156,31 @@ class TestSpectralInvariants:
         n = int(rng.integers(2, 7))
         a = sorted(F(int(rng.integers(1, 40)), int(rng.integers(1, 5))) for _ in range(n))
         assert spectral_invariants(ellipsoid(a), 30) == brute_force_invariants(a, 30)
+
+
+    def test_widely_spread_closed_form(self):
+        t0 = time.perf_counter()
+        c = spectral_invariants(ellipsoid([F(1, 10**6), 1]), 25)
+        assert time.perf_counter() - t0 < 1.0
+        assert c == [F(k + 1, 10**6) for k in range(25)]
+
+    def test_widely_spread_float(self):
+        # the bound comes from a_1, so 25 invariants enumerate ~25 values, not ~14M
+        t0 = time.perf_counter()
+        c = spectral_invariants(ellipsoid([1e-6, 1.0]), 25)
+        assert time.perf_counter() - t0 < 1.0
+        assert np.allclose(c, [(k + 1) * 1e-6 for k in range(25)], rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.fractions(min_value=F(1, 4), max_value=12, max_denominator=5), min_size=1, max_size=5),
+        lo=st.integers(0, 59),
+        width=st.integers(0, 59),
+    )
+    def test_window_is_slice_of_oracle(self, a, lo, width):
+        a = sorted(x for x in a if x > 0) or [F(1)]
+        hi = min(lo + width, 59)
+        assert invariant_window(ellipsoid(a), lo, hi) == brute_force_invariants(a, hi + 1)[lo : hi + 1]
 
 
 class TestClassify:
@@ -215,6 +252,18 @@ class TestInterleaving:
         E = ellipsoid(a)
         tau0 = classify(E).tau0
         assert verify_interleaving(E, tau0).passed
+
+    @pytest.mark.parametrize("a", [["1/2", "11/4", "19/4", "20/3", "17/2", "9"], ["1/1231", 2, "8/3"]])
+    def test_high_index(self, a):
+        # i is about 1.9M and 9.9k: the window is bisected, not enumerated
+        E = ellipsoid(a)
+        tau0 = classify(E).tau0
+        rep = verify_interleaving(E, tau0)
+        assert rep.i == (besse_cz_index(E, tau0) - E.n) // 2
+        assert rep.passed
+        # tau0 is a multiple of every a_h, so its neighbours are tau0 -+ a_1
+        assert rep.checks[0].lhs == tau0 - E.a[0]
+        assert rep.checks[3].rhs == tau0 + E.a[0]
 
     @pytest.mark.parametrize("a", [[1, 2], [1, "3/2"], ["1/2", "3/4", 1]])
     def test_equality_at_every_multiple(self, a):
