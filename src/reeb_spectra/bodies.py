@@ -35,6 +35,11 @@ CONVEXITY_SAMPLES = 1000
 CONVEXITY_MIN_EIG = 1e-8
 SUPPORT_MAX_ITER = 50
 SUPPORT_TOL = 1e-12
+PINCH_MAX_ITER = 50
+PINCH_MAX_HALVINGS = 40
+PINCH_TOL = 1e-12
+PINCH_EIG_FLOOR = 1e-10
+PINCH_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 class SupportSolveError(RuntimeError):
@@ -125,34 +130,37 @@ class ConvexBody:
         P = self._quartic_sum(z)
         return 0.5 * (Q + np.sqrt(Q * Q + 4.0 * self.epsilon * P))
 
+    def _gauge2_jet(self, z: np.ndarray):
+        """Q, G, 2G - Q, grad Q, grad G and the per-coordinate plane radii
+        |z_h|^2 of a perturbed body, each computed once."""
+        Q = self.quadric(z)
+        r2 = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
+        G = 0.5 * (Q + np.sqrt(Q * Q + 4.0 * self.epsilon * np.sum(self.quartic * r2 * r2, axis=-1)))
+        denom = 2.0 * G - Q
+        r2 = np.repeat(r2, 2, axis=-1)
+        gradQ = 2.0 * self._w * z
+        gradP = 4.0 * self._q4 * r2 * z
+        gradG = (G[..., None] * gradQ + self.epsilon * gradP) / denom[..., None]
+        return Q, G, denom, gradQ, gradG, r2
+
     def grad_gauge2(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        gradQ = 2.0 * self._w * z
         if self.epsilon == 0.0:
-            return gradQ
-        Q = self.quadric(z)
-        G = self.gauge2(z)
-        r2 = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
-        gradP = 4.0 * self._q4 * np.repeat(r2, 2, axis=-1) * z
-        denom = 2.0 * G - Q
-        return (G[..., None] * gradQ + self.epsilon * gradP) / denom[..., None]
+            return 2.0 * self._w * z
+        return self._gauge2_jet(z)[4]
 
     def hess_gauge2(self, z: np.ndarray) -> np.ndarray:
         """Hessian of G at points (..., 2n), shape (..., 2n, 2n)."""
         z = np.asarray(z, dtype=float)
         if self.epsilon == 0.0:
             return self._hessQ * np.ones(z.shape[:-1] + (1, 1))
-        Q = self.quadric(z)[..., None, None]
-        G = self.gauge2(z)[..., None, None]
-        gradQ = 2.0 * self._w * z
-        gradG = self.grad_gauge2(z)
-        r2 = np.repeat(z[..., 0::2] ** 2 + z[..., 1::2] ** 2, 2, axis=-1)
+        _, G, denom, gradQ, gradG, r2 = self._gauge2_jet(z)
         hessP = (8.0 * self._q4_blocks * (z[..., :, None] * z[..., None, :])
                  + (4.0 * self._q4 * r2)[..., None] * np.eye(self.dim))
         sym = gradG[..., :, None] * gradQ[..., None, :]
         outer_G = gradG[..., :, None] * gradG[..., None, :]
-        return (G * self._hessQ + self.epsilon * hessP + sym + np.swapaxes(sym, -1, -2)
-                - 2.0 * outer_G) / (2.0 * G - Q)
+        return (G[..., None, None] * self._hessQ + self.epsilon * hessP + sym
+                + np.swapaxes(sym, -1, -2) - 2.0 * outer_G) / denom[..., None, None]
 
     # -- alpha-degree Hamiltonian ------------------------------------------
 
@@ -289,70 +297,110 @@ class ConvexBody:
         jac[:, self.dim, : self.dim] = g
         return res, jac
 
+    def _legendre_with_grad(self, W: np.ndarray):
+        """(H*(W), grad H*(W)) for a batch (m, 2n) from one support solve."""
+        vals = np.zeros(len(W))
+        grads = np.zeros_like(W)
+        nz = np.linalg.norm(W, axis=-1) > 0
+        if np.any(nz):
+            h, u = self.support(W[nz])
+            beta = self.beta
+            scale = self.alpha ** (1.0 - beta) * h ** (beta - 1.0)
+            vals[nz] = (1.0 / beta) * scale * h
+            grads[nz] = scale[:, None] * u
+        return vals, grads
+
     def legendre_dual(self, w: np.ndarray):
         """H*(w) = max_z (<z, w> - H(z)), via the support function."""
         w = np.asarray(w, dtype=float)
-        single = w.ndim == 1
-        W = w.reshape(-1, self.dim)
-        zero = np.linalg.norm(W, axis=-1) == 0.0
-        out = np.zeros(len(W))
-        if np.any(~zero):
-            h, _ = self.support(W[~zero])
-            beta = self.beta
-            out[~zero] = (1.0 / beta) * self.alpha ** (1.0 - beta) * h**beta
-        return float(out[0]) if single else out
+        vals, _ = self._legendre_with_grad(w.reshape(-1, self.dim))
+        return float(vals[0]) if w.ndim == 1 else vals
 
     def grad_legendre(self, w: np.ndarray):
         """grad H*(w) = alpha^{1-beta} h_C(w)^{beta-1} u*(w)."""
         w = np.asarray(w, dtype=float)
-        single = w.ndim == 1
-        W = w.reshape(-1, self.dim)
-        out = np.zeros_like(W)
-        norms = np.linalg.norm(W, axis=-1)
-        nz = norms > 0
-        if np.any(nz):
-            h, u = self.support(W[nz])
-            beta = self.beta
-            out[nz] = self.alpha ** (1.0 - beta) * (h ** (beta - 1.0))[:, None] * u
-        return out[0] if single else out
+        _, grads = self._legendre_with_grad(w.reshape(-1, self.dim))
+        return grads[0] if w.ndim == 1 else grads
 
     # -- pinching -------------------------------------------------------------
 
     def pinching_radii(self) -> tuple[float, float]:
         """(inradius, circumradius) of Sigma about the origin.
 
-        Closed form for quadrics; multi-start extremization of G over the
-        unit sphere otherwise (r = 1/sqrt(max G), R = 1/sqrt(min G)).
+        r = 1/sqrt(max G) and R = 1/sqrt(min G) over the unit sphere.  Closed
+        form for quadrics.  Otherwise one batched Riemannian Newton solve on
+        the sphere: the 2n coordinate axes and 8 fixed random directions each
+        start a descent copy (min G) and an ascent copy (max G).  By Euler's
+        identity <v, grad G> = 2G, the Riemannian gradient is grad G - 2G v
+        and the Riemannian Hessian is P (hess G - 2G I) P with P = I - v v^T.
+        Steps are saddle-free: they solve with the absolute values of the
+        Hessian's eigenvalues, so every copy is a descent (ascent) method
+        and cannot settle on a saddle it did not start at.  Each step is
+        retracted by normalising v and halved until G does not increase
+        (decrease).  A copy stops when its Riemannian gradient is below
+        1e-12 max(1, G) or its line search stalls at rounding level.  Starts
+        that end within 1e-4 of the extremum but more than 1e-8 from it are
+        reported with a warning.
         """
         if self.epsilon == 0.0:
             return float(np.sqrt(self.a[0] / np.pi)), float(np.sqrt(self.a[-1] / np.pi))
-        from scipy.optimize import minimize
-
-        def g(v):
-            nv = np.linalg.norm(v)
-            return float(self.gauge2(v / nv))
-
-        starts = [np.eye(self.dim)[i] for i in range(self.dim)]
         rng = np.random.default_rng(7)
-        starts += [rng.normal(size=self.dim) for _ in range(8)]
-        mins, maxs = [], []
-        for s in starts:
-            s = s / np.linalg.norm(s)
-            r1 = minimize(g, s, method="BFGS", options={"gtol": 1e-12})
-            r2 = minimize(lambda v: -g(v), s, method="BFGS", options={"gtol": 1e-12})
-            mins.append(r1.fun)
-            maxs.append(-r2.fun)
-        gmin, gmax = min(mins), max(maxs)
-        spread_min = max(abs(v - gmin) for v in mins if abs(v - gmin) < 1e-4)
-        spread_max = max(abs(v - gmax) for v in maxs if abs(v - gmax) < 1e-4)
-        if spread_min > 1e-8 or spread_max > 1e-8:
+        starts = np.vstack([np.eye(self.dim), rng.normal(size=(8, self.dim))])
+        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
+        m = len(starts)
+        V = np.vstack([starts, starts])
+        sign = np.repeat([1.0, -1.0], m)  # minimise sign * G
+        G = self.gauge2(V)
+        active = np.ones(2 * m, dtype=bool)
+        eye = np.eye(self.dim)
+        for _ in range(PINCH_MAX_ITER):
+            idx = np.flatnonzero(active)
+            if len(idx) == 0:
+                break
+            v, g0, s = V[idx], G[idx], sign[idx]
+            rgrad = self.grad_gauge2(v) - 2.0 * g0[:, None] * v
+            done = np.linalg.norm(rgrad, axis=-1) < PINCH_TOL * np.maximum(1.0, g0)
+            active[idx[done]] = False
+            idx, v, g0, s, rgrad = idx[~done], v[~done], g0[~done], s[~done], rgrad[~done]
+            if len(idx) == 0:
+                break
+            proj = eye - v[:, :, None] * v[:, None, :]
+            hess = proj @ (self.hess_gauge2(v) - 2.0 * g0[:, None, None] * eye) @ proj
+            # the normal direction v is a null vector of the projected Hessian;
+            # give it eigenvalue 1 so the solve stays in the tangent space
+            evals, evecs = np.linalg.eigh(s[:, None, None] * hess + v[:, :, None] * v[:, None, :])
+            evals = np.abs(evals)
+            evals = np.maximum(evals, PINCH_EIG_FLOOR * evals.max(axis=-1, keepdims=True))
+            coef = np.einsum("bji,bj->bi", evecs, s[:, None] * rgrad) / evals
+            step = -np.einsum("bij,bj->bi", evecs, coef)
+            t = np.ones(len(idx))
+            pending = np.ones(len(idx), dtype=bool)
+            for _ in range(PINCH_MAX_HALVINGS):
+                trial = v[pending] + t[pending, None] * step[pending]
+                trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+                g_trial = self.gauge2(trial)
+                # G changes below its own rounding near the extremum, so a
+                # rise of a few ulp counts as no increase
+                ok = s[pending] * (g_trial - g0[pending]) <= PINCH_ROUNDING * g0[pending]
+                accepted = np.flatnonzero(pending)[ok]
+                V[idx[accepted]] = trial[ok]
+                G[idx[accepted]] = g_trial[ok]
+                pending[accepted] = False
+                if not np.any(pending):
+                    break
+                t[pending] *= 0.5
+            active[idx[pending]] = False  # stalled: no step keeps G monotone
+        mins, maxs = G[:m], G[m:]
+        gmin, gmax = float(mins.min()), float(maxs.max())
+        near_min = mins[np.abs(mins - gmin) < 1e-4]
+        near_max = maxs[np.abs(maxs - gmax) < 1e-4]
+        spread = max(float(np.max(near_min - gmin)), float(np.max(gmax - near_max)))
+        if spread > 1e-8:
             warnings.warn(
                 f"pinching_radii: optimizer starts disagree by "
-                f"{max(spread_min, spread_max):.2e} at the extremum"
+                f"{spread:.2e} at the extremum"
             )
-        r = 1.0 / math.sqrt(gmax)
-        R = 1.0 / math.sqrt(gmin)
-        return r, R
+        return 1.0 / math.sqrt(gmax), 1.0 / math.sqrt(gmin)
 
     def homogenize(self, alpha: float) -> "ConvexBody":
         """Same body with homogeneity degree alpha in (1, 2)."""

@@ -91,9 +91,6 @@ class FourierLoop:
         out[k - 1 :: k] = float(k) ** (1.0 / (alpha - 2.0)) * k * self.coeffs
         return FourierLoop(coeffs=out, grid_size=self.grid_size * k)
 
-    def scale(self, s: float) -> "FourierLoop":
-        return FourierLoop(coeffs=s * self.coeffs, grid_size=self.grid_size)
-
 
 def _synthesize(coeffs: np.ndarray, M: int) -> np.ndarray:
     K, d = coeffs.shape
@@ -130,8 +127,8 @@ def psi_with_grad(body: ConvexBody, loop: FourierLoop):
     u = loop.values()
     M = loop.grid_size
     w = -apply_J(u)
-    dual_vals = body.legendre_dual(w)
-    grad_u = apply_J(body.grad_legendre(w)) / M  # d(mean H*(-Ju_j))/du_j
+    dual_vals, dual_grads = body._legendre_with_grad(w)
+    grad_u = apply_J(dual_grads) / M  # d(mean H*(-Ju_j))/du_j
     spec = np.fft.rfft(grad_u, axis=0, norm="backward")
     grad_dual = 2.0 * spec[1 : loop.n_modes + 1]
     value = _quadratic_part(loop.coeffs) + float(np.mean(dual_vals))

@@ -28,6 +28,7 @@ ATOL = 1e-13
 TOL_ORBIT = 1e-9
 TOL_ENERGY = 1e-9
 TOL_DEDUP = 1e-6
+TOL_SUBPERIOD = 1e-5
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
 
 
@@ -244,10 +245,14 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
 
 
 def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
+    # an orbit polished at k times its period closes to TOL_ORBIT only over
+    # the whole multiple (the double cover on perturbed E(1, 2) returns within
+    # 3e-7 at half its period), so the return is a loose pre-screen and the
+    # Newton polish at period/k decides
     for k in range(8, 1, -1):
         tk = orbit.period / k
         z_end = integrate_reeb(body, orbit.initial_point, tk, rtol=1e-12)
-        if np.linalg.norm(z_end - orbit.initial_point) < 10 * TOL_ORBIT:
+        if np.linalg.norm(z_end - orbit.initial_point) < TOL_SUBPERIOD:
             polished = _newton_polish(body, orbit.initial_point, tk, t_max=orbit.period)
             if polished is not None:
                 return polished

@@ -67,11 +67,6 @@ def assert_symplectic(M: np.ndarray, tol: float = TOL_SYM) -> None:
         )
 
 
-def rot2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class SymplecticPath:
     """Path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
@@ -227,6 +229,36 @@ class TestPinchingRadii:
         r, R = body.pinching_radii()
         assert r <= R
         assert abs(r - 1.0) < 0.05 and abs(R - 1.0) < 0.05
+
+    def test_zero_quartic_matches_ellipsoid(self):
+        # epsilon > 0 takes the Newton path; with q = 0 the body is E(1, 2)
+        body = ConvexBody([1.0, 2.0], epsilon=1e-3, quartic=[0.0, 0.0])
+        r, R = body.pinching_radii()
+        assert abs(r - np.sqrt(1.0 / np.pi)) < 1e-12
+        assert abs(R - np.sqrt(2.0 / np.pi)) < 1e-12
+
+    @pytest.mark.parametrize("a, eps, quartic", [
+        ([1.0, 2.0], 1e-3, [1.0, 1.0]),
+        ([1.0, 1.2], 1e-3, [1.0, 0.8]),
+        ([1.0, 1.0], 0.5, [1.0, 0.3]),
+        ([1.0, 2.0, 3.0], 0.1, [0.5, 2.0, 1.0]),
+    ])
+    def test_bounds_sampled_gauge(self, a, eps, quartic):
+        body = ConvexBody(a, epsilon=eps, quartic=quartic)
+        r, R = body.pinching_radii()
+        gmin, gmax = 1.0 / R**2, 1.0 / r**2
+        dirs = body.surface_samples(1 << 14, seed=3)  # Sobol directions
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        G = body.gauge2(dirs)
+        assert G.min() >= gmin - 1e-12
+        assert G.max() <= gmax + 1e-12
+
+    def test_starts_agree_without_warning(self):
+        body = ConvexBody([1.0, 2.0], epsilon=1e-3, quartic=[1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, R = body.pinching_radii()
+        assert r < R
 
     def test_strong_convexity_validation(self):
         # gauge2 stays convex for huge eps on this family, so margins shrink

@@ -85,6 +85,26 @@ class TestFindClosedOrbits:
             best = min(abs(o.period - k * e) for e in exact for k in (1, 2, 3))
             assert best < 1e-8 or min(abs(o.period - v) for v in (1.0, 2.0, 3.0)) < 10 * eps
 
+    def test_double_cover_folded_into_multiples(self):
+        # seeds 3, seed 0 find the 2 x 0.9998987 orbit, which returns only
+        # within 3e-7 at half its period after polishing
+        body = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
+        orbits = find_closed_orbits(body, t_max=3.0, n_seeds=3, seed=0)
+
+        def planes(o):
+            z = o.initial_point
+            return tuple(z[0::2] ** 2 + z[1::2] ** 2 > 1e-6)
+
+        for short in orbits:
+            for other in orbits:
+                if other is short or planes(other) != planes(short):
+                    continue
+                for k in range(2, int(other.period / short.period) + 2):
+                    assert abs(other.period - k * short.period) > 1e-6
+        plane1 = [o for o in orbits if abs(o.period - 0.9998987) < 1e-6]
+        assert len(plane1) == 1
+        assert plane1[0].meta["multiples"][1] == pytest.approx(2 * plane1[0].period, abs=1e-12)
+
 
 class TestMonodromy:
     def test_symplecticity(self):
