@@ -59,9 +59,8 @@ class ConvexBody:
     """Gauge representation of a strongly convex body with 0 in its interior.
 
     Evaluators accept points of shape (2n,) or batches (..., 2n); Hessians
-    of G are batched to (..., 2n, 2n), those of H are per-point.  All
-    evaluators are pure; instances are immutable in practice and safe to
-    share.
+    are batched to (..., 2n, 2n).  All evaluators are pure; instances are
+    immutable in practice and safe to share.
     """
 
     def __init__(self, a: Sequence, epsilon: float = 0.0, quartic: Sequence | None = None,
@@ -151,16 +150,39 @@ class ConvexBody:
 
     def hess_gauge2(self, z: np.ndarray) -> np.ndarray:
         """Hessian of G at points (..., 2n), shape (..., 2n, 2n)."""
+        return self._gauge2_derivatives(z)[2]
+
+    def _gauge2_derivatives(self, z: np.ndarray):
+        """(G, grad G, hess G) at points (..., 2n) from one jet."""
         z = np.asarray(z, dtype=float)
         if self.epsilon == 0.0:
-            return self._hessQ * np.ones(z.shape[:-1] + (1, 1))
+            return (self.quadric(z), 2.0 * self._w * z,
+                    self._hessQ * np.ones(z.shape[:-1] + (1, 1)))
         _, G, denom, gradQ, gradG, r2 = self._gauge2_jet(z)
         hessP = (8.0 * self._q4_blocks * (z[..., :, None] * z[..., None, :])
                  + (4.0 * self._q4 * r2)[..., None] * np.eye(self.dim))
         sym = gradG[..., :, None] * gradQ[..., None, :]
         outer_G = gradG[..., :, None] * gradG[..., None, :]
-        return (G[..., None, None] * self._hessQ + self.epsilon * hessP + sym
-                + np.swapaxes(sym, -1, -2) - 2.0 * outer_G) / denom[..., None, None]
+        hessG = (G[..., None, None] * self._hessQ + self.epsilon * hessP + sym
+                 + np.swapaxes(sym, -1, -2) - 2.0 * outer_G) / denom[..., None, None]
+        return G, gradG, hessG
+
+    def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
+        """(grad, hess) of G^{alpha/2} at points (..., 2n) from one jet of G.
+
+        Chain rule: grad = a G^{a-1} grad G and
+        hess = a ((a-1) G^{a-2} grad G grad G^T + G^{a-1} hess G), a = alpha/2;
+        alpha = 2 returns the derivatives of G itself.
+        """
+        G, gradG, hessG = self._gauge2_derivatives(z)
+        if alpha == 2.0:
+            return gradG, hessG
+        a2 = alpha / 2.0
+        G1, G2 = G[..., None], G[..., None, None]
+        outer_G = gradG[..., :, None] * gradG[..., None, :]
+        grad = a2 * G1 ** (a2 - 1.0) * gradG
+        hess = a2 * ((a2 - 1.0) * G2 ** (a2 - 2.0) * outer_G + G2 ** (a2 - 1.0) * hessG)
+        return grad, hess
 
     # -- alpha-degree Hamiltonian ------------------------------------------
 
@@ -168,15 +190,10 @@ class ConvexBody:
         return self.gauge2(z) ** (self.alpha / 2.0)
 
     def grad_H(self, z: np.ndarray) -> np.ndarray:
-        G = self.gauge2(z)
-        return 0.5 * self.alpha * G[..., None] ** (self.alpha / 2.0 - 1.0) * self.grad_gauge2(z)
+        return self._homogeneous_derivatives(z, self.alpha)[0]
 
     def hess_H(self, z: np.ndarray) -> np.ndarray:
-        G = float(self.gauge2(z))
-        gradG = self.grad_gauge2(z)
-        hessG = self.hess_gauge2(z)
-        a2 = self.alpha / 2.0
-        return a2 * ((a2 - 1.0) * G ** (a2 - 2.0) * np.outer(gradG, gradG) + G ** (a2 - 1.0) * hessG)
+        return self._homogeneous_derivatives(z, self.alpha)[1]
 
     def reeb_field(self, z: np.ndarray) -> np.ndarray:
         """R = J grad G on Sigma (degree-2 normalization)."""

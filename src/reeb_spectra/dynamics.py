@@ -19,7 +19,6 @@ from scipy.integrate import solve_ivp
 from . import conley_zehnder as cz
 from .bodies import ConvexBody
 from .symplectic import SymplecticPath, apply_J, standard_J, symplectic_defect
-from .util import parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -151,17 +150,10 @@ def flow_with_monodromy(
     d = body.dim
     span = tau if alpha == 2.0 else 2.0 * tau / alpha
 
-    if alpha == 2.0:
-        grad, hess = body.grad_gauge2, body.hess_gauge2
-    else:
-        ab = body if body.alpha == alpha else body.homogenize(alpha)
-        grad, hess = ab.grad_H, ab.hess_H
-
     def rhs(t, y):
-        z = y[:d]
-        G = y[d:].reshape(d, d)
-        A = apply_J(hess(z).T).T  # J @ hess
-        return np.concatenate([apply_J(grad(z)), (A @ G).reshape(-1)])
+        grad, hess = body._homogeneous_derivatives(y[:d], alpha)
+        A = apply_J(hess.T).T  # J @ hess
+        return np.concatenate([apply_J(grad), (A @ y[d:].reshape(d, d)).reshape(-1)])
 
     y0 = np.concatenate([z0, np.eye(d).reshape(-1)])
     sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853", rtol=rtol, atol=atol,
@@ -244,19 +236,31 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
     return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm), monodromy=M)
 
 
-def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
-    # an orbit polished at k times its period closes to TOL_ORBIT only over
-    # the whole multiple (the double cover on perturbed E(1, 2) returns within
-    # 3e-7 at half its period), so the return is a loose pre-screen and the
-    # Newton polish at period/k decides
-    for k in range(8, 1, -1):
-        tk = orbit.period / k
-        z_end = integrate_reeb(body, orbit.initial_point, tk, rtol=1e-12)
+def _orbit_trajectory(body: ConvexBody, orbit: ClosedOrbit):
+    return _dense_trajectory(body, orbit.initial_point, orbit.period, rtol=1e-10, atol=1e-11)
+
+
+def _minimal_period(body: ConvexBody, orbit: ClosedOrbit):
+    """(orbit at its minimal period, dense trajectory over that period).
+
+    One dense trajectory over the period screens the returns at period/k,
+    k = 8..2.  An orbit polished at k times its period closes to TOL_ORBIT
+    only over the whole multiple (the double cover on perturbed E(1, 2)
+    returns within 3e-7 at half its period), so the return is a loose
+    pre-screen at TOL_SUBPERIOD and the Newton polish at period/k decides.
+    The trajectory is integrated again only when that polish replaces the
+    orbit.
+    """
+    interp = _orbit_trajectory(body, orbit)
+    ks = np.arange(8, 1, -1)
+    ends = interp(orbit.period / ks).T
+    for k, z_end in zip(ks, ends):
         if np.linalg.norm(z_end - orbit.initial_point) < TOL_SUBPERIOD:
-            polished = _newton_polish(body, orbit.initial_point, tk, t_max=orbit.period)
+            polished = _newton_polish(body, orbit.initial_point, orbit.period / k,
+                                      t_max=orbit.period)
             if polished is not None:
-                return polished
-    return orbit
+                return polished, _orbit_trajectory(body, polished)
+    return orbit, interp
 
 
 def _orbit_distance(body: ConvexBody, z: np.ndarray, other: ClosedOrbit, interp) -> float:
@@ -287,42 +291,38 @@ def find_closed_orbits(
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
     Seeds are the coordinate-plane circles plus low-discrepancy surface
-    samples; near-returns of each seed trajectory are polished by a damped
-    least-squares Newton on (z, tau) with a phase condition killing the
-    time-shift.  Orbits are deduplicated by trajectory distance and reported
-    with their minimal period; integer multiples within the window are
-    listed in meta["multiples"].
+    samples.  All seeds are flowed together in one dense solve; each seed's
+    near-returns (local minima of its displacement below half the
+    circumradius) are polished by a damped least-squares Newton on (z, tau)
+    with a phase condition killing the time-shift.  Each candidate is
+    reduced to its minimal period, and its trajectory over that period is
+    used to deduplicate the candidates after it by trajectory distance.
+    Integer multiples within the window are listed in meta["multiples"].
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     _, R = body.pinching_radii()
-    thresh = 0.5 * R
-
-    def hunt(z_seed):
-        found = []
-        interp = _dense_trajectory(body, z_seed, t_max, rtol=1e-10, atol=1e-11)
-        ts = np.linspace(0.0, t_max, scan_points + 1)
-        disp = np.linalg.norm(interp(ts).T - z_seed, axis=1)
-        for i in range(1, scan_points):
-            if disp[i] <= disp[i - 1] and disp[i] <= disp[i + 1] and disp[i] < thresh:
-                orb = _newton_polish(body, z_seed, ts[i], t_max)
-                if orb is None:
-                    log.debug(
-                        "Newton diverged from seed near t = %.6f (displacement %.3e)",
-                        ts[i], disp[i],
-                    )
-                elif orb.period <= t_max * (1 + 1e-9):
-                    found.append(orb)
-        return found
+    seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
+    interp = _dense_trajectory(body, seeds.reshape(-1), t_max, rtol=1e-10, atol=1e-11)
+    ts = np.linspace(0.0, t_max, scan_points + 1)
+    disp = np.linalg.norm(interp(ts).T.reshape(len(ts), *seeds.shape) - seeds, axis=-1)
+    inner = disp[1:-1]
+    near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
 
     candidates: list[ClosedOrbit] = []
-    for batch in parallel_map(hunt, _default_seeds(body, n_seeds - body.n, seed)):
-        candidates.extend(batch)
+    for j, i in zip(*np.nonzero(near.T)):
+        t = ts[i + 1]
+        orb = _newton_polish(body, seeds[j], t, t_max)
+        if orb is None:
+            log.debug("Newton diverged from seed near t = %.6f (displacement %.3e)",
+                      t, disp[i + 1, j])
+        elif orb.period <= t_max * (1 + 1e-9):
+            candidates.append(orb)
 
     unique: list[ClosedOrbit] = []
     interps: list = []
     for orb in sorted(candidates, key=lambda o: o.period):
-        orb = _minimal_period(body, orb)
+        orb, orb_interp = _minimal_period(body, orb)
         dup = False
         for prev, prev_interp in zip(unique, interps):
             if abs(prev.period - orb.period) < 1e-6 * max(1.0, prev.period):
@@ -334,9 +334,7 @@ def find_closed_orbits(
                 float(k * orb.period) for k in range(1, int(t_max / orb.period) + 1)
             ]
             unique.append(orb)
-            interps.append(
-                _dense_trajectory(body, orb.initial_point, orb.period, rtol=1e-10, atol=1e-11)
-            )
+            interps.append(orb_interp)
     return unique
 
 

@@ -118,6 +118,33 @@ class TestHomogenization:
         assert np.array_equal(H, [[body.hess_gauge2(z) for z in row] for row in Z])
         assert body.hess_gauge2(Z[0, 0]).shape == (4, 4)
 
+    @pytest.mark.parametrize("name", ["e12", "perturbed"])
+    def test_gauge2_derivatives_match_evaluators(self, name, request):
+        body = request.getfixturevalue(name)
+        Z = np.random.default_rng(10).normal(size=(3, 5, 4))
+        for z in (Z, Z[1, 2]):
+            G, grad, hess = body._gauge2_derivatives(z)
+            assert np.array_equal(G, body.gauge2(z))
+            assert np.array_equal(grad, body.grad_gauge2(z))
+            assert np.array_equal(hess, body.hess_gauge2(z))
+
+    @pytest.mark.parametrize("name", ["e12", "perturbed"])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_H_derivatives_match_pointwise_chain_rule(self, name, alpha, request):
+        body = request.getfixturevalue(name).homogenize(alpha)
+        Z = np.random.default_rng(11).normal(size=(6, 4))
+        a2 = alpha / 2.0
+        grads, hesses = body.grad_H(Z), body.hess_H(Z)
+        for z, grad, hess in zip(Z, grads, hesses):
+            G, gradG, hessG = float(body.gauge2(z)), body.grad_gauge2(z), body.hess_gauge2(z)
+            ref_grad = a2 * G ** (a2 - 1.0) * gradG
+            ref_hess = a2 * ((a2 - 1.0) * G ** (a2 - 2.0) * np.outer(gradG, gradG)
+                             + G ** (a2 - 1.0) * hessG)
+            assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+            assert np.abs(hess - ref_hess).max() <= 1e-14 * np.abs(ref_hess).max()
+            assert np.array_equal(body.grad_H(z), grad)
+            assert np.array_equal(body.hess_H(z), hess)
+
 
 class TestSupportAndDual:
     def test_support_quadric_closed_form(self, e12):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from reeb_spectra import dynamics
 from reeb_spectra.bodies import ConvexBody
 from reeb_spectra.dynamics import (
+    _minimal_period,
+    _newton_polish,
     find_closed_orbits,
     flow_with_monodromy,
     integrate_reeb,
@@ -16,6 +20,7 @@ from reeb_spectra.symplectic import standard_J, symplectic_defect
 
 E12 = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
 E12_EXACT = ellipsoid([1, 2])
+PERTURBED = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
 
 
 def surface_point(body, raw):
@@ -105,8 +110,83 @@ class TestFindClosedOrbits:
         assert len(plane1) == 1
         assert plane1[0].meta["multiples"][1] == pytest.approx(2 * plane1[0].period, abs=1e-12)
 
+    def test_minimal_period_of_a_double_cover(self):
+        from test_clarke import planar_period_oracle
+
+        T = planar_period_oracle(1.0, 1e-3, 1.0)
+        z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
+        cover = _newton_polish(PERTURBED, z, 2.0 * T, t_max=3.0)
+        assert cover is not None and abs(cover.period - 2.0 * T) < 1e-9
+        orbit, trajectory = _minimal_period(PERTURBED, cover)
+        assert abs(orbit.period - T) < 1e-9
+        # the trajectory is that of the replacing orbit, over its own period
+        assert (trajectory.t_min, trajectory.t_max) == (0.0, orbit.period)
+        assert np.linalg.norm(trajectory(orbit.period) - orbit.initial_point) < 1e-8
+
+
+class TestWorkCounts:
+    """Deterministic guards on the work the orbit search does per step."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            calls.append((tuple(t_span), len(y0), sol.nfev))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_one_jet_per_variational_rhs(self, alpha, solves, monkeypatch):
+        jets = []
+        jet = ConvexBody._gauge2_jet
+
+        def counted_jet(self, z):
+            jets.append(1)
+            return jet(self, z)
+
+        monkeypatch.setattr(ConvexBody, "_gauge2_jet", counted_jet)
+        z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
+        flow_with_monodromy(PERTURBED, z, 1.3, alpha=alpha, dense=True)
+        assert len(solves) == 1
+        assert len(jets) == solves[0][2] > 0
+
+    @pytest.mark.parametrize("n_seeds", [2, 5])
+    def test_one_solve_for_the_seed_sweep(self, n_seeds, solves):
+        t_max = 2.5
+        find_closed_orbits(E12, t_max=t_max, n_seeds=n_seeds, seed=0)
+        sweeps = [c for c in solves if c[0] == (0.0, t_max)]
+        assert len(sweeps) == 1
+        assert sweeps[0][1] == n_seeds * E12.dim
+
 
 class TestMonodromy:
+    @pytest.mark.parametrize("alpha", [1.5, 1.2])
+    def test_degree_alpha_flow_matches_reference(self, alpha):
+        # reference: the variational system assembled from grad_H / hess_H
+        ref_body = PERTURBED.homogenize(alpha)
+        z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
+        tau = 1.3
+        span = 2.0 * tau / alpha
+
+        def rhs(t, y):
+            A = standard_J(2) @ ref_body.hess_H(y[:4])
+            return np.concatenate([standard_J(2) @ ref_body.grad_H(y[:4]),
+                                   (A @ y[4:].reshape(4, 4)).reshape(-1)])
+
+        ref = solve_ivp(rhs, (0.0, span), np.concatenate([z, np.eye(4).reshape(-1)]),
+                        method="DOP853", rtol=dynamics.RTOL, atol=dynamics.ATOL,
+                        dense_output=True)
+        z_end, M, path = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha, dense=True)
+        assert np.abs(z_end - ref.y[:4, -1]).max() < 1e-12
+        assert np.abs(M - ref.y[4:, -1].reshape(4, 4)).max() < 1e-12
+        ts = np.linspace(0.0, 1.0, 9)
+        ref_mats = ref.sol(ts * span)[4:].T.reshape(len(ts), 4, 4)
+        assert np.abs(path.evaluate_batch(ts) - ref_mats).max() < 1e-12
+
     def test_symplecticity(self):
         z = surface_point(E12, [1.0, 0.0, 0.0, 0.0])
         _, M, _ = flow_with_monodromy(E12, z, 1.0, alpha=2.0)
