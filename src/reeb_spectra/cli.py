@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,7 +52,14 @@ def _load_body(args, alpha=None):
     raise ValueError("supply --ellipsoid or --body")
 
 
+# leaves that JSON and csv take as they are; matched on the exact type, which
+# is cheaper per cell than the isinstance chain below
+_PLAIN = frozenset({int, str, float, bool, type(None)})
+
+
 def _fmt(v):
+    if type(v) in _PLAIN:
+        return v
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
@@ -344,7 +352,15 @@ def cmd_bott(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call, so callers must not modify it.
+
+    main looks the subcommand's function up by name when it runs, so a
+    cmd_* function replaced on the module after the parser was built (a
+    test's monkeypatch, a profiler's wrapper) still takes effect.
+    """
     p = argparse.ArgumentParser(
         prog="reeb-spectra",
         description="Action spectra, spectral invariants and Besse/Zoll certificates "
@@ -360,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ellipsoid", required=True, help="comma list, e.g. 1,2 or 1,3/2 (use decimals for float mode)")
     sp.add_argument("--max", required=True, help="largest action value")
     add_out(sp)
-    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("invariants", help="spectral invariants c_0..c_{count-1}")
     sp.add_argument("--ellipsoid", required=True)
     sp.add_argument("--count", type=int, default=10)
     add_out(sp)
-    sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("classify", help="Besse/Zoll verdicts and the equality scan")
     sp.add_argument("--ellipsoid")
@@ -376,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--from-spectrum", default=None, help="re-ingest a spectrum JSON file")
     add_out(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("pinch", help="pinched-Zoll certificate")
     sp.add_argument("--ellipsoid")
@@ -386,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spectrum", default=None, help="comma list of spectrum values")
     sp.add_argument("--attest-coverage", action="store_true")
     add_out(sp)
-    sp.set_defaults(func=cmd_pinch)
 
     sp = sub.add_parser("systole", help="Clarke-dual systole minimization")
     sp.add_argument("--ellipsoid")
@@ -398,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-double-check", action="store_true")
     add_out(sp)
-    sp.set_defaults(func=cmd_systole)
 
     sp = sub.add_parser("orbits", help="closed-orbit shooting search with indices")
     sp.add_argument("--ellipsoid")
@@ -408,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--alpha", type=float, default=1.5)
     add_out(sp)
-    sp.set_defaults(func=cmd_orbits)
 
     sp = sub.add_parser("cz", help="Conley-Zehnder index of a rotation path")
     sp.add_argument("--rotation", required=True, help="comma list of rotation rates")
     add_out(sp)
-    sp.set_defaults(func=cmd_cz)
 
     sp = sub.add_parser("bott", help="geodesic-flow index tables")
     sp.add_argument("--model", required=True, help="S^n | RP^n | CP^{n/2} | HP^{n/4} | CaP^2")
@@ -422,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=float, default=1.0, help="minimal period")
     sp.add_argument("--initial-index", type=int, default=None)
     add_out(sp)
-    sp.set_defaults(func=cmd_bott)
 
     return p
 
@@ -434,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

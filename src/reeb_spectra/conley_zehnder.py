@@ -14,6 +14,17 @@ Paths with a singular endpoint get the largest lower semicontinuous
 extension: the path is multiplied by the backward rotation ramp
 exp(-eps t J) and the limit eps -> 0+ is taken (eps sequence 3e-3, 1e-3,
 1e-4, 1e-5; accepted when two consecutive values agree).
+
+Crossings are found on a uniform grid of DEFAULT_GRID cells.  Array masks
+over the grid bracket the sign changes of det(Gamma - I) and the local
+minima of the smallest singular value of Gamma - I (touching zeros, where
+det does not change sign).  All brackets of a grid are then refined
+together: a batched Illinois regula falsi on det for the sign changes, and
+a batched bracket zoom plus a parabola polish on the squared singular value
+for the dips, so each step is one evaluation of the path at many times.  A
+neighborhood the grid cannot resolve is rescanned on a finer local grid.
+Each path is scanned once per grid size: `cz_index`, `crossing_records`
+and `morse_index_from_path` share the scan, which is kept on the path.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .symplectic import SymplecticPath, path_product, rotation_path, standard_J
 
@@ -32,6 +42,11 @@ TOL_KER = 1e-8
 TOL_CROSS = 1e-7
 EPS_SEQUENCE = (3e-3, 1e-3, 1e-4, 1e-5)
 MAX_REFINE_DEPTH = 5
+# sign-change zeros are bracketed to this width (brentq's xtol)
+XTOL_ROOT = 1e-14
+# dip zoom: samples per bracket and level, and the bracket width it stops at
+ZOOM_POINTS = 15
+ZOOM_TOL = 1e-9
 
 
 class UnresolvedCrossingError(RuntimeError):
@@ -53,59 +68,94 @@ class CrossingRecord:
     signature: int
 
 
-def _eval_grid(path: SymplecticPath, grid: int):
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    mats = path.evaluate_batch(ts)
-    diff = mats - np.eye(path.dim)
-    dets = np.linalg.det(diff)
-    svals = np.linalg.svd(diff, compute_uv=False)
-    return ts, dets, svals[:, -1]
+def _smallest_svals(path: SymplecticPath, ts: np.ndarray) -> np.ndarray:
+    if not len(ts):
+        return np.empty(0)
+    diff = path.evaluate_batch(ts) - np.eye(path.dim)
+    return np.linalg.svd(diff, compute_uv=False)[:, -1]
 
 
-def _refine_sign_change(path, a, b):
-    dim = path.dim
-    eye = np.eye(dim)
+def _refine_sign_changes(path, lo, hi, f_lo, f_hi):
+    """Zeros of det(Gamma - I) in sign-change brackets, all brackets at once.
 
-    def f(t):
-        return float(np.linalg.det(path(t) - eye))
-
-    return float(brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
-
-
-def _refine_minimum(path, a, b):
+    Illinois regula falsi: an end kept twice in a row has its value halved,
+    and a step that fails to halve its bracket is followed by a bisection,
+    so every bracket shrinks at least geometrically to XTOL_ROOT.
+    """
     eye = np.eye(path.dim)
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    kept = np.zeros(len(lo))  # end kept by the last step: -1 lo, +1 hi
+    bisect = np.zeros(len(lo), dtype=bool)
+    while True:
+        k = np.flatnonzero(hi - lo > XTOL_ROOT)
+        if not len(k):
+            return 0.5 * (lo + hi)
+        a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
+        x = np.where(bisect[k], 0.5 * (a + b), np.clip((a * fb - b * fa) / (fb - fa), a, b))
+        fx = np.linalg.det(path.evaluate_batch(x) - eye)
+        right = np.sign(fx) == np.sign(fa)  # the zero lies in [x, b]
+        fb = np.where(right & (kept[k] > 0), 0.5 * fb, fb)
+        fa = np.where(~right & (kept[k] < 0), 0.5 * fa, fa)
+        lo[k], f_lo[k] = np.where(right, x, a), np.where(right, fx, fa)
+        hi[k], f_hi[k] = np.where(right, b, x), np.where(right, fb, fx)
+        kept[k] = np.where(right, 1.0, -1.0)
+        exact = fx == 0.0
+        lo[k[exact]] = hi[k[exact]] = x[exact]
+        bisect[k] = hi[k] - lo[k] > 0.5 * (b - a)
 
-    def s(t):
-        return float(np.linalg.svd(path(t) - eye, compute_uv=False)[-1])
 
-    res = minimize_scalar(s, bounds=(a, b), method="bounded", options={"xatol": 1e-13})
-    t_star, s_star = float(res.x), float(res.fun)
-    # s(t) is V-shaped or parabolic at a touching zero and the bounded
-    # minimizer floors its tolerance at sqrt(macheps)|t|; polish the vertex
-    # on s(t)^2, shrinking the sampling step until all three samples sit on
-    # one smooth branch (a nearby second crossing bends the profile)
-    h = min(1e-6, 0.25 * (b - a))
-    margin = b - a  # a crossing may sit one bracket-width outside
-    for _ in range(8):
-        if h < 1e-13:
+def _refine_dips(path, lo, hi, s_lo, s_hi):
+    """Minima of the smallest singular value s(t) on brackets [lo, hi].
+
+    All brackets zoom at once: each level samples ZOOM_POINTS interior
+    points and keeps the two cells around the smallest sample, until the
+    bracket is narrower than ZOOM_TOL.  s(t) is V-shaped or parabolic at a
+    touching zero, so the vertex is then polished on s(t)^2, shrinking the
+    sampling step until all three samples sit on one smooth branch (a
+    nearby second crossing bends the profile).
+    """
+    a0, b0 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi = a0.copy(), b0.copy()
+    s_lo, s_hi = np.array(s_lo, dtype=float), np.array(s_hi, dtype=float)
+    t_star = np.where(s_lo <= s_hi, lo, hi)
+    s_star = np.minimum(s_lo, s_hi)
+    frac = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+    while True:
+        k = np.flatnonzero(hi - lo > ZOOM_TOL)
+        if not len(k):
             break
+        inner = lo[k, None] + (hi[k] - lo[k])[:, None] * frac
+        ts = np.column_stack([lo[k], inner, hi[k]])
+        s_inner = _smallest_svals(path, inner.ravel()).reshape(inner.shape)
+        ss = np.column_stack([s_lo[k], s_inner, s_hi[k]])
+        j = np.argmin(ss, axis=1)
+        r = np.arange(len(k))
+        jl, jh = np.maximum(j - 1, 0), np.minimum(j + 1, ZOOM_POINTS + 1)
+        lo[k], hi[k], s_lo[k], s_hi[k] = ts[r, jl], ts[r, jh], ss[r, jl], ss[r, jh]
+        t_star[k], s_star[k] = ts[r, j], ss[r, j]
+
+    h = np.minimum(1e-6, 0.25 * (b0 - a0))
+    margin = b0 - a0  # a crossing may sit one bracket-width outside
+    for _ in range(8):
         lo, hi = t_star - h, t_star + h
-        if lo > a - margin and hi < b + margin:
-            s_m, s_0, s_p = s(lo) ** 2, s_star**2, s(hi) ** 2
-            denom = s_p - 2.0 * s_0 + s_m
-            if denom > 0:
-                t_new = t_star - 0.5 * h * (s_p - s_m) / denom
-                # reject vertex estimates that leave the bracket
-                # neighborhood (branch mixing can corrupt the fit)
-                if a - margin < t_new < b + margin:
-                    s_new = s(t_new)
-                    if s_new < s_star:
-                        t_star, s_star = t_new, s_new
-        h *= 0.1
+        k = np.flatnonzero((h >= 1e-13) & (lo > a0 - margin) & (hi < b0 + margin))
+        s2 = _smallest_svals(path, np.concatenate([lo[k], hi[k]])) ** 2
+        s_m, s_p, s_0 = s2[: len(k)], s2[len(k) :], s_star[k] ** 2
+        denom = s_p - 2.0 * s_0 + s_m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = t_star[k] - 0.5 * h[k] * (s_p - s_m) / denom
+        # reject vertex estimates that leave the bracket neighborhood
+        # (branch mixing can corrupt the fit)
+        fit = (denom > 0) & (a0[k] - margin[k] < t_new) & (t_new < b0[k] + margin[k])
+        k, t_new = k[fit], t_new[fit]
+        s_new = _smallest_svals(path, t_new)
+        better = s_new < s_star[k]
+        t_star[k[better]], s_star[k[better]] = t_new[better], s_new[better]
+        h = h * 0.1
     return t_star, s_star
 
 
-def _push_candidate(path, t, s_resid, a, b, points, depth, out):
+def _push_candidate(path, t, s_resid, svals, speed, a, b, points, depth, out):
     """Accept a refined crossing, or split its neighborhood further.
 
     A companion crossing masked by this one's dip (the backward-rotation
@@ -113,13 +163,12 @@ def _push_candidate(path, t, s_resid, a, b, points, depth, out):
     singular value of size |Gamma'| * distance; anything above the kernel
     tolerance but below |Gamma'| * 4 cells therefore flags a neighborhood
     that the current resolution cannot have separated, and it is rescanned
-    on a finer local grid.
+    on a finer local grid.  svals are the singular values of Gamma(t) - I
+    and speed is |Gamma'(t)|.
     """
-    svals = np.linalg.svd(path(t) - np.eye(path.dim), compute_uv=False)
     scale = max(1.0, svals[0])
     tol_k = max(TOL_KER * scale, 3.0 * s_resid)
     cell = (b - a) / points
-    speed = np.linalg.norm(_path_derivative(path, t), 2)
     ceiling = speed * 4.0 * cell
     banded = np.any((svals > tol_k) & (svals < ceiling))
     # a masked companion sits within ~3 parent cells; the child window is
@@ -140,50 +189,53 @@ def _push_candidate(path, t, s_resid, a, b, points, depth, out):
 def _scan_interval(path, a, b, points, depth, out):
     """Find crossings of det(Gamma - I) on [a, b] at the given resolution.
 
-    Sign changes are bracketed and bisected; touching zeros (the det of a
+    Brackets come from array masks over the grid.  Sign changes of det are
+    refined together by `_refine_sign_changes`; touching zeros (the det of a
     rotation block is >= 0) are caught as local minima of the smallest
-    singular value and refined by bounded minimization plus a parabola
-    polish.  Dips hiding inside the first/last cell are checked explicitly.
+    singular value and refined together by `_refine_dips`.  Dips hiding
+    inside the first/last cell are checked explicitly.  Returns the grid's
+    smallest singular values.
     """
     ts = np.linspace(a, b, points + 1)
-    mats = path.evaluate_batch(ts)
-    diff = mats - np.eye(path.dim)
+    diff = path.evaluate_batch(ts) - np.eye(path.dim)
     dets = np.linalg.det(diff)
     smin = np.linalg.svd(diff, compute_uv=False)[:, -1]
 
     sign = np.sign(dets)
-    for i in range(points):
-        if sign[i] != 0.0 and sign[i] * sign[i + 1] < 0:
-            try:
-                t = _refine_sign_change(path, ts[i], ts[i + 1])
-            except (ValueError, RuntimeError):
-                # det noise on a flat zero can defeat bisection; locate the
-                # crossing through the singular-value dip instead
-                t, s_r = _refine_minimum(path, ts[i], ts[i + 1])
-                if s_r < TOL_CROSS:
-                    _push_candidate(path, t, s_r, a, b, points, depth, out)
-                continue
-            _push_candidate(path, t, 0.0, a, b, points, depth, out)
+    i = np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] * sign[1:] < 0))
+    roots = _refine_sign_changes(path, ts[i], ts[i + 1], dets[i], dets[i + 1])
 
-    for i in range(1, points):
-        if smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1] and smin[i] < 0.2:
-            t_star, s_star = _refine_minimum(path, ts[i - 1], ts[i + 1])
-            if s_star < TOL_CROSS:
-                _push_candidate(path, t_star, s_star, a, b, points, depth, out)
-
+    mid = smin[1:-1]
+    j = 1 + np.flatnonzero((mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.2))
     # dips inside the edge cells (monotone samples hide them from the
     # local-minimum detector)
-    for lo, hi in ((0, 1), (points - 1, points)):
-        if min(smin[lo], smin[hi]) < 0.2:
-            t_star, s_star = _refine_minimum(path, ts[lo], ts[hi])
-            if s_star < TOL_CROSS and s_star < 0.5 * min(smin[lo], smin[hi]):
-                _push_candidate(path, t_star, s_star, a, b, points, depth, out)
+    edges = np.array([c for c in (0, points - 1) if min(smin[c], smin[c + 1]) < 0.2], dtype=int)
+    lo = np.concatenate([j - 1, edges])
+    hi = np.concatenate([j + 1, edges + 1])
+    t_dip, s_dip = _refine_dips(path, ts[lo], ts[hi], smin[lo], smin[hi])
+    accept = s_dip < TOL_CROSS
+    accept[len(j) :] &= s_dip[len(j) :] < 0.5 * np.minimum(smin[edges], smin[edges + 1])
+
+    cand_t = np.concatenate([roots, t_dip[accept]])
+    cand_s = np.concatenate([np.zeros(len(roots)), s_dip[accept]])
+    if len(cand_t):
+        svals = np.linalg.svd(path.evaluate_batch(cand_t) - np.eye(path.dim), compute_uv=False)
+        speeds = np.linalg.norm(_path_derivative(path, cand_t), 2, axis=(1, 2))
+        for t, s, sv, v in zip(cand_t, cand_s, svals, speeds):
+            _push_candidate(path, float(t), float(s), sv, v, a, b, points, depth, out)
+    return smin
 
 
 def _candidate_times(path: SymplecticPath, grid: int):
-    """Interior crossing candidates in (0, 1), refined and deduplicated."""
+    """Interior crossing candidates in (0, 1), refined and deduplicated.
+
+    Returns the candidates with the grid's smallest singular values.  The
+    scan runs once per path and grid; the result is kept on the path.
+    """
+    if grid in path._scans:
+        return path._scans[grid]
     out: list[tuple[float, float]] = []
-    _scan_interval(path, 0.0, 1.0, grid, 0, out)
+    smin = _scan_interval(path, 0.0, 1.0, grid, 0, out)
 
     endpoint_singular = _endpoint_singular(path, tol=TOL_CROSS * 0.1)
     out.sort()
@@ -201,7 +253,9 @@ def _candidate_times(path: SymplecticPath, grid: int):
                 merged[-1] = (t, s)
             continue
         merged.append((t, s))
-    return merged
+    smin.flags.writeable = False
+    path._scans[grid] = (tuple(merged), smin)
+    return path._scans[grid]
 
 
 def _kernel_basis(M: np.ndarray, tol: float = TOL_KER):
@@ -220,15 +274,16 @@ def _kernel_basis(M: np.ndarray, tol: float = TOL_KER):
     return k, vt[len(svals) - k :].T if k else np.zeros((M.shape[0], 0))
 
 
-def _path_derivative(path: SymplecticPath, t: float, h: float = 1e-6) -> np.ndarray:
-    lo, hi = max(0.0, t - h), min(1.0, t + h)
-    mats = path.evaluate_batch(np.array([lo, hi]))
-    return (mats[1] - mats[0]) / (hi - lo)
+def _path_derivative(path: SymplecticPath, ts: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central differences of Gamma at the times ts, one-sided at 0 and 1."""
+    lo, hi = np.maximum(0.0, ts - h), np.minimum(1.0, ts + h)
+    mats = path.evaluate_batch(np.concatenate([lo, hi]))
+    return (mats[len(ts) :] - mats[: len(ts)]) / (hi - lo)[:, None, None]
 
 
 def _crossing_form(path: SymplecticPath, t: float, kernel: np.ndarray) -> np.ndarray:
     J = standard_J(path.dim // 2)
-    dG = _path_derivative(path, t)
+    dG = _path_derivative(path, np.array([t]))[0]
     W = J @ dG @ kernel  # omega(v, dG w) = <J v, dG w> = v^T J^T dG w
     Q = -kernel.T @ W  # J^T = -J
     return 0.5 * (Q + Q.T)
@@ -246,7 +301,7 @@ def _signature(Q: np.ndarray, rel_tol: float = 1e-4):
 def crossing_records(path: SymplecticPath, grid: int = DEFAULT_GRID) -> list[CrossingRecord]:
     """Interior crossings of the path with the Maslov cycle, in time order."""
     records = []
-    for t, s_resid in _candidate_times(path, grid):
+    for t, s_resid in _candidate_times(path, grid)[0]:
         # kernel tolerance keyed to how precisely the crossing was localized
         tol = max(TOL_KER, 3.0 * s_resid)
         k, basis = _kernel_basis(path(t), tol=tol)
@@ -328,14 +383,14 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
 
 def morse_index_from_path(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
     """Sum of dim ker(Gamma(t) - I) over interior crossing times t in (0,1)."""
-    ts, _, smin = _eval_grid(path, grid)
-    if np.count_nonzero(smin < TOL_CROSS) > 0.2 * len(ts):
+    candidates, smin = _candidate_times(path, grid)
+    if np.count_nonzero(smin < TOL_CROSS) > 0.2 * len(smin):
         raise UnresolvedCrossingError(
             "path is singular on a positive fraction of the grid; "
             "crossings are not isolated"
         )
     total = 0
-    for t, s_resid in _candidate_times(path, grid):
+    for t, s_resid in candidates:
         k, _ = _kernel_basis(path(t), tol=max(TOL_KER, 3.0 * s_resid))
         total += k
     return total

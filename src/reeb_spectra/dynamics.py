@@ -414,6 +414,8 @@ def monodromy_and_index(
     with N the alpha-independent restriction of the Reeb monodromy to
     E^omega.  A residual of the blockdiag(M_alpha, N) reconstruction of the
     endpoint is recorded; above 1e-6 the raw monodromy is kept and flagged.
+    The Reeb monodromy is taken from orbit.monodromy and integrated only
+    when the orbit carries none.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -422,7 +424,9 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    _, M2, _ = flow_with_monodromy(body, z0, tau, alpha=2.0)
+    M2 = orbit.monodromy  # the Newton polish stores it, at rtol 1e-12
+    if M2 is None:
+        _, M2, _ = flow_with_monodromy(body, z0, tau, alpha=2.0)
     sdef = symplectic_defect(M2)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")

@@ -74,12 +74,15 @@ class SymplecticPath:
     kind is one of "rotation", "block", "product", "conjugate",
     "linearized-flow", "sampled". The batch evaluator maps a (T,) array of
     times to a (T, 2n, 2n) stack; scalar evaluation goes through __call__.
+    The crossing counter keeps its scan of the path in _scans, keyed by
+    grid size, so every grid is scanned once per path.
     """
 
     dim: int
     kind: str
     eval_batch: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2:

@@ -1,6 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
-from reeb_spectra.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+import numpy as np
+import pytest
+
+import reeb_spectra
+from reeb_spectra import cli
+from reeb_spectra.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -164,3 +174,53 @@ class TestExitCodes:
                 capsys, "pinch", "--ellipsoid", "1,3/2", "--delta-sq", "7/4", "--out", fmt
             )
             assert code == EXIT_OK
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_sequence_matches_a_fresh_run(self, capsys):
+        code_a, _, _ = run_cli(capsys, "invariants", "--ellipsoid", "1,2", "--count", "5")
+        code_b, out_b, _ = run_cli(capsys, "cz", "--rotation", "2.5,0.7")
+        code_bad, _, _ = run_cli(capsys, "cz", "--rates", "2.5")
+        code_again, out_again, _ = run_cli(capsys, "cz", "--rotation", "2.5,0.7")
+        env = dict(os.environ)
+        src = str(Path(reeb_spectra.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "reeb_spectra.cli", "cz", "--rotation", "2.5,0.7"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert (code_a, code_b, code_bad, code_again) == (EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK)
+        assert out_b == fresh.stdout == out_again
+
+
+def _reference_fmt(v):
+    """The formatter without the exact-type exit for plain leaves."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, float):
+        return v
+    if isinstance(v, (np.floating, np.integer)):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_reference_fmt(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _reference_fmt(x) for k, x in v.items()}
+    return v
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("ellipsoid", ["1,3/2,7/3", "1.0,1.5,2.3"], ids=["exact", "float"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spectrum_table_matches_reference_formatter(self, ellipsoid, fmt, capsys, monkeypatch):
+        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", "60", "--out", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_fmt", _reference_fmt)
+        code_ref, out_ref, _ = run_cli(capsys, *argv)
+        assert code == code_ref == EXIT_OK
+        assert out.count("\n") > 50
+        assert out == out_ref

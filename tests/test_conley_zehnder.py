@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
+from reeb_spectra import conley_zehnder as cz
+from reeb_spectra.cli import main
 from reeb_spectra.conley_zehnder import (
+    DEFAULT_GRID,
+    TOL_CROSS,
     UnresolvedCrossingError,
     crossing_records,
     cz_index,
@@ -284,3 +291,151 @@ class TestCrossingRecords:
         assert times == [0.25, 0.5, 0.75]
         mid = [r for r in recs if abs(r.time - 0.5) < 1e-9][0]
         assert mid.kernel_dim == 4
+
+
+# rates in (-3.5, 3.5): half of them integers or half-integers, the rest
+# generic and at least 1e-3 from an integer; zero is left out, since an
+# identity block is singular on the whole grid and has no isolated crossings
+RATES = st.one_of(
+    st.integers(-6, 6).filter(bool).map(lambda k: k / 2),
+    st.floats(-3.49, 3.49).filter(lambda r: abs(r) > 0.05 and abs(r - round(r)) > 1e-3),
+)
+
+
+class TestClosedForms:
+    @settings(max_examples=40, deadline=None)
+    @given(rates=st.lists(RATES, min_size=1, max_size=3), blocks=st.booleans())
+    def test_rotation_and_block_paths(self, rates, blocks):
+        path = (
+            block_compose([rotation_path([r]) for r in rates])
+            if blocks
+            else rotation_path(rates)
+        )
+        integers = [r for r in rates if float(r).is_integer()]
+        cz_closed = sum(2 * r - 1 if r in integers else 2 * math.floor(r) + 1 for r in rates)
+        assert cz_index(path) == cz_closed
+        # interior crossings of a block sit at t = k/|r|, k = 1 .. ceil(|r|) - 1
+        assert morse_index_from_path(path) == 2 * sum(math.ceil(abs(r)) - 1 for r in rates)
+        assert cz_nullity(path) == 2 * len(integers)
+
+
+def _reference_root(path, a, b):
+    """Per-bracket brentq on det(Gamma - I); where det noise on a flat zero
+    defeats it, the singular-value dip locates the crossing instead."""
+    eye = np.eye(path.dim)
+    try:
+        return brentq(lambda t: float(np.linalg.det(path(t) - eye)), a, b,
+                      xtol=1e-14, rtol=8.9e-16)
+    except (ValueError, RuntimeError):
+        return _reference_dip(path, a, b)[0]
+
+
+def _reference_dip(path, a, b):
+    """Per-bracket bounded minimization of the smallest singular value,
+    then the parabola polish on its square, one time at a time."""
+    eye = np.eye(path.dim)
+
+    def s(t):
+        return float(np.linalg.svd(path(t) - eye, compute_uv=False)[-1])
+
+    res = minimize_scalar(s, bounds=(a, b), method="bounded", options={"xatol": 1e-13})
+    t_star, s_star = float(res.x), float(res.fun)
+    h = min(1e-6, 0.25 * (b - a))
+    margin = b - a
+    for _ in range(8):
+        if h < 1e-13:
+            break
+        lo, hi = t_star - h, t_star + h
+        if lo > a - margin and hi < b + margin:
+            s_m, s_0, s_p = s(lo) ** 2, s_star**2, s(hi) ** 2
+            denom = s_p - 2.0 * s_0 + s_m
+            if denom > 0:
+                t_new = t_star - 0.5 * h * (s_p - s_m) / denom
+                if a - margin < t_new < b + margin:
+                    s_new = s(t_new)
+                    if s_new < s_star:
+                        t_star, s_star = t_new, s_new
+        h *= 0.1
+    return t_star, s_star
+
+
+def _twist(tau, alpha):
+    z0 = np.array([1 / np.sqrt(np.pi), 0.0, 0.0, 0.0])
+    return ellipsoid_alpha_path([1.0, 2.0], z0, tau, alpha)
+
+
+_P = np.array(
+    [
+        [1.0, 0.0, 0.5, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, -0.5, 0.0, 1.0],
+    ]
+)
+REFERENCE_PATHS = {
+    "rotation": lambda: rotation_path([2.5, 0.7]),
+    "blocks": lambda: block_compose([rotation_path([1.7]), rotation_path([3.2])]),
+    "conjugated": lambda: conjugate_path(
+        block_compose([rotation_path([1.5]), rotation_path([0.7])]), _P
+    ),
+    "twist-1.7": lambda: _twist(1.7, 1.3),
+    "twist-2.6": lambda: _twist(2.6, 1.5),
+}
+
+
+class TestBatchedRefiners:
+    """The batched refiners find the crossing times that per-bracket scipy
+    refinement finds, on the brackets of the top-level grid."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PATHS))
+    def test_match_scalar_reference(self, name):
+        path = REFERENCE_PATHS[name]()
+        ts = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
+        diff = path.evaluate_batch(ts) - np.eye(path.dim)
+        dets = np.linalg.det(diff)
+        smin = np.linalg.svd(diff, compute_uv=False)[:, -1]
+
+        sign = np.sign(dets)
+        i = np.flatnonzero((sign[:-1] != 0) & (sign[:-1] * sign[1:] < 0))
+        roots = cz._refine_sign_changes(path, ts[i], ts[i + 1], dets[i], dets[i + 1])
+        ref_roots = [_reference_root(path, ts[k], ts[k + 1]) for k in i]
+        assert np.abs(roots - ref_roots).max(initial=0.0) <= 1e-12
+
+        mid = smin[1:-1]
+        j = 1 + np.flatnonzero((mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.2))
+        t_dip, s_dip = cz._refine_dips(path, ts[j - 1], ts[j + 1], smin[j - 1], smin[j + 1])
+        ref = np.array([_reference_dip(path, ts[k - 1], ts[k + 1]) for k in j]).reshape(-1, 2)
+        accepted = s_dip < TOL_CROSS
+        assert np.array_equal(accepted, ref[:, 1] < TOL_CROSS)
+        assert np.abs(t_dip[accepted] - ref[accepted, 0]).max(initial=0.0) <= 1e-12
+
+        assert len(roots) + np.count_nonzero(accepted) > 0
+        if name.startswith("twist"):
+            assert len(roots) > 0  # the twist exercises the sign-change refiner
+
+
+class TestOneScanPerPath:
+    """The cz command scans every distinct path once on the full grid."""
+
+    @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 3)])
+    def test_grid_evaluations(self, rates, scans, monkeypatch, capsys):
+        # "2,4/3" ends on a singular endpoint: two rungs of the eps ladder,
+        # plus the unperturbed path for the Morse index
+        evaluate = SymplecticPath.evaluate_batch
+        calls, depth = [0], [0]
+
+        def counting(self, ts):
+            # a product path evaluates its factors inside its own call;
+            # only the outermost call is one evaluation of the path
+            if depth[0] == 0 and len(ts) == DEFAULT_GRID + 1:
+                calls[0] += 1
+            depth[0] += 1
+            try:
+                return evaluate(self, ts)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(SymplecticPath, "evaluate_batch", counting)
+        assert main(["cz", "--rotation", rates]) == 0
+        capsys.readouterr()
+        assert calls[0] == scans

@@ -271,6 +271,34 @@ class TestMonodromy:
         monodromy_and_index(body, orbit, alpha=1.5)
         assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == (2, 0, 1)
 
+    def test_reuses_the_polished_monodromy(self, monkeypatch):
+        from reeb_spectra.dynamics import ClosedOrbit
+
+        z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
+        polished = _newton_polish(PERTURBED, z, 1.0, t_max=1.5)
+        M = polished.monodromy
+        bare = ClosedOrbit(initial_point=polished.initial_point, period=polished.period,
+                           residual=polished.residual)
+        monodromy_and_index(PERTURBED, bare, alpha=1.5)  # integrates its own monodromy
+
+        alphas = []
+        flow = dynamics.flow_with_monodromy
+
+        def spy(*args, **kwargs):
+            alphas.append(kwargs.get("alpha"))
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "flow_with_monodromy", spy)
+        monodromy_and_index(PERTURBED, polished, alpha=1.5)
+        assert alphas == [1.5]  # only the degree-alpha path is integrated
+        assert polished.monodromy is M
+        got, want = polished.as_dict(), bare.as_dict()
+        for key in ("cz", "morse", "nullity", "period"):
+            assert got[key] == want[key]
+        ev = np.array(got["monodromy_eigenvalues"])
+        ev_ref = np.array(want["monodromy_eigenvalues"])
+        assert np.abs(ev - ev_ref).max() < 1e-10
+
     def test_orbit_export_schema(self):
         from reeb_spectra.dynamics import ClosedOrbit
 
