@@ -18,12 +18,14 @@ from .dynamics import (
 from .ellipsoid import (
     Ellipsoid,
     SpectrumEntry,
+    SpectrumTable,
     action_spectrum,
     besse_cz_index,
     classify,
     ellipsoid,
     reeb_flow,
     spectral_invariants,
+    spectrum_table,
     verify_interleaving,
 )
 from .symplectic import SymplecticPath, block_compose, rotation_path, standard_J
@@ -37,6 +39,7 @@ __all__ = [
     "FourierLoop",
     "MinimizeConfig",
     "SpectrumEntry",
+    "SpectrumTable",
     "SymplecticPath",
     "action_spectrum",
     "besse_by_invariants",
@@ -63,6 +66,7 @@ __all__ = [
     "renormalized_action",
     "rotation_path",
     "spectral_invariants",
+    "spectrum_table",
     "standard_J",
     "verify_interleaving",
     "zoll_by_pinching",

@@ -226,21 +226,27 @@ class ConvexBody:
         return self.project_to_surface(dirs)
 
     def _validate_convexity(self):
-        pts = self.surface_samples(CONVEXITY_SAMPLES)
-        g = self.grad_gauge2(pts)
-        # restrict to the tangent space ker(dG): the Householder reflection
-        # taking g to -sign(g_0) e_0 has its other columns orthonormal in g^perp
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        v = g.copy()
-        v[:, 0] += np.where(g[:, 0] >= 0.0, 1.0, -1.0)
-        vv = v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
-        basis = (np.eye(self.dim) - 2.0 * vv)[:, :, 1:]
-        restricted = np.swapaxes(basis, -1, -2) @ self.hess_gauge2(pts) @ basis
-        min_eig = np.linalg.eigvalsh(restricted)[:, 0].min()
+        if self.epsilon == 0.0:
+            # the Hessian is the constant 2 diag(pi / a); its smallest
+            # eigenvalue 2 pi / a_max has the whole plane of a_max as
+            # eigenspace, which meets every tangent hyperplane
+            min_eig, where = 2.0 * self._w.min(), "anywhere"
+        else:
+            pts = self.surface_samples(CONVEXITY_SAMPLES)
+            g = self.grad_gauge2(pts)
+            # restrict to the tangent space ker(dG): the Householder reflection
+            # taking g to -sign(g_0) e_0 has its other columns orthonormal in g^perp
+            g /= np.linalg.norm(g, axis=-1, keepdims=True)
+            v = g.copy()
+            v[:, 0] += np.where(g[:, 0] >= 0.0, 1.0, -1.0)
+            vv = v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
+            basis = (np.eye(self.dim) - 2.0 * vv)[:, :, 1:]
+            restricted = np.swapaxes(basis, -1, -2) @ self.hess_gauge2(pts) @ basis
+            min_eig, where = np.linalg.eigvalsh(restricted)[:, 0].min(), "at the sampled points"
         self.convexity_margin = float(min_eig)
         if min_eig <= CONVEXITY_MIN_EIG:
             raise ValueError(
-                f"body is not strongly convex at the sampled points: "
+                f"body is not strongly convex {where}: "
                 f"smallest restricted Hessian eigenvalue {min_eig:.3e}"
             )
 

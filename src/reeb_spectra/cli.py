@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -111,35 +112,53 @@ def _meta(exact: bool, **extra) -> dict:
     return meta
 
 
+_SPECTRUM_FIELDS = ("tau", "multiplicity", "morse_index", "nullity", "cz_index")
+# one table row as json.dumps(payload, indent=2) lays it out inside "entries"
+_JSON_ROW = (
+    '    {\n      "tau": %s,\n      "multiplicity": %d,\n      "morse_index": %d,\n'
+    '      "nullity": %d,\n      "cz_index": %d\n    }'
+)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_spectrum(args) -> int:
-    from .ellipsoid import action_spectrum
+    """The spectrum table, written from the columns of `spectrum_table`:
+    byte for byte what json.dumps(indent=2) and csv.DictWriter make of the
+    `action_spectrum` rows, without building a row object."""
+    from .ellipsoid import spectrum_table
 
     E = _parse_ellipsoid(args.ellipsoid)
-    entries = action_spectrum(E, _parse_value(str(args.max)))
-    rows = [
-        {
-            "tau": e.tau,
-            "multiplicity": e.multiplicity,
-            "morse_index": e.morse_index,
-            "nullity": e.nullity,
-            "cz_index": e.cz_index,
-        }
-        for e in entries
-    ]
+    table = spectrum_table(E, _parse_value(str(args.max)))
     payload = {
         "ellipsoid": [str(x) for x in E.a],
         "max_action": str(args.max),
-        "entries": rows,
+        "entries": [],
         "meta": _meta(E.exact),
     }
-    series = {
-        "spectrum": ([float(e.tau) for e in entries], [e.multiplicity for e in entries]),
-        "morse_index": ([float(e.tau) for e in entries], [e.morse_index for e in entries]),
-    }
-    _emit(payload, rows, series, args)
+    out = getattr(args, "out", "json")
+    if out == "plot":
+        taus = table.values()
+        series = {"spectrum": (taus, table.multiplicity), "morse_index": (taus, table.morse_index)}
+        _emit(payload, [], series, args)
+        return EXIT_OK
+    tau = table.tau_text() if table.exact else table.tau.tolist()
+    ints = [c.tolist() for c in (table.multiplicity, table.morse_index, table.nullity, table.cz_index)]
+    if out == "csv":
+        w = csv.writer(sys.stdout)
+        w.writerow(_SPECTRUM_FIELDS)
+        w.writerows(zip(tau, *ints))
+        return EXIT_OK
+    text = json.dumps(payload, indent=2)
+    if len(table):
+        # JSON escapes newlines and quotes inside strings, so this marker is
+        # the "entries" key itself
+        head, tail = text.split('\n  "entries": []', 1)
+        scalars = map(encode_basestring_ascii if table.exact else float.__repr__, tau)
+        rows = ",\n".join(map(_JSON_ROW.__mod__, zip(scalars, *ints)))
+        text = head + '\n  "entries": [\n' + rows + "\n  ]" + tail
+    print(text)
     return EXIT_OK
 
 

@@ -6,9 +6,12 @@ carries Morse index 2 sum_h (ceil(tau_j/a_h) - 1), nullity 2 m_j - 1 and
 Conley-Zehnder index morse + n.  Rational parameter vectors are handled on
 Python ints over the common denominator D (a_h = P_h / D): invariants come
 from the counting function N(X) = sum_h floor(X / P_h) by integer bisection
-and a walk of the merged progressions k P_h; spectrum tables are enumerated
-in int64 numpy, falling back to the same walk where int64 could overflow.
-Float vectors are merged at a relative tolerance and flagged.
+and a walk of the merged progressions k P_h.  A spectrum table is computed
+once, as columns (`SpectrumTable`: tau, multiplicity and Morse index as
+arrays): exact tables hold tau as scaled integers over D, enumerated in int64
+numpy or, where int64 could overflow, by the same walk; float tables merge
+the sorted multiples at a relative tolerance in array passes and flag
+merges of unequal values.  `action_spectrum` is the row view of a table.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ TOL_SURFACE = 1e-12
 TOL_MERGE = 1e-9  # relative, float mode
 CF_MAX_DENOMINATOR = 10**6
 CF_BIG_QUOTIENT = 10**8
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _to_fraction(x) -> Fraction:
@@ -196,73 +200,143 @@ def _walk(P: list[int], start: int):
         k = [kh + h for kh, h in zip(k, hit)]
 
 
-def _spectrum_exact(E: Ellipsoid, max_action: Fraction) -> list[SpectrumEntry]:
+@dataclass(frozen=True, eq=False)
+class SpectrumTable:
+    """The distinct spectrum values tau <= max_action of one ellipsoid, as columns.
+
+    Exact mode keeps tau as scaled integers over `denominator` (int64, or
+    Python ints in an object array where int64 could overflow); float mode
+    keeps float64 values and `denominator` is None.  The nullity 2 m - 1 and
+    the Conley-Zehnder index morse + n are derived from the columns.
+    """
+
+    n: int
+    tau: np.ndarray
+    multiplicity: np.ndarray
+    morse_index: np.ndarray
+    denominator: int | None = None
+
+    def __post_init__(self):
+        # the checks of SpectrumEntry, on whole columns: 1 <= m <= n keeps the
+        # nullity 2 m - 1 inside the 2n - 1 directions transverse to the flow
+        if np.any((self.multiplicity < 1) | (self.multiplicity > self.n)):
+            raise ValueError("multiplicity must lie in 1..n, nullity 2 m - 1 in 1..2n - 1")
+        if np.any((self.morse_index < 0) | (self.morse_index % 2 != 0)):
+            raise ValueError("Morse index must be even and non-negative")
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    @property
+    def exact(self) -> bool:
+        return self.denominator is not None
+
+    @property
+    def nullity(self) -> np.ndarray:
+        return 2 * self.multiplicity - 1
+
+    @property
+    def cz_index(self) -> np.ndarray:
+        return self.morse_index + self.n
+
+    def values(self) -> list:
+        """tau as Fractions (exact mode) or floats."""
+        if self.exact:
+            return [Fraction(v, self.denominator) for v in self.tau.tolist()]
+        return self.tau.tolist()
+
+    def tau_text(self) -> list[str]:
+        """str(Fraction(tau, D)) of every exact value, reduced by one array gcd."""
+        D = self.denominator
+        v = self.tau if D <= _INT64_MAX else self.tau.astype(object)
+        g = np.gcd(v, D)
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in zip((v // g).tolist(), (D // g).tolist())]
+
+    def entries(self) -> list[SpectrumEntry]:
+        n = self.n
+        return [
+            SpectrumEntry(tau=t, multiplicity=m, morse_index=mo, nullity=2 * m - 1, cz_index=mo + n)
+            for t, m, mo in zip(self.values(), self.multiplicity.tolist(), self.morse_index.tolist())
+        ]
+
+
+def _table_exact(E: Ellipsoid, max_action: Fraction) -> SpectrumTable:
     P, D = E.scaled_integer_params()
-    n = E.n
     bound = int(max_action * D)
-    scaled = _scaled_spectrum(P, bound)
-    rows = zip(*scaled) if scaled is not None else (
-        itertools.takewhile(lambda r: r[0] <= bound, _walk(P, 1)))
-    return [
-        SpectrumEntry(
-            tau=Fraction(int(v), D),
-            multiplicity=int(m),
-            morse_index=int(mo),
-            nullity=2 * int(m) - 1,
-            cz_index=int(mo) + n,
-        )
-        for v, m, mo in rows
-    ]
+    columns = _scaled_spectrum(P, bound)
+    if columns is None:
+        rows = list(itertools.takewhile(lambda r: r[0] <= bound, _walk(P, 1)))
+        v, m, mo = zip(*rows) if rows else ((), (), ())
+        columns = (np.array(v, dtype=object), np.array(m, dtype=np.int64), np.array(mo, dtype=np.int64))
+    return SpectrumTable(E.n, *columns, denominator=D)
 
 
-def _spectrum_float(E: Ellipsoid, max_action: float):
+def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
+    """Sorted multiples k a_h merged at TOL_MERGE relative to each cluster's anchor.
+
+    A cluster starts at the smallest value not yet taken, tau, and takes every
+    raw value with raw - tau <= TOL_MERGE max(tau, 1); its multiplicity is the
+    number of distinct planes in it.  A plane whose ratio tau / a_h lies within
+    TOL_MERGE of an integer k counts k - 1 earlier iterates, otherwise
+    ceil(tau / a_h) - 1.  A cluster of values that are not all equal makes the
+    multiplicity tolerance-dependent, and is reported in one warning.
+    """
     a = E.floats
-    n = E.n
-    raw = []
-    for h, ah in enumerate(a):
-        k = np.arange(1, int(max_action / ah) + 1)
-        raw.extend((k_ * ah, h) for k_ in k)
-    raw.sort()
-    entries: list[SpectrumEntry] = []
-    ambiguous = []
-    i = 0
-    while i < len(raw):
-        tau = raw[i][0]
-        cluster = {raw[i][1]}
-        j = i + 1
-        exact_equal = True
-        while j < len(raw) and abs(raw[j][0] - tau) <= TOL_MERGE * max(tau, 1.0):
-            if raw[j][0] != tau:
-                exact_equal = False
-            cluster.add(raw[j][1])
-            j += 1
-        if not exact_equal:
-            ambiguous.append(tau)
-        m = len(cluster)
-        morse = 0
-        for ah in a:
-            r = tau / ah
-            k_near = round(r)
-            morse += 2 * ((k_near if abs(r - k_near) <= TOL_MERGE * max(r, 1.0) else math.ceil(r)) - 1)
-        entries.append(
-            SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + n)
-        )
-        i = j
-    if ambiguous:
+    counts = [int(max_action / ah) for ah in a]
+    raw = np.concatenate([np.arange(1, c + 1) * ah for c, ah in zip(counts, a)])
+    order = np.argsort(raw, kind="stable")
+    raw, plane = raw[order], np.repeat(np.arange(E.n), counts)[order]
+    N = len(raw)
+    # end[i]: one past the cluster anchored at i; raw is sorted, so the
+    # anchored test holds on a prefix of raw[i + 1:] and end grows one step
+    # per round, as many rounds as the largest cluster has values
+    tol = TOL_MERGE * np.maximum(raw, 1.0)
+    end = np.arange(1, N + 1)
+    grow = np.arange(N)
+    while grow.size:
+        grow = grow[end[grow] < N]
+        grow = grow[raw[end[grow]] - raw[grow] <= tol[grow]]
+        end[grow] += 1
+    # the anchors are 0, end[0], end[end[0]], ...: pointer doubling marks the
+    # first 2^(k+1) of them in round k
+    anchor = np.zeros(N + 1, dtype=bool)
+    anchor[0] = True
+    jump = np.append(end, N)
+    while True:
+        anchor[jump[anchor]] = True
+        if jump[0] == N:
+            break
+        jump = jump[jump]
+    starts = np.flatnonzero(anchor[:N])
+    tau = raw[starts]
+    planes = np.zeros((len(starts), E.n), dtype=bool)
+    planes[np.cumsum(anchor[:N]) - 1, plane] = True
+    r = tau[:, None] / a
+    k_near = np.rint(r)
+    k = np.where(np.abs(r - k_near) <= TOL_MERGE * np.maximum(r, 1.0), k_near, np.ceil(r))
+    table = SpectrumTable(E.n, tau, planes.sum(axis=1), 2 * (k.astype(np.int64) - 1).sum(axis=1))
+    ambiguous = tau[raw[end[starts] - 1] != tau]
+    if ambiguous.size:
         warnings.warn(
-            f"action values merged within tol but not exactly equal near {ambiguous[:3]}; "
+            f"action values merged within tol but not exactly equal near {ambiguous[:3].tolist()}; "
             "multiplicities are tolerance-dependent"
         )
-    return entries
+    return table
 
 
-def action_spectrum(E: Ellipsoid, max_action) -> list[SpectrumEntry]:
-    """All distinct spectrum values k a_h <= max_action, with index data."""
+def spectrum_table(E: Ellipsoid, max_action) -> SpectrumTable:
+    """All distinct spectrum values k a_h <= max_action, with index data, as columns."""
     if float(max_action) <= 0:
         raise ValueError("max_action must be positive")
     if E.exact:
-        return _spectrum_exact(E, _to_fraction(max_action) if not isinstance(max_action, float) else Fraction(max_action).limit_denominator(10**12))
-    return _spectrum_float(E, float(max_action))
+        return _table_exact(E, _to_fraction(max_action) if not isinstance(max_action, float) else Fraction(max_action).limit_denominator(10**12))
+    return _table_float(E, float(max_action))
+
+
+def action_spectrum(E: Ellipsoid, max_action) -> list[SpectrumEntry]:
+    """All distinct spectrum values k a_h <= max_action, with index data: the
+    rows of `spectrum_table` as SpectrumEntry objects."""
+    return spectrum_table(E, max_action).entries()
 
 
 def spectral_invariants(E: Ellipsoid, count: int) -> list:
@@ -275,13 +349,8 @@ def spectral_invariants(E: Ellipsoid, count: int) -> list:
     if E.exact:
         return invariant_window(E, 0, count - 1)
     # N(a_1 count) >= count; the pad keeps k = count of plane 1 below the bound
-    entries = action_spectrum(E, E.floats[0] * count * (1 + TOL_MERGE))
-    out = []
-    for e in entries:
-        out.extend([e.tau] * e.multiplicity)
-        if len(out) >= count:
-            break
-    return out[:count]
+    table = spectrum_table(E, E.floats[0] * count * (1 + TOL_MERGE))
+    return np.repeat(table.tau, table.multiplicity)[:count].tolist()
 
 
 def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:

@@ -70,6 +70,26 @@ class TestConstruction:
             worst = min(worst, np.linalg.eigvalsh(basis.T @ perturbed.hess_gauge2(z) @ basis)[0])
         assert abs(perturbed.convexity_margin - worst) < 1e-12
 
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0], [1.0, 1.5, 7 / 3], [3.0, 1.0, 2.0]])
+    def test_quadric_margin_closed_form(self, a, monkeypatch):
+        # the sampled restricted-Hessian minimum, on the same Sobol points the
+        # sampling check uses for perturbed bodies
+        reference = ConvexBody(a, validate=False)
+        worst = np.inf
+        for z in reference.surface_samples(1000):
+            g = reference.grad_gauge2(z) / np.linalg.norm(reference.grad_gauge2(z))
+            q, r = np.linalg.qr(np.eye(reference.dim) - np.outer(g, g))
+            basis = q[:, np.abs(np.diag(r)) > 1e-10][:, : reference.dim - 1]
+            worst = min(worst, np.linalg.eigvalsh(basis.T @ reference.hess_gauge2(z) @ basis)[0])
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("quadric construction sampled the surface")
+
+        monkeypatch.setattr(ConvexBody, "surface_samples", no_sampling)
+        body = ConvexBody(a)
+        assert body.convexity_margin == pytest.approx(2 * np.pi / max(a), rel=1e-15)
+        assert abs(body.convexity_margin - worst) < 1e-12
+
 
 class TestHomogenization:
     def test_ellipsoid_closed_form(self, e12):

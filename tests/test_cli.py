@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import reeb_spectra
 from reeb_spectra import cli
 from reeb_spectra.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from reeb_spectra.ellipsoid import action_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -213,14 +216,56 @@ def _reference_fmt(v):
     return v
 
 
+def _reference_spectrum_output(argv) -> str:
+    """The spectrum table as json.dumps(indent=2) and csv.DictWriter write it
+    from `action_spectrum` rows, through the reference formatter."""
+    args = build_parser().parse_args(list(argv))
+    E = cli._parse_ellipsoid(args.ellipsoid)
+    rows = [
+        {"tau": e.tau, "multiplicity": e.multiplicity, "morse_index": e.morse_index,
+         "nullity": e.nullity, "cz_index": e.cz_index}
+        for e in action_spectrum(E, cli._parse_value(str(args.max)))
+    ]
+    if args.out == "json":
+        payload = {"ellipsoid": [str(x) for x in E.a], "max_action": str(args.max),
+                   "entries": rows, "meta": cli._meta(E.exact)}
+        return json.dumps(_reference_fmt(payload), indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=["tau", "multiplicity", "morse_index", "nullity", "cz_index"])
+    w.writeheader()
+    for r in rows:
+        w.writerow({k: _reference_fmt(v) for k, v in r.items()})
+    return buf.getvalue()
+
+
 class TestFormatting:
-    @pytest.mark.parametrize("ellipsoid", ["1,3/2,7/3", "1.0,1.5,2.3"], ids=["exact", "float"])
+    @pytest.mark.filterwarnings("ignore:action values merged within tol")
+    @pytest.mark.parametrize(
+        "ellipsoid,top,rows",
+        [
+            ("1,3/2,7/3", "60", 50),
+            ("1.0,1.5,2.3", "60", 50),
+            ("1.0,1.0000000005,2.5", "60", 50),  # merged within tol, not equal
+            ("2,3", "1", 0),
+            ("8589934593/3,17179869191/5,34359738368/7", str(2**36), 20),  # past int64
+        ],
+        ids=["exact", "float", "ambiguous", "empty", "beyond-int64"],
+    )
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_spectrum_table_matches_reference_formatter(self, ellipsoid, fmt, capsys, monkeypatch):
-        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", "60", "--out", fmt)
+    def test_spectrum_table_matches_reference_formatter(self, ellipsoid, top, rows, fmt, capsys):
+        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", top, "--out", fmt)
         code, out, _ = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, "_fmt", _reference_fmt)
-        code_ref, out_ref, _ = run_cli(capsys, *argv)
-        assert code == code_ref == EXIT_OK
-        assert out.count("\n") > 50
-        assert out == out_ref
+        assert code == EXIT_OK
+        assert out.count("\n") > rows
+        assert out == _reference_spectrum_output(argv)
+
+    def test_empty_csv_table_is_the_header(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--ellipsoid", "2,3", "--max", "1", "--out", "csv")
+        assert code == EXIT_OK
+        assert out == "tau,multiplicity,morse_index,nullity,cz_index\r\n"
+
+    def test_empty_json_table_keeps_entries(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--ellipsoid", "2,3", "--max", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["entries"] == []
+        assert '"entries": [],' in out

@@ -1,14 +1,22 @@
+import csv
+import io
+import itertools
+import json
 import math
-from fractions import Fraction as F
-
 import time
+import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reeb_spectra import cli
 from reeb_spectra.ellipsoid import (
+    TOL_MERGE,
+    SpectrumEntry,
+    _walk,
     action_spectrum,
     besse_cz_index,
     classify,
@@ -18,6 +26,7 @@ from reeb_spectra.ellipsoid import (
     rational_reconstruct,
     reeb_flow,
     spectral_invariants,
+    spectrum_table,
     verify_interleaving,
 )
 
@@ -53,6 +62,70 @@ def brute_force_spectrum(a, max_action):
         morse = 2 * sum(math.ceil(tau / ah) - 1 for ah in a)
         out.append((tau, m, morse))
     return out
+
+
+def spectrum_float_oracle(E, max_action: float):
+    """The float spectrum as a sequential sort-and-merge loop over (value, plane)
+    pairs, one cluster at a time; the engine's array merge must agree with it."""
+    a = E.floats
+    n = E.n
+    raw = []
+    for h, ah in enumerate(a):
+        k = np.arange(1, int(max_action / ah) + 1)
+        raw.extend((k_ * ah, h) for k_ in k)
+    raw.sort()
+    entries: list[SpectrumEntry] = []
+    ambiguous = []
+    i = 0
+    while i < len(raw):
+        tau = raw[i][0]
+        cluster = {raw[i][1]}
+        j = i + 1
+        exact_equal = True
+        while j < len(raw) and abs(raw[j][0] - tau) <= TOL_MERGE * max(tau, 1.0):
+            if raw[j][0] != tau:
+                exact_equal = False
+            cluster.add(raw[j][1])
+            j += 1
+        if not exact_equal:
+            ambiguous.append(tau)
+        m = len(cluster)
+        morse = 0
+        for ah in a:
+            r = tau / ah
+            k_near = round(r)
+            morse += 2 * ((k_near if abs(r - k_near) <= TOL_MERGE * max(r, 1.0) else math.ceil(r)) - 1)
+        entries.append(
+            SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + n)
+        )
+        i = j
+    if ambiguous:
+        warnings.warn(
+            f"action values merged within tol but not exactly equal near {ambiguous[:3]}; "
+            "multiplicities are tolerance-dependent"
+        )
+    return entries
+
+
+def _rows_and_warning(fn, *args):
+    """(rows, ValueError text or None, whether the merge warning fired)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows = [(float(e.tau), e.multiplicity, e.morse_index, e.nullity, e.cz_index) for e in fn(*args)]
+            error = None
+        except ValueError as exc:
+            rows, error = None, str(exc)
+    return rows, error, any("tolerance-dependent" in str(w.message) for w in caught)
+
+
+def _near_tolerance(base: float, ulps: int) -> float:
+    """base + TOL_MERGE max(base, 1), moved by `ulps` units in the last place."""
+    x = base + TOL_MERGE * max(base, 1.0)
+    step = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, step))
+    return x
 
 
 class TestReebFlow:
@@ -137,6 +210,74 @@ class TestActionSpectrum:
         assert entries[0].multiplicity == 2
 
 
+class TestSpectrumColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.floats(0.05, 20.0),
+        ulps=st.one_of(st.none(), st.integers(-3, 3)),
+        near=st.lists(st.floats(0.0, 2.5), max_size=2),
+        far=st.lists(st.floats(0.05, 20.0), max_size=2),
+        count=st.integers(1, 60),
+    )
+    @example(base=3.0, ulps=None, near=[0.0], far=[6.0], count=12).via("E(3.0, 3.0, 6.0)")
+    @example(base=1.0, ulps=None, near=[0.5], far=[], count=30).via("E(1.0, 1.0 + 5e-10): warns")
+    @example(base=1.0, ulps=None, near=[0.6, 1.2], far=[], count=30).via("chain longer than tol")
+    @example(base=1e-10, ulps=0, near=[], far=[0.05], count=60).via("one plane twice in a cluster")
+    def test_float_columns_match_oracle(self, base, ulps, near, far, count):
+        # a partner exactly at, just inside or just outside TOL_MERGE max(tau, 1)
+        # of base (ulps), values a fraction of that apart, and unrelated values
+        partner = [] if ulps is None else [_near_tolerance(base, ulps)]
+        a = sorted([base, *partner, *(base + off * TOL_MERGE * max(base, 1.0) for off in near), *far])
+        E = ellipsoid(a)
+        max_action = a[0] * count
+        assert _rows_and_warning(action_spectrum, E, max_action) == _rows_and_warning(
+            spectrum_float_oracle, E, max_action)
+
+    def test_merge_warning_fires_with_the_oracle(self):
+        E = ellipsoid([1.0, 1.0 + 5e-10])
+        rows, error, warned = _rows_and_warning(action_spectrum, E, 3.0)
+        assert (rows, error, warned) == _rows_and_warning(spectrum_float_oracle, E, 3.0)
+        assert warned and error is None and [r[1] for r in rows] == [2, 2, 1]  # 3 (1 + 5e-10) > 3
+
+    def test_negative_morse_refused_like_the_oracle(self):
+        # tau / a_2 = 1e-10 rounds to the iterate 0 within TOL_MERGE
+        E = ellipsoid([1e-10, 1.0])
+        got = _rows_and_warning(action_spectrum, E, 1e-9)
+        assert got == _rows_and_warning(spectrum_float_oracle, E, 1e-9)
+        assert got[1] == "Morse index must be even and non-negative"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.fractions(min_value=F(1, 4), max_value=12, max_denominator=6), min_size=1, max_size=4),
+        top=st.fractions(min_value=F(1, 7), max_value=20, max_denominator=7),
+    )
+    def test_exact_columns_match_brute_force_and_walk(self, a, top):
+        a = sorted(a)
+        E = ellipsoid(a)
+        table = spectrum_table(E, top)
+        m, morse = table.multiplicity.tolist(), table.morse_index.tolist()
+        assert list(zip(table.values(), m, morse)) == brute_force_spectrum(a, top)
+        P, D = E.scaled_integer_params()
+        walk = list(itertools.takewhile(lambda r: r[0] <= top * D, _walk(P, 1)))
+        assert table.denominator == D
+        assert list(zip(table.tau.tolist(), m, morse)) == walk
+        assert table.tau_text() == [str(t) for t in table.values()]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_beyond_int64_through_cli(self, fmt, capsys):
+        a = [F(2**33 + 1, 3), F(2**34 + 7, 5), F(2**35, 7)]
+        assert spectrum_table(ellipsoid(a), F(2**36)).tau.dtype == object  # the walk's Python ints
+        argv = ["spectrum", "--ellipsoid", ",".join(map(str, a)), "--max", str(2**36), "--out", fmt]
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        rows = json.loads(out)["entries"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        want = brute_force_spectrum(a, F(2**36))
+        assert len(rows) == len(want) > 20
+        for row, (tau, m, morse) in zip(rows, want):
+            got = (F(row["tau"]), *(int(row[k]) for k in ("multiplicity", "morse_index", "nullity", "cz_index")))
+            assert got == (tau, m, morse, 2 * m - 1, morse + 3)
+
+
 class TestSpectralInvariants:
     def test_round_count4(self):
         assert spectral_invariants(ellipsoid([1, 1]), 4) == [F(1), F(1), F(2), F(2)]
@@ -170,6 +311,14 @@ class TestSpectralInvariants:
         c = spectral_invariants(ellipsoid([1e-6, 1.0]), 25)
         assert time.perf_counter() - t0 < 1.0
         assert np.allclose(c, [(k + 1) * 1e-6 for k in range(25)], rtol=1e-12, atol=0)
+
+    def test_float_window_high_index_against_oracle(self):
+        E = ellipsoid([0.5, 2.75, 4.75])
+        lo, hi = 10**5, 10**5 + 30
+        entries = spectrum_float_oracle(E, E.floats[0] * (hi + 1) * (1 + TOL_MERGE))
+        prefix = [e.tau for e in entries for _ in range(e.multiplicity)]
+        assert invariant_window(E, lo, hi) == prefix[lo : hi + 1]
+        assert spectral_invariants(E, 500) == prefix[:500]
 
     @settings(max_examples=200, deadline=None)
     @given(
