@@ -233,7 +233,7 @@ class ConvexBody:
             min_eig, where = 2.0 * self._w.min(), "anywhere"
         else:
             pts = self.surface_samples(CONVEXITY_SAMPLES)
-            g = self.grad_gauge2(pts)
+            _, g, hess = self._gauge2_derivatives(pts)
             # restrict to the tangent space ker(dG): the Householder reflection
             # taking g to -sign(g_0) e_0 has its other columns orthonormal in g^perp
             g /= np.linalg.norm(g, axis=-1, keepdims=True)
@@ -241,7 +241,7 @@ class ConvexBody:
             v[:, 0] += np.where(g[:, 0] >= 0.0, 1.0, -1.0)
             vv = v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
             basis = (np.eye(self.dim) - 2.0 * vv)[:, :, 1:]
-            restricted = np.swapaxes(basis, -1, -2) @ self.hess_gauge2(pts) @ basis
+            restricted = np.swapaxes(basis, -1, -2) @ hess @ basis
             min_eig, where = np.linalg.eigvalsh(restricted)[:, 0].min(), "at the sampled points"
         self.convexity_margin = float(min_eig)
         if min_eig <= CONVEXITY_MIN_EIG:
@@ -268,7 +268,9 @@ class ConvexBody:
 
         Closed form for quadrics, Newton on the tangency system
         w = lam grad G(u), G(u) = 1 for perturbed bodies (initialized at the
-        quadric maximizer; max_iter 50, tol 1e-12 on the residual).
+        quadric maximizer; max_iter 50, tol 1e-12 on the residual).  Each
+        Newton step evaluates the body once: the residual that decides
+        convergence also gives the next step's Jacobian.
         """
         w = np.asarray(w, dtype=float)
         single = w.ndim == 1
@@ -280,28 +282,26 @@ class ConvexBody:
             return hq, uq
         U = self.project_to_surface(uq)
         lam = np.sum(W * U, axis=-1) / 2.0
-        active = np.ones(len(W), dtype=bool)
+        idx = np.arange(len(W))  # the directions still iterating
+        res, jac = self._support_kkt(W, U, lam)
         for _ in range(SUPPORT_MAX_ITER):
-            if not np.any(active):
+            if len(idx) == 0:
                 break
-            idx = np.flatnonzero(active)
-            res, jac = self._support_kkt(W[idx], U[idx], lam[idx])
             step = np.linalg.solve(jac, res[..., None])[..., 0]
             U[idx] -= step[:, : self.dim]
             lam[idx] -= step[:, self.dim]
-            new_res, _ = self._support_kkt(W[idx], U[idx], lam[idx])
-            ok = np.linalg.norm(new_res, axis=-1) < SUPPORT_TOL * np.maximum(
-
+            res, jac = self._support_kkt(W[idx], U[idx], lam[idx])
+            # written as "not converged" so that a NaN residual keeps iterating
+            keep = ~(np.linalg.norm(res, axis=-1) < SUPPORT_TOL * np.maximum(
                 1.0, np.linalg.norm(W[idx], axis=-1)
-            )
-            active[idx[ok]] = False
-        if np.any(active):
-            bad = np.flatnonzero(active)[0]
-            res, _ = self._support_kkt(W[bad : bad + 1], U[bad : bad + 1], lam[bad : bad + 1])
+            ))
+            idx, res, jac = idx[keep], res[keep], jac[keep]
+        if len(idx):
+            bad = idx[0]
             raise SupportSolveError(
-                f"support Newton did not converge for {np.sum(active)} direction(s)",
+                f"support Newton did not converge for {len(idx)} direction(s)",
                 best_value=float(np.sum(W[bad] * U[bad])),
-                grad_norm=float(np.linalg.norm(res)),
+                grad_norm=float(np.linalg.norm(res[0])),
             )
         h = np.sum(W * U, axis=-1)
         if single:
@@ -310,12 +310,12 @@ class ConvexBody:
 
     def _support_kkt(self, W, U, lam):
         m = len(W)
-        g = self.grad_gauge2(U)
+        G, g, hess = self._gauge2_derivatives(U)
         res = np.empty((m, self.dim + 1))
         res[:, : self.dim] = lam[:, None] * g - W
-        res[:, self.dim] = self.gauge2(U) - 1.0
+        res[:, self.dim] = G - 1.0
         jac = np.zeros((m, self.dim + 1, self.dim + 1))
-        jac[:, : self.dim, : self.dim] = lam[:, None, None] * self.hess_gauge2(U)
+        jac[:, : self.dim, : self.dim] = lam[:, None, None] * hess
         jac[:, : self.dim, self.dim] = g
         jac[:, self.dim, : self.dim] = g
         return res, jac
@@ -381,14 +381,15 @@ class ConvexBody:
             if len(idx) == 0:
                 break
             v, g0, s = V[idx], G[idx], sign[idx]
-            rgrad = self.grad_gauge2(v) - 2.0 * g0[:, None] * v
+            _, gradG, hessG = self._gauge2_derivatives(v)
+            rgrad = gradG - 2.0 * g0[:, None] * v
             done = np.linalg.norm(rgrad, axis=-1) < PINCH_TOL * np.maximum(1.0, g0)
             active[idx[done]] = False
             idx, v, g0, s, rgrad = idx[~done], v[~done], g0[~done], s[~done], rgrad[~done]
             if len(idx) == 0:
                 break
             proj = eye - v[:, :, None] * v[:, None, :]
-            hess = proj @ (self.hess_gauge2(v) - 2.0 * g0[:, None, None] * eye) @ proj
+            hess = proj @ (hessG[~done] - 2.0 * g0[:, None, None] * eye) @ proj
             # the normal direction v is a null vector of the projected Hessian;
             # give it eigenvalue 1 so the solve stays in the tangent space
             evals, evecs = np.linalg.eigh(s[:, None, None] * hess + v[:, :, None] * v[:, None, :])

@@ -21,16 +21,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .bodies import ConvexBody
 from .dynamics import ClosedOrbit
 from .symplectic import apply_J
-from .util import parallel_map
 
 DEFAULT_MODES = 64
-DEFAULT_OVERSAMPLE = 4
+OVERSAMPLE = 4  # quadrature grid: M = 2 K OVERSAMPLE points
 MIN_OVERSAMPLE = 2
+GTOL = 1e-12  # L-BFGS-B projected-gradient tolerance
+DOUBLE_TOL = 1e-6  # relative systole change that triggers the doubling advisory
 
 
 class MinimizationError(RuntimeError):
@@ -116,9 +116,7 @@ def _quadratic_grad(coeffs: np.ndarray) -> np.ndarray:
 
 def psi(body: ConvexBody, loop: FourierLoop) -> float:
     """Clarke dual action Psi(u); Psi(0) = 0."""
-    u = loop.values()
-    dual = float(np.mean(body.legendre_dual(-apply_J(u))))
-    return _quadratic_part(loop.coeffs) + dual
+    return psi_with_grad(body, loop)[0]
 
 
 def psi_with_grad(body: ConvexBody, loop: FourierLoop):
@@ -149,13 +147,10 @@ def renormalized_action(psi_value: float, alpha: float) -> float:
 @dataclass
 class MinimizeConfig:
     modes: int = DEFAULT_MODES
-    oversample: int = DEFAULT_OVERSAMPLE
     starts: int = 16
     maxiter: int = 2000
-    gtol: float = 1e-12
     seed: int = 0
     double_check: bool = True
-    double_tol: float = 1e-6
 
 
 @dataclass
@@ -206,8 +201,27 @@ def _unpack(x: np.ndarray, K: int, d: int) -> np.ndarray:
     return x[:half].reshape(K, d) + 1j * x[half:].reshape(K, d)
 
 
+def _descend(body: ConvexBody, coeffs: np.ndarray, grid_size: int, maxiter: int):
+    """One L-BFGS-B descent of Psi from the loop with these coefficients:
+    (Psi, max |grad Psi|, coefficients) at its end."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    K, d = coeffs.shape
+
+    def fun(x):
+        v, g = psi_with_grad(body, FourierLoop(coeffs=_unpack(x, K, d), grid_size=grid_size))
+        return v, _pack(g)
+
+    res = scipy_minimize(fun, _pack(coeffs), jac=True, method="L-BFGS-B",
+                         options={"maxiter": maxiter, "gtol": GTOL, "ftol": 1e-16})
+    return res.fun, float(np.abs(res.jac).max()), _unpack(res.x, K, d)
+
+
 def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start quasi-Newton minimization of Psi; returns the systole.
+
+    The starts (one circle per plane, then cfg.starts random loops) descend
+    one after another; the lowest converged one gives the minimizer.
 
     c_0(Sigma) = min A = sys(Sigma): the minimizer is the rescaled shortest
     closed Reeb orbit, reconstructed through zeta(t) = grad H*(-J u(t)) and
@@ -218,7 +232,7 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
         raise ValueError("need at least K = 8 Fourier modes")
     K = cfg.modes
     d = body.dim
-    M = 2 * K * cfg.oversample
+    M = 2 * K * OVERSAMPLE
     alpha = body.alpha
     rng = np.random.default_rng(cfg.seed)
 
@@ -229,23 +243,7 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     for _ in range(cfg.starts):
         starts.append(random_loop(d, K, M, rng, amplitude=0.3 * base_amp))
 
-    def run(loop0: FourierLoop):
-        def fun(x):
-            c = _unpack(x, K, d)
-            v, g = psi_with_grad(body, FourierLoop(coeffs=c, grid_size=M))
-            return v, _pack(g)
-
-        res = _scipy_minimize(
-            fun,
-            _pack(loop0.coeffs),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.maxiter, "gtol": cfg.gtol, "ftol": 1e-16},
-        )
-        gnorm = float(np.abs(res.jac).max())
-        return res.fun, gnorm, _unpack(res.x, K, d)
-
-    results = parallel_map(run, starts)
+    results = [_descend(body, loop.coeffs, M, cfg.maxiter) for loop in starts]
     ok = [(v, g, c) for v, g, c in results if v < 0 and g < 1e-6]
     if not ok:
         best = min(results, key=lambda r: r[0])
@@ -273,20 +271,12 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     if cfg.double_check:
         c2 = np.zeros((2 * K, d), dtype=complex)
         c2[:K] = c_min
-        def fun2(x):
-            c = _unpack(x, 2 * K, d)
-            v, g = psi_with_grad(body, FourierLoop(coeffs=c, grid_size=2 * M))
-            return v, _pack(g)
-
-        res2 = _scipy_minimize(
-            fun2, _pack(c2), jac=True, method="L-BFGS-B",
-            options={"maxiter": cfg.maxiter, "gtol": cfg.gtol, "ftol": 1e-16},
-        )
-        sys2 = renormalized_action(float(res2.fun), alpha) if res2.fun < 0 else np.inf
+        psi2 = _descend(body, c2, 2 * M, cfg.maxiter)[0]
+        sys2 = renormalized_action(psi2, alpha) if psi2 < 0 else np.inf
         diagnostics["systole_doubled_modes"] = sys2
         rel = abs(sys2 - systole) / max(abs(systole), 1e-300)
         diagnostics["doubling_rel_change"] = rel
-        if rel > cfg.double_tol:
+        if rel > DOUBLE_TOL:
             warnings.warn(
                 f"doubling the mode count moved the systole by {rel:.2e}; "
                 "result may be under-resolved"

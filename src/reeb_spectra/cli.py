@@ -105,9 +105,11 @@ def _emit(payload: dict, rows: list[dict], series: dict, args) -> None:
 
 
 def _meta(exact: bool, **extra) -> dict:
+    from .ellipsoid import TOL_MERGE
+
     meta = {"mode": "exact" if exact else "float"}
     if not exact:
-        meta["merge_tol_rel"] = 1e-9
+        meta["merge_tol_rel"] = TOL_MERGE
     meta.update(extra)
     return meta
 
@@ -299,7 +301,7 @@ def cmd_systole(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    from .dynamics import find_closed_orbits, monodromy_and_index
+    from .dynamics import TOL_ORBIT, find_closed_orbits, monodromy_and_index
 
     body = _load_body(args, alpha=args.alpha)
     orbits = find_closed_orbits(body, t_max=args.tmax, n_seeds=args.seeds, seed=args.seed)
@@ -310,7 +312,7 @@ def cmd_orbits(args) -> int:
         "t_max": args.tmax,
         "orbit_count": len(orbits),
         "orbits": rows,
-        "meta": _meta(False, alpha=args.alpha, tol_orbit=1e-9),
+        "meta": _meta(False, alpha=args.alpha, tol_orbit=TOL_ORBIT),
     }
     series = {
         "periods": (list(range(len(orbits))), [o.period for o in orbits]),
@@ -320,7 +322,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_cz(args) -> int:
-    from .conley_zehnder import cz_index, cz_nullity, morse_index_from_path
+    from .conley_zehnder import DEFAULT_GRID, cz_index, cz_nullity, morse_index_from_path
     from .symplectic import rotation_path
 
     rates = [float(_parse_value(t)) for t in args.rotation.split(",") if t.strip()]
@@ -331,7 +333,7 @@ def cmd_cz(args) -> int:
         "cz_index": index,
         "morse_index": morse_index_from_path(path),
         "nullity": cz_nullity(path),
-        "meta": _meta(False, grid=2048, normalization="cz(e^{2 pi J t}) = 1"),
+        "meta": _meta(False, grid=DEFAULT_GRID, normalization="cz(e^{2 pi J t}) = 1"),
     }
     _emit(payload, [payload], {}, args)
     return EXIT_OK

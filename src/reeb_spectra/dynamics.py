@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import conley_zehnder as cz
 from .bodies import ConvexBody
@@ -29,6 +28,14 @@ TOL_ENERGY = 1e-9
 TOL_DEDUP = 1e-6
 TOL_SUBPERIOD = 1e-5
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
+
+
+def solve_ivp(fun, t_span, y0, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use so that importing the
+    package loads no scipy; every integration in this module goes through it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **kwargs)
 
 
 @dataclass

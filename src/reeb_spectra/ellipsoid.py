@@ -326,8 +326,8 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
 
 def spectrum_table(E: Ellipsoid, max_action) -> SpectrumTable:
     """All distinct spectrum values k a_h <= max_action, with index data, as columns."""
-    if float(max_action) <= 0:
-        raise ValueError("max_action must be positive")
+    if not 0 < float(max_action) < math.inf:
+        raise ValueError("max_action must be positive and finite")
     if E.exact:
         return _table_exact(E, _to_fraction(max_action) if not isinstance(max_action, float) else Fraction(max_action).limit_denominator(10**12))
     return _table_float(E, float(max_action))

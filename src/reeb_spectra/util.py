@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def max_workers() -> int:
-    """Parallelism cap from REEB_SPECTRA_THREADS (default: up to 4)."""
+    """Thread cap from REEB_SPECTRA_THREADS (default: up to 4).
+
+    The solvers run single-threaded; this value only feeds the environment
+    record of the benchmark in `perfbench/`.
+    """
     env = os.environ.get("REEB_SPECTRA_THREADS")
     if env:
         try:
@@ -15,13 +18,3 @@ def max_workers() -> int:
         except ValueError:
             pass
     return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Map over independent work items, threaded when the cap allows."""
-    items = list(items)
-    workers = min(max_workers(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

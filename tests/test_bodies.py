@@ -312,3 +312,37 @@ class TestPinchingRadii:
         # but never go negative; validation must pass
         body = ConvexBody(a=[1.0, 1.0], epsilon=10.0, quartic=[1.0, 1.0])
         assert body.convexity_margin > 0
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """One body jet per Newton step, counted against the steps' linear algebra."""
+
+    def test_support_one_jet_per_newton_step(self, perturbed, monkeypatch):
+        W = np.random.default_rng(0).normal(size=(64, 4))
+        jets = _count_calls(monkeypatch, ConvexBody, "_gauge2_jet")
+        steps = _count_calls(monkeypatch, np.linalg, "solve")
+        perturbed.support(W)
+        # one evaluation at the quadric start, then one after each step
+        assert len(steps) > 0
+        assert len(jets) == len(steps) + 1
+
+    def test_pinching_one_jet_per_newton_step(self, monkeypatch):
+        body = ConvexBody([1.0, 1.2], epsilon=1e-3, quartic=[1.0, 0.8])
+        jets = _count_calls(monkeypatch, ConvexBody, "_gauge2_jet")
+        steps = _count_calls(monkeypatch, np.linalg, "eigh")
+        body.pinching_radii()
+        # the last evaluation may find every copy converged and take no step
+        assert len(steps) > 0
+        assert len(steps) <= len(jets) <= len(steps) + 1

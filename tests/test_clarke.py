@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,17 @@ class TestMinimize:
         assert abs(body.gauge2(res.orbit.initial_point) - 1.0) < 1e-9
         assert res.orbit.residual < 1e-7
         assert res.grad_norm < 1e-8
+
+    def test_starts_run_without_threads(self, monkeypatch):
+        monkeypatch.setenv("REEB_SPECTRA_THREADS", "2")
+
+        def refuse(thread):
+            raise AssertionError("minimize started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        res = minimize(body, MinimizeConfig(modes=8, starts=2, seed=4, double_check=False))
+        assert abs(res.systole - 1.0) < 1e-6
 
     def test_reconstruct_orbit_helper(self):
         body = ConvexBody(a=[np.pi, np.pi], alpha=1.5, validate=False)

@@ -171,12 +171,53 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("ellipsoid", ["1,2", "1.0,2.0"])
+    def test_infinite_max_action_is_input_error(self, ellipsoid, capsys):
+        # 1e400 parses to float infinity
+        code, _, err = run_cli(capsys, "spectrum", "--ellipsoid", ellipsoid, "--max", "1e400")
+        assert code == EXIT_INPUT
+        assert "finite" in err
+
     def test_exit_codes_stable_across_formats(self, capsys):
         for fmt in ("json", "csv"):
             code, _, _ = run_cli(
                 capsys, "pinch", "--ellipsoid", "1,3/2", "--delta-sq", "7/4", "--out", fmt
             )
             assert code == EXIT_OK
+
+
+def _fresh_env():
+    env = dict(os.environ)
+    src = str(Path(reeb_spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestColdStart:
+    EXACT_RUNS = [
+        ["spectrum", "--ellipsoid", "1,2", "--max", "10"],
+        ["spectrum", "--ellipsoid", "1.0,2.5", "--max", "10", "--out", "csv"],
+        ["invariants", "--ellipsoid", "1,3/2", "--count", "12"],
+        ["classify", "--ellipsoid", "1,2,3"],
+        ["pinch", "--ellipsoid", "1,3/2", "--delta-sq", "7/4"],
+        ["cz", "--rotation", "2.5,0.7"],
+        ["bott", "--model", "S^n", "--dim", "2", "--mmax", "3"],
+    ]
+
+    def test_exact_subcommands_load_no_scipy(self):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from reeb_spectra import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(self.EXACT_RUNS)],
+            capture_output=True, text=True, env=_fresh_env(), check=True,
+        )
+        assert json.loads(run.stdout) == []
 
 
 class TestParserReuse:
@@ -188,12 +229,9 @@ class TestParserReuse:
         code_b, out_b, _ = run_cli(capsys, "cz", "--rotation", "2.5,0.7")
         code_bad, _, _ = run_cli(capsys, "cz", "--rates", "2.5")
         code_again, out_again, _ = run_cli(capsys, "cz", "--rotation", "2.5,0.7")
-        env = dict(os.environ)
-        src = str(Path(reeb_spectra.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         fresh = subprocess.run(
             [sys.executable, "-m", "reeb_spectra.cli", "cz", "--rotation", "2.5,0.7"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=_fresh_env(), check=True,
         )
         assert (code_a, code_b, code_bad, code_again) == (EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK)
         assert out_b == fresh.stdout == out_again

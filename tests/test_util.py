@@ -1,4 +1,4 @@
-from reeb_spectra.util import max_workers, parallel_map
+from reeb_spectra.util import max_workers
 
 
 def test_thread_cap_env(monkeypatch):
@@ -6,14 +6,3 @@ def test_thread_cap_env(monkeypatch):
     assert max_workers() == 2
     monkeypatch.setenv("REEB_SPECTRA_THREADS", "not-a-number")
     assert max_workers() >= 1
-
-
-def test_parallel_map_order_preserved(monkeypatch):
-    monkeypatch.setenv("REEB_SPECTRA_THREADS", "3")
-    assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-
-
-def test_parallel_map_serial(monkeypatch):
-    monkeypatch.setenv("REEB_SPECTRA_THREADS", "1")
-    assert parallel_map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-    assert parallel_map(lambda x: x, []) == []
