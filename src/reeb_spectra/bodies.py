@@ -17,12 +17,16 @@ support function,
     H*(w) = beta^{-1} alpha^{1-beta} h_C(w)^beta,   beta = alpha/(alpha-1),
 
 closed-form for quadrics and by Newton on the tangency system otherwise.
+
+In both families G depends on z only through the plane radii |z_h|^2 and is
+convex in them, so the pinching radii are exact: max G sits on a coordinate
+circle, and min G is the root of a convex function of one variable, solved
+by Newton.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,11 +39,6 @@ CONVEXITY_SAMPLES = 1000
 CONVEXITY_MIN_EIG = 1e-8
 SUPPORT_MAX_ITER = 50
 SUPPORT_TOL = 1e-12
-PINCH_MAX_ITER = 50
-PINCH_MAX_HALVINGS = 40
-PINCH_TOL = 1e-12
-PINCH_EIG_FLOOR = 1e-10
-PINCH_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 class SupportSolveError(RuntimeError):
@@ -47,6 +46,30 @@ class SupportSolveError(RuntimeError):
         super().__init__(message)
         self.best_value = best_value
         self.grad_norm = grad_norm
+
+
+def _water_fill(g: float, c: np.ndarray, e: np.ndarray):
+    """(d, s): the minimiser s of sum_h (g c_h s_h + e_h s_h^2) on the simplex
+    and the prices d_h = g (c_h - min c) relative to the cheapest plane.
+
+    s_h = max(0, (mu - d_h) / (2 e_h)) with the level mu fixed by sum s_h = 1;
+    over the planes sorted by price, mu is the least of the levels of the
+    prefixes.  A plane with e_h = 0 caps mu at its price and takes the mass
+    left over.  Prices relative to the cheapest plane keep mu - d_h accurate
+    where the absolute level would cancel.
+    """
+    d = g * (c - c.min())
+    priced = np.flatnonzero(e > 0.0)
+    priced = priced[np.argsort(d[priced], kind="stable")]
+    w = 0.5 / e[priced]
+    free = np.flatnonzero(e == 0.0)
+    cap = float(np.min(d[free], initial=math.inf))
+    mu = min(float(np.min((1.0 + np.cumsum(w * d[priced])) / np.cumsum(w), initial=math.inf)), cap)
+    s = np.zeros_like(c)
+    s[priced] = w * np.maximum(mu - d[priced], 0.0)
+    if mu == cap:
+        s[free[np.argmin(d[free])]] = 1.0 - s.sum()
+    return d, s
 
 
 def _parse_number(x) -> float:
@@ -348,83 +371,39 @@ class ConvexBody:
     # -- pinching -------------------------------------------------------------
 
     def pinching_radii(self) -> tuple[float, float]:
-        """(inradius, circumradius) of Sigma about the origin.
+        """(inradius, circumradius) of Sigma about the origin, exact.
 
         r = 1/sqrt(max G) and R = 1/sqrt(min G) over the unit sphere.  Closed
-        form for quadrics.  Otherwise one batched Riemannian Newton solve on
-        the sphere: the 2n coordinate axes and 8 fixed random directions each
-        start a descent copy (min G) and an ascent copy (max G).  By Euler's
-        identity <v, grad G> = 2G, the Riemannian gradient is grad G - 2G v
-        and the Riemannian Hessian is P (hess G - 2G I) P with P = I - v v^T.
-        Steps are saddle-free: they solve with the absolute values of the
-        Hessian's eigenvalues, so every copy is a descent (ascent) method
-        and cannot settle on a saddle it did not start at.  Each step is
-        retracted by normalising v and halved until G does not increase
-        (decrease).  A copy stops when its Riemannian gradient is below
-        1e-12 max(1, G) or its line search stalls at rounding level.  Starts
-        that end within 1e-4 of the extremum but more than 1e-8 from it are
-        reported with a warning.
+        form for quadrics.  Otherwise the method needs G to depend on z only
+        through the plane radii s_h = |z_h|^2, as it does for both families
+        `from_spec` accepts.  The unit sphere maps onto the simplex
+        {s >= 0, sum s_h = 1}, on which, with c_h = pi/a_h and e_h = eps q_h,
+
+            G(s) = (c.s + sqrt((c.s)^2 + 4 sum e_h s_h^2)) / 2
+
+        is convex: the square root is a Euclidean norm of a linear map of s.
+        So max G sits at a vertex, a coordinate circle, where it is
+        (c_h + sqrt(c_h^2 + 4 e_h)) / 2.  min G is the root g* of
+        h(g) = g^2 - psi(g), psi(g) = min_s sum_h (g c_h s_h + e_h s_h^2),
+        whose minimiser `_water_fill` gives in closed form.  psi is a minimum
+        of functions affine in g, so h is convex, and Newton with
+        h'(g) = 2g - c.s*(g) from the smallest vertex value decreases
+        monotonically to g*; it stops when a step no longer lowers g.
         """
         if self.epsilon == 0.0:
             return float(np.sqrt(self.a[0] / np.pi)), float(np.sqrt(self.a[-1] / np.pi))
-        rng = np.random.default_rng(7)
-        starts = np.vstack([np.eye(self.dim), rng.normal(size=(8, self.dim))])
-        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-        m = len(starts)
-        V = np.vstack([starts, starts])
-        sign = np.repeat([1.0, -1.0], m)  # minimise sign * G
-        G = self.gauge2(V)
-        active = np.ones(2 * m, dtype=bool)
-        eye = np.eye(self.dim)
-        for _ in range(PINCH_MAX_ITER):
-            idx = np.flatnonzero(active)
-            if len(idx) == 0:
+        c = np.pi / self.a
+        e = self.epsilon * self.quartic
+        vertex = 0.5 * (c + np.sqrt(c * c + 4.0 * e))
+        g = float(vertex.min())
+        while True:
+            d, s = _water_fill(g, c, e)
+            h = g * g - g * c.min() - float(np.sum(d * s + e * s * s))
+            lower = g - h / (2.0 * g - float(c @ s))
+            if not lower < g:
                 break
-            v, g0, s = V[idx], G[idx], sign[idx]
-            _, gradG, hessG = self._gauge2_derivatives(v)
-            rgrad = gradG - 2.0 * g0[:, None] * v
-            done = np.linalg.norm(rgrad, axis=-1) < PINCH_TOL * np.maximum(1.0, g0)
-            active[idx[done]] = False
-            idx, v, g0, s, rgrad = idx[~done], v[~done], g0[~done], s[~done], rgrad[~done]
-            if len(idx) == 0:
-                break
-            proj = eye - v[:, :, None] * v[:, None, :]
-            hess = proj @ (hessG[~done] - 2.0 * g0[:, None, None] * eye) @ proj
-            # the normal direction v is a null vector of the projected Hessian;
-            # give it eigenvalue 1 so the solve stays in the tangent space
-            evals, evecs = np.linalg.eigh(s[:, None, None] * hess + v[:, :, None] * v[:, None, :])
-            evals = np.abs(evals)
-            evals = np.maximum(evals, PINCH_EIG_FLOOR * evals.max(axis=-1, keepdims=True))
-            coef = np.einsum("bji,bj->bi", evecs, s[:, None] * rgrad) / evals
-            step = -np.einsum("bij,bj->bi", evecs, coef)
-            t = np.ones(len(idx))
-            pending = np.ones(len(idx), dtype=bool)
-            for _ in range(PINCH_MAX_HALVINGS):
-                trial = v[pending] + t[pending, None] * step[pending]
-                trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-                g_trial = self.gauge2(trial)
-                # G changes below its own rounding near the extremum, so a
-                # rise of a few ulp counts as no increase
-                ok = s[pending] * (g_trial - g0[pending]) <= PINCH_ROUNDING * g0[pending]
-                accepted = np.flatnonzero(pending)[ok]
-                V[idx[accepted]] = trial[ok]
-                G[idx[accepted]] = g_trial[ok]
-                pending[accepted] = False
-                if not np.any(pending):
-                    break
-                t[pending] *= 0.5
-            active[idx[pending]] = False  # stalled: no step keeps G monotone
-        mins, maxs = G[:m], G[m:]
-        gmin, gmax = float(mins.min()), float(maxs.max())
-        near_min = mins[np.abs(mins - gmin) < 1e-4]
-        near_max = maxs[np.abs(maxs - gmax) < 1e-4]
-        spread = max(float(np.max(near_min - gmin)), float(np.max(gmax - near_max)))
-        if spread > 1e-8:
-            warnings.warn(
-                f"pinching_radii: optimizer starts disagree by "
-                f"{spread:.2e} at the extremum"
-            )
-        return 1.0 / math.sqrt(gmax), 1.0 / math.sqrt(gmin)
+            g = lower
+        return 1.0 / math.sqrt(float(vertex.max())), 1.0 / math.sqrt(g)
 
     def homogenize(self, alpha: float) -> "ConvexBody":
         """Same body with homogeneity degree alpha in (1, 2)."""

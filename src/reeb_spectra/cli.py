@@ -246,6 +246,8 @@ def cmd_pinch(args) -> int:
 
     delta_sq = _parse_value(args.delta_sq) if args.delta_sq else None
     delta = float(args.delta) if args.delta else None
+    if delta is None and delta_sq is None:
+        raise ValueError("supply --delta or --delta-sq")
     if args.ellipsoid:
         E = _parse_ellipsoid(args.ellipsoid)
         body = _load_body(args)

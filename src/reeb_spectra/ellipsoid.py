@@ -9,14 +9,14 @@ from the counting function N(X) = sum_h floor(X / P_h) by integer bisection
 and a walk of the merged progressions k P_h.  A spectrum table is computed
 once, as columns (`SpectrumTable`: tau, multiplicity and Morse index as
 arrays): exact tables hold tau as scaled integers over D, enumerated in int64
-numpy or, where int64 could overflow, by the same walk; float tables merge
-the sorted multiples at a relative tolerance in array passes and flag
-merges of unequal values.  `action_spectrum` is the row view of a table.
+numpy or, where int64 could overflow, in object arrays of Python ints; float
+tables merge the sorted multiples at a relative tolerance in array passes and
+flag merges of unequal values.  A table of more than MAX_TABLE_MULTIPLES raw
+multiples is refused.  `action_spectrum` is the row view of a table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +29,8 @@ TOL_SURFACE = 1e-12
 TOL_MERGE = 1e-9  # relative, float mode
 CF_MAX_DENOMINATOR = 10**6
 CF_BIG_QUOTIENT = 10**8
+# a spectrum table costs about 120 MB of peak memory per 10^6 raw multiples
+MAX_TABLE_MULTIPLES = 2 * 10**6
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -166,24 +168,24 @@ def reeb_flow(E: Ellipsoid, z: np.ndarray, t: float) -> np.ndarray:
 def _scaled_spectrum(P: list[int], bound_scaled: int):
     """(values, multiplicities, morse indices) of the scaled integer spectrum.
 
-    Exact int64 arithmetic; returns None when the scaled bound would risk
-    overflow (callers fall back to `_walk`).
+    Exact integer arithmetic: int64 arrays, or Python ints in object arrays
+    for the values where int64 could overflow.
     """
-    if bound_scaled > 2**62 or any(p > 2**32 for p in P):
-        return None
+    dtype = object if bound_scaled > 2**62 or any(p > 2**32 for p in P) else np.int64
     kmax = [bound_scaled // p for p in P]
     if not any(kmax):
         empty = np.array([], dtype=np.int64)
         return empty, empty, empty
     vals = np.unique(
         np.concatenate(
-            [np.arange(1, k + 1, dtype=np.int64) * p for k, p in zip(kmax, P) if k]
+            [np.arange(1, k + 1, dtype=dtype) * p for k, p in zip(kmax, P) if k]
         )
     )
-    P_arr = np.array(P, dtype=np.int64)
-    mult = (vals[:, None] % P_arr[None, :] == 0).sum(axis=1)
+    P_arr = np.array(P, dtype=dtype)
+    mult = (vals[:, None] % P_arr[None, :] == 0).sum(axis=1).astype(np.int64, copy=False)
     # ceil(v / p) = (v + p - 1) // p on positive ints
-    morse = 2 * ((vals[:, None] + P_arr[None, :] - 1) // P_arr[None, :] - 1).sum(axis=1)
+    ceil = (vals[:, None] + P_arr[None, :] - 1) // P_arr[None, :]
+    morse = 2 * (ceil - 1).sum(axis=1).astype(np.int64, copy=False)
     return vals, mult, morse
 
 
@@ -262,13 +264,7 @@ class SpectrumTable:
 
 def _table_exact(E: Ellipsoid, max_action: Fraction) -> SpectrumTable:
     P, D = E.scaled_integer_params()
-    bound = int(max_action * D)
-    columns = _scaled_spectrum(P, bound)
-    if columns is None:
-        rows = list(itertools.takewhile(lambda r: r[0] <= bound, _walk(P, 1)))
-        v, m, mo = zip(*rows) if rows else ((), (), ())
-        columns = (np.array(v, dtype=object), np.array(m, dtype=np.int64), np.array(mo, dtype=np.int64))
-    return SpectrumTable(E.n, *columns, denominator=D)
+    return SpectrumTable(E.n, *_scaled_spectrum(P, int(max_action * D)), denominator=D)
 
 
 def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
@@ -325,11 +321,27 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
 
 
 def spectrum_table(E: Ellipsoid, max_action) -> SpectrumTable:
-    """All distinct spectrum values k a_h <= max_action, with index data, as columns."""
-    if not 0 < float(max_action) < math.inf:
+    """All distinct spectrum values k a_h <= max_action, with index data, as columns.
+
+    The raw multiples sum_h floor(max_action / a_h) are counted in exact
+    arithmetic before anything is allocated, and a table of more than
+    MAX_TABLE_MULTIPLES of them is refused with ValueError.
+    """
+    if isinstance(max_action, float):
+        if not math.isfinite(max_action):
+            raise ValueError("max_action must be positive and finite")
+        bound = Fraction(max_action).limit_denominator(10**12) if E.exact else Fraction(max_action)
+    else:
+        bound = _to_fraction(max_action)
+    if bound <= 0:
         raise ValueError("max_action must be positive and finite")
+    raw = sum(bound // Fraction(ah) for ah in E.a)
+    if raw > MAX_TABLE_MULTIPLES:
+        raise ValueError(
+            f"max_action asks for more than the {MAX_TABLE_MULTIPLES} multiples k a_h a table may hold"
+        )
     if E.exact:
-        return _table_exact(E, _to_fraction(max_action) if not isinstance(max_action, float) else Fraction(max_action).limit_denominator(10**12))
+        return _table_exact(E, bound)
     return _table_float(E, float(max_action))
 
 
@@ -346,11 +358,7 @@ def spectral_invariants(E: Ellipsoid, count: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if E.exact:
-        return invariant_window(E, 0, count - 1)
-    # N(a_1 count) >= count; the pad keeps k = count of plane 1 below the bound
-    table = spectrum_table(E, E.floats[0] * count * (1 + TOL_MERGE))
-    return np.repeat(table.tau, table.multiplicity)[:count].tolist()
+    return invariant_window(E, 0, count - 1)
 
 
 def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:
@@ -358,12 +366,15 @@ def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:
 
     Exact mode bisects for c_lo = min{X : N(X) >= lo + 1}, always a spectrum
     value whose first slot is N(c_lo - 1), then walks up to c_hi: O(n (log(P_1
-    lo) + hi - lo)) integer operations whatever the index.
+    lo) + hi - lo)) integer operations whatever the index.  Float mode repeats
+    the values of the float table up to a_1 (hi + 1) by their multiplicities.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     if not E.exact:
-        return spectral_invariants(E, hi + 1)[lo : hi + 1]
+        # N(a_1 (hi + 1)) >= hi + 1; the pad keeps k = hi + 1 of plane 1 below the bound
+        table = spectrum_table(E, E.floats[0] * (hi + 1) * (1 + TOL_MERGE))
+        return np.repeat(table.tau, table.multiplicity)[lo : hi + 1].tolist()
     P, D = E.scaled_integer_params()
     left, right = 0, P[0] * (lo + 1)  # N(left) < lo + 1 <= N(right)
     while right - left > 1:

@@ -178,6 +178,20 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "finite" in err
 
+    @pytest.mark.parametrize("ellipsoid", ["1,2", "1.0,2.0"])
+    @pytest.mark.parametrize("bound", ["1e300", "1" + "0" * 400])
+    def test_huge_max_action_is_refused(self, ellipsoid, bound, capsys):
+        # a finite bound whose table would not fit: refused before any
+        # allocation, and without converting the bound to a float
+        code, _, err = run_cli(capsys, "spectrum", "--ellipsoid", ellipsoid, "--max", bound)
+        assert code == EXIT_INPUT
+        assert "multiples" in err
+
+    def test_pinch_without_delta_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "pinch", "--ellipsoid", "1,1")
+        assert code == EXIT_INPUT
+        assert "--delta" in err
+
     def test_exit_codes_stable_across_formats(self, capsys):
         for fmt in ("json", "csv"):
             code, _, _ = run_cli(

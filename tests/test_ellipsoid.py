@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -191,7 +192,7 @@ class TestActionSpectrum:
             assert got == brute_force_spectrum(a, F(8))
 
     def test_beyond_int64_against_brute_force(self):
-        # a numerator above 2^32 leaves the int64 enumeration for the walk
+        # a numerator above 2^32 leaves int64 for Python ints
         a = [F(2**33 + 1, 3), F(2**34 + 7, 5), F(2**35, 7)]
         got = [(e.tau, e.multiplicity, e.morse_index) for e in action_spectrum(ellipsoid(a), F(2**36))]
         assert len(got) > 20
@@ -263,10 +264,45 @@ class TestSpectrumColumns:
         assert list(zip(table.tau.tolist(), m, morse)) == walk
         assert table.tau_text() == [str(t) for t in table.values()]
 
+    @pytest.mark.parametrize("a", [
+        [2**62 + 1, 3 * 2**63],
+        [F(2**63 + 5, 3), F(2**64 - 1, 2), 3 * 2**63],
+        [1, F(3 * 2**63, 2**63 - 1)],
+    ])
+    def test_object_columns_match_walk(self, a):
+        # scaled bounds past 2^62 enumerate in Python ints, values equal to the walk's
+        E = ellipsoid(a)
+        top = 40 * E.a[0]
+        table = spectrum_table(E, top)
+        P, D = E.scaled_integer_params()
+        walk = list(itertools.takewhile(lambda r: r[0] <= top * D, _walk(P, 1)))
+        assert table.tau.dtype == object
+        assert list(zip(table.tau.tolist(), table.multiplicity.tolist(), table.morse_index.tolist())) == walk
+        assert [(e.tau, e.multiplicity, e.morse_index) for e in table.entries()] == brute_force_spectrum(a, top)
+
+    @pytest.mark.parametrize("a", [[1, 2], [1.0, 2.0]])
+    @pytest.mark.parametrize("top", [1e300, 10**400, F(10**400, 3)])
+    def test_huge_table_refused_before_allocation(self, a, top):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="multiples"):
+            spectrum_table(ellipsoid(a), top)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("a", [[1, 2], [1.0, 2.0]])
+    def test_table_cap_counts_raw_multiples(self, a, monkeypatch):
+        # E(1, 2) up to 10 has 10 + 5 raw multiples k a_h; the package
+        # exports the function `ellipsoid`, so the module comes from sys.modules
+        ellipsoid_mod = sys.modules[spectrum_table.__module__]
+        monkeypatch.setattr(ellipsoid_mod, "MAX_TABLE_MULTIPLES", 15)
+        assert len(spectrum_table(ellipsoid(a), 10)) == 10
+        monkeypatch.setattr(ellipsoid_mod, "MAX_TABLE_MULTIPLES", 14)
+        with pytest.raises(ValueError, match="multiples"):
+            spectrum_table(ellipsoid(a), 10)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_beyond_int64_through_cli(self, fmt, capsys):
         a = [F(2**33 + 1, 3), F(2**34 + 7, 5), F(2**35, 7)]
-        assert spectrum_table(ellipsoid(a), F(2**36)).tau.dtype == object  # the walk's Python ints
+        assert spectrum_table(ellipsoid(a), F(2**36)).tau.dtype == object  # Python ints past int64
         argv = ["spectrum", "--ellipsoid", ",".join(map(str, a)), "--max", str(2**36), "--out", fmt]
         assert cli.main(argv) == cli.EXIT_OK
         out = capsys.readouterr().out
