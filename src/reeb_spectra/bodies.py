@@ -5,12 +5,16 @@ Two input families are supported:
   quadric             F(z) = Q(z) = pi sum |z_h|^2 / a_h           (ellipsoid)
   quadric + quartic   F(z) = Q(z) + eps sum q_h |z_h|^4
 
-The degree-2 homogenization G = gauge^2 (so Sigma = G^{-1}(1)) has a closed
-form for both families: G solves G^2 - Q G - eps P = 0, i.e.
+The degree-2 homogenization G = gauge^2 (so Sigma = G^{-1}(1)) depends on z
+only through the plane radii s_h = |z_h|^2.  With c_h = pi/a_h, e_h = eps q_h
+it solves G^2 - (c.s) G - sum e_h s_h^2 = 0, i.e.
 
-    G = (Q + sqrt(Q^2 + 4 eps P)) / 2,
+    G = (c.s + sqrt((c.s)^2 + 4 sum e_h s_h^2)) / 2.
 
-with gradients and Hessians by implicit differentiation.  The alpha-degree
+Gradients and Hessians come from the plane-radius chain rule: one jet
+(G, G_s, G_ss) in the n plane radii, the chain rule to H = G^{alpha/2} taken
+there, and one lift to R^{2n}, grad = 2 G_s[h(i)] z_i and
+hess = 2 diag(G_s) + 4 G_ss o z z^T (both lifted plane-wise).  The alpha-degree
 Hamiltonian is H = G^{alpha/2}; its Legendre dual is computed through the
 support function,
 
@@ -18,10 +22,9 @@ support function,
 
 closed-form for quadrics and by Newton on the tangency system otherwise.
 
-In both families G depends on z only through the plane radii |z_h|^2 and is
-convex in them, so the pinching radii are exact: max G sits on a coordinate
-circle, and min G is the root of a convex function of one variable, solved
-by Newton.
+G is convex in the plane radii, so the pinching radii are exact: max G sits
+on a coordinate circle, and min G is the root of a convex function of one
+variable, solved by Newton.
 """
 
 from __future__ import annotations
@@ -106,12 +109,14 @@ class ConvexBody:
         if not (1.0 < alpha < 2.0):
             raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
         self.alpha = float(alpha)
-        # per-coordinate quadric weights: Q(z) = sum w_i z_i^2
-        self._w = np.repeat(np.pi / self.a, 2)
-        self._q4 = np.repeat(self.quartic, 2)
-        self._hessQ = np.diag(2.0 * self._w)
-        # q_h on the 2x2 diagonal block of plane h: the pattern of the quartic Hessian
-        self._q4_blocks = np.kron(np.diag(self.quartic), np.ones((2, 2)))
+        # G depends on z only through the plane radii s_h = |z_h|^2, with
+        # coefficients c_h = pi/a_h and e_h = eps q_h (see `_gauge2_jet`)
+        self._c = np.pi / self.a
+        self._e = self.epsilon * self.quartic
+        self._2e = 2.0 * self._e
+        self._diag_2e = np.diag(self._2e)
+        # 2 delta_ij as (plane, coordinate, plane, coordinate)
+        self._eye2 = 2.0 * np.eye(self.dim).reshape(self.n, 2, self.n, 2)
         self.kind = "quadric" if self.epsilon == 0.0 else "perturbed"
         self.convexity_margin = None
         if validate:
@@ -135,41 +140,51 @@ class ConvexBody:
 
     # -- degree-2 homogenization -------------------------------------------
 
-    def quadric(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return np.sum(self._w * z * z, axis=-1)
+    def _plane_gradient(self, z: np.ndarray):
+        """(g, g_s, r) at points (..., 2n): G as a function of the plane radii
+        s, its gradient in s and r = 2g - c.s (g and r keep a trailing axis).
+        Differentiating g^2 - (c.s) g - sum e_h s_h^2 = 0 gives
+        g_h = (g c_h + 2 e_h s_h) / r, and g_s = c for quadrics."""
+        s = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
+        cs = (self._c * s).sum(-1, keepdims=True)
+        if self.epsilon == 0.0:
+            return cs, self._c, cs
+        es = self._2e * s
+        r = np.sqrt(cs * cs + 2.0 * (es * s).sum(-1, keepdims=True))
+        g = 0.5 * (cs + r)
+        return g, (g * self._c + es) / r, r
 
-    def _quartic_sum(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        r2 = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
-        return np.sum(self.quartic * r2 * r2, axis=-1)
+    def _gauge2_jet(self, z: np.ndarray):
+        """(g, g_s, g_ss): G at points (..., 2n) and its gradient and Hessian
+        in the plane radii s.  Differentiating r g_h = g c_h + 2 e_h s_h once
+        more gives g_hk = (g_h u_k + u_h g_k + 2 e_h delta_hk) / r with
+        u = c - g_s; g_ss = 0 for quadrics, so G stays finite at z = 0.
+        """
+        g, g_s, r = self._plane_gradient(z)
+        if self.epsilon == 0.0:
+            return g, g_s, np.zeros((self.n, self.n))
+        m = g_s[..., None] * (self._c - g_s)[..., None, :]
+        return g, g_s, (m + m.swapaxes(-1, -2) + self._diag_2e) / r[..., None]
+
+    def _lift(self, z: np.ndarray, f_s: np.ndarray, f_ss: np.ndarray | None = None):
+        """Gradient (and Hessian, given f_ss) in z of a function of the plane
+        radii with derivatives f_s, f_ss in s: grad_i = 2 f_s[h(i)] z_i and
+        hess = 2 diag(f_s lifted) + 4 (f_ss lifted) o z z^T."""
+        y = 2.0 * z.reshape(z.shape[:-1] + (self.n, 2))
+        grad = (f_s[..., None] * y).reshape(z.shape)
+        if f_ss is None:
+            return grad
+        hess = (f_ss[..., :, None, :, None] * y[..., :, :, None, None] * y[..., None, None, :, :]
+                + f_s[..., :, None, None, None] * self._eye2)
+        return grad, hess.reshape(z.shape + (self.dim,))
 
     def gauge2(self, z: np.ndarray) -> np.ndarray:
         """G(z) = gauge(z)^2; positively 2-homogeneous with G^{-1}(1) = Sigma."""
-        Q = self.quadric(z)
-        if self.epsilon == 0.0:
-            return Q
-        P = self._quartic_sum(z)
-        return 0.5 * (Q + np.sqrt(Q * Q + 4.0 * self.epsilon * P))
-
-    def _gauge2_jet(self, z: np.ndarray):
-        """Q, G, 2G - Q, grad Q, grad G and the per-coordinate plane radii
-        |z_h|^2 of a perturbed body, each computed once."""
-        Q = self.quadric(z)
-        r2 = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
-        G = 0.5 * (Q + np.sqrt(Q * Q + 4.0 * self.epsilon * np.sum(self.quartic * r2 * r2, axis=-1)))
-        denom = 2.0 * G - Q
-        r2 = np.repeat(r2, 2, axis=-1)
-        gradQ = 2.0 * self._w * z
-        gradP = 4.0 * self._q4 * r2 * z
-        gradG = (G[..., None] * gradQ + self.epsilon * gradP) / denom[..., None]
-        return Q, G, denom, gradQ, gradG, r2
+        return self._plane_gradient(np.asarray(z, dtype=float))[0][..., 0]
 
     def grad_gauge2(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if self.epsilon == 0.0:
-            return 2.0 * self._w * z
-        return self._gauge2_jet(z)[4]
+        return self._lift(z, self._plane_gradient(z)[1])
 
     def hess_gauge2(self, z: np.ndarray) -> np.ndarray:
         """Hessian of G at points (..., 2n), shape (..., 2n, 2n)."""
@@ -178,34 +193,23 @@ class ConvexBody:
     def _gauge2_derivatives(self, z: np.ndarray):
         """(G, grad G, hess G) at points (..., 2n) from one jet."""
         z = np.asarray(z, dtype=float)
-        if self.epsilon == 0.0:
-            return (self.quadric(z), 2.0 * self._w * z,
-                    self._hessQ * np.ones(z.shape[:-1] + (1, 1)))
-        _, G, denom, gradQ, gradG, r2 = self._gauge2_jet(z)
-        hessP = (8.0 * self._q4_blocks * (z[..., :, None] * z[..., None, :])
-                 + (4.0 * self._q4 * r2)[..., None] * np.eye(self.dim))
-        sym = gradG[..., :, None] * gradQ[..., None, :]
-        outer_G = gradG[..., :, None] * gradG[..., None, :]
-        hessG = (G[..., None, None] * self._hessQ + self.epsilon * hessP + sym
-                 + np.swapaxes(sym, -1, -2) - 2.0 * outer_G) / denom[..., None, None]
-        return G, gradG, hessG
+        g, g_s, g_ss = self._gauge2_jet(z)
+        return (g[..., 0], *self._lift(z, g_s, g_ss))
 
     def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
-        """(grad, hess) of G^{alpha/2} at points (..., 2n) from one jet of G.
-
-        Chain rule: grad = a G^{a-1} grad G and
-        hess = a ((a-1) G^{a-2} grad G grad G^T + G^{a-1} hess G), a = alpha/2;
-        alpha = 2 returns the derivatives of G itself.
+        """(grad, hess) of G^{alpha/2} at points (..., 2n) from one jet of G,
+        by the chain rule in plane radii before the lift (a = alpha/2):
+        d/ds G^a = a G^{a-1} g_s, d2/ds2 G^a = a G^{a-1} (g_ss + (a-1) G^{-1} g_s g_s^T).
         """
-        G, gradG, hessG = self._gauge2_derivatives(z)
-        if alpha == 2.0:
-            return gradG, hessG
-        a2 = alpha / 2.0
-        G1, G2 = G[..., None], G[..., None, None]
-        outer_G = gradG[..., :, None] * gradG[..., None, :]
-        grad = a2 * G1 ** (a2 - 1.0) * gradG
-        hess = a2 * ((a2 - 1.0) * G2 ** (a2 - 2.0) * outer_G + G2 ** (a2 - 1.0) * hessG)
-        return grad, hess
+        z = np.asarray(z, dtype=float)
+        g, g_s, g_ss = self._gauge2_jet(z)
+        if alpha != 2.0:
+            a2 = alpha / 2.0
+            p = a2 * g ** (a2 - 1.0)
+            g_ss = p[..., None] * (g_ss + ((a2 - 1.0) / g)[..., None]
+                                   * g_s[..., :, None] * g_s[..., None, :])
+            g_s = p * g_s
+        return self._lift(z, g_s, g_ss)
 
     # -- alpha-degree Hamiltonian ------------------------------------------
 
@@ -253,7 +257,7 @@ class ConvexBody:
             # the Hessian is the constant 2 diag(pi / a); its smallest
             # eigenvalue 2 pi / a_max has the whole plane of a_max as
             # eigenspace, which meets every tangent hyperplane
-            min_eig, where = 2.0 * self._w.min(), "anywhere"
+            min_eig, where = 2.0 * self._c.min(), "anywhere"
         else:
             pts = self.surface_samples(CONVEXITY_SAMPLES)
             _, g, hess = self._gauge2_derivatives(pts)
@@ -282,9 +286,9 @@ class ConvexBody:
 
     def _support_quadric(self, w: np.ndarray):
         w = np.asarray(w, dtype=float)
-        h = np.sqrt(np.sum(w * w / self._w, axis=-1))
-        u = (w / self._w) / h[..., None]
-        return h, u
+        c2 = np.repeat(self._c, 2)  # per coordinate
+        h = np.sqrt(np.sum(w * w / c2, axis=-1))
+        return h, (w / c2) / h[..., None]
 
     def support(self, w: np.ndarray):
         """Support function h_C(w) = max{<z, w> : z in C} and its maximizer.
@@ -374,13 +378,8 @@ class ConvexBody:
         """(inradius, circumradius) of Sigma about the origin, exact.
 
         r = 1/sqrt(max G) and R = 1/sqrt(min G) over the unit sphere.  Closed
-        form for quadrics.  Otherwise the method needs G to depend on z only
-        through the plane radii s_h = |z_h|^2, as it does for both families
-        `from_spec` accepts.  The unit sphere maps onto the simplex
-        {s >= 0, sum s_h = 1}, on which, with c_h = pi/a_h and e_h = eps q_h,
-
-            G(s) = (c.s + sqrt((c.s)^2 + 4 sum e_h s_h^2)) / 2
-
+        form for quadrics.  Otherwise the unit sphere maps onto the simplex
+        {s >= 0, sum s_h = 1} of plane radii, on which G(s) (module docstring)
         is convex: the square root is a Euclidean norm of a linear map of s.
         So max G sits at a vertex, a coordinate circle, where it is
         (c_h + sqrt(c_h^2 + 4 e_h)) / 2.  min G is the root g* of
@@ -391,9 +390,8 @@ class ConvexBody:
         monotonically to g*; it stops when a step no longer lowers g.
         """
         if self.epsilon == 0.0:
-            return float(np.sqrt(self.a[0] / np.pi)), float(np.sqrt(self.a[-1] / np.pi))
-        c = np.pi / self.a
-        e = self.epsilon * self.quartic
+            return float(np.sqrt(self.a.min() / np.pi)), float(np.sqrt(self.a.max() / np.pi))
+        c, e = self._c, self._e
         vertex = 0.5 * (c + np.sqrt(c * c + 4.0 * e))
         g = float(vertex.min())
         while True:

@@ -109,9 +109,9 @@ def zoll_by_pinching(
 
     r, R = body.pinching_radii()
     if body.kind == "quadric":
-        # exact chain values for ellipsoids: pi r^2 = a_1, pi R^2 = a_n
-        pi_r2 = body.a[0]
-        pi_R2 = body.a[-1]
+        # exact chain values for ellipsoids: pi r^2 = min a, pi R^2 = max a
+        pi_r2 = body.a.min()
+        pi_R2 = body.a.max()
     else:
         import math
 

@@ -158,9 +158,14 @@ def flow_with_monodromy(
     span = tau if alpha == 2.0 else 2.0 * tau / alpha
 
     def rhs(t, y):
+        # [J grad H, J hess H Y] written into one output; J v = (-v_2, v_1) per plane
         grad, hess = body._homogeneous_derivatives(y[:d], alpha)
-        A = apply_J(hess.T).T  # J @ hess
-        return np.concatenate([apply_J(grad), (A @ y[d:].reshape(d, d)).reshape(-1)])
+        HY = hess @ y[d:].reshape(d, d)
+        out = np.empty_like(y)
+        JHY = out[d:].reshape(d, d)
+        out[:d:2], out[1:d:2] = -grad[1::2], grad[0::2]
+        JHY[0::2], JHY[1::2] = -HY[1::2], HY[0::2]
+        return out
 
     y0 = np.concatenate([z0, np.eye(d).reshape(-1)])
     sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853", rtol=rtol, atol=atol,

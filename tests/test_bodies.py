@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from reeb_spectra.bodies import ConvexBody, SupportSolveError
@@ -15,6 +17,70 @@ def fd_grad(f, z, h=1e-6):
         zm[i] -= h
         g[i] = (f(zp) - f(zm)) / (2 * h)
     return g
+
+
+class ImplicitJetOracle:
+    """Independent oracle: the body jet by implicit differentiation in the 2n
+    coordinates, through Q, P, their gradients and a 2n x 2n quartic Hessian;
+    the plane-radius jet of `ConvexBody` must agree with it."""
+
+    def __init__(self, body: ConvexBody):
+        self.epsilon, self.quartic, self.dim = body.epsilon, body.quartic, body.dim
+        # per-coordinate quadric weights: Q(z) = sum w_i z_i^2
+        self._w = np.repeat(np.pi / body.a, 2)
+        self._q4 = np.repeat(self.quartic, 2)
+        self._hessQ = np.diag(2.0 * self._w)
+        # q_h on the 2x2 diagonal block of plane h: the pattern of the quartic Hessian
+        self._q4_blocks = np.kron(np.diag(self.quartic), np.ones((2, 2)))
+
+    def quadric(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        return np.sum(self._w * z * z, axis=-1)
+
+    def _gauge2_jet(self, z: np.ndarray):
+        """Q, G, 2G - Q, grad Q, grad G and the per-coordinate plane radii
+        |z_h|^2 of a perturbed body, each computed once."""
+        Q = self.quadric(z)
+        r2 = z[..., 0::2] ** 2 + z[..., 1::2] ** 2
+        G = 0.5 * (Q + np.sqrt(Q * Q + 4.0 * self.epsilon * np.sum(self.quartic * r2 * r2, axis=-1)))
+        denom = 2.0 * G - Q
+        r2 = np.repeat(r2, 2, axis=-1)
+        gradQ = 2.0 * self._w * z
+        gradP = 4.0 * self._q4 * r2 * z
+        gradG = (G[..., None] * gradQ + self.epsilon * gradP) / denom[..., None]
+        return Q, G, denom, gradQ, gradG, r2
+
+    def _gauge2_derivatives(self, z: np.ndarray):
+        """(G, grad G, hess G) at points (..., 2n) from one jet."""
+        z = np.asarray(z, dtype=float)
+        if self.epsilon == 0.0:
+            return (self.quadric(z), 2.0 * self._w * z,
+                    self._hessQ * np.ones(z.shape[:-1] + (1, 1)))
+        _, G, denom, gradQ, gradG, r2 = self._gauge2_jet(z)
+        hessP = (8.0 * self._q4_blocks * (z[..., :, None] * z[..., None, :])
+                 + (4.0 * self._q4 * r2)[..., None] * np.eye(self.dim))
+        sym = gradG[..., :, None] * gradQ[..., None, :]
+        outer_G = gradG[..., :, None] * gradG[..., None, :]
+        hessG = (G[..., None, None] * self._hessQ + self.epsilon * hessP + sym
+                 + np.swapaxes(sym, -1, -2) - 2.0 * outer_G) / denom[..., None, None]
+        return G, gradG, hessG
+
+    def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
+        """(grad, hess) of G^{alpha/2} at points (..., 2n) from one jet of G.
+
+        Chain rule: grad = a G^{a-1} grad G and
+        hess = a ((a-1) G^{a-2} grad G grad G^T + G^{a-1} hess G), a = alpha/2;
+        alpha = 2 returns the derivatives of G itself.
+        """
+        G, gradG, hessG = self._gauge2_derivatives(z)
+        if alpha == 2.0:
+            return gradG, hessG
+        a2 = alpha / 2.0
+        G1, G2 = G[..., None], G[..., None, None]
+        outer_G = gradG[..., :, None] * gradG[..., None, :]
+        grad = a2 * G1 ** (a2 - 1.0) * gradG
+        hess = a2 * ((a2 - 1.0) * G2 ** (a2 - 2.0) * outer_G + G2 ** (a2 - 1.0) * hessG)
+        return grad, hess
 
 
 @pytest.fixture
@@ -164,6 +230,50 @@ class TestHomogenization:
             assert np.abs(hess - ref_hess).max() <= 1e-14 * np.abs(ref_hess).max()
             assert np.array_equal(body.grad_H(z), grad)
             assert np.array_equal(body.hess_H(z), hess)
+
+
+def _rel_err(got, want):
+    """Max-norm error of each point's array relative to its max-norm."""
+    axes = tuple(range(1, np.ndim(want)))
+    return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
+
+
+class TestPlaneRadiusJet:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), eps=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           zero_planes=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+           alpha=st.sampled_from([1.2, 1.5, 1.8, 2.0]))
+    def test_matches_implicit_jet(self, n, eps, zero_planes, seed, alpha):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.3, 5.0, size=n)
+        # some or all quartic coefficients vanish
+        quartic = rng.uniform(0.0, 2.0, size=n) * (rng.permutation(n) >= min(zero_planes, n))
+        body = ConvexBody(a, epsilon=eps, quartic=quartic, validate=False)
+        oracle = ImplicitJetOracle(body)
+        Z = rng.normal(size=(7, 2 * n)) * rng.uniform(0.1, 3.0, size=(7, 1))
+        # points on which some planes vanish: s_h = 0
+        Z[:3] *= np.repeat(rng.integers(0, 2, size=(3, n)), 2, axis=-1)
+        Z = Z[np.linalg.norm(Z, axis=-1) > 0]
+        G, grad, hess = body._gauge2_derivatives(Z)
+        G_o, grad_o, hess_o = oracle._gauge2_derivatives(Z)
+        assert np.all(np.abs(G - G_o) <= 1e-14 * np.abs(G_o))
+        assert np.array_equal(G, body.gauge2(Z))
+        assert np.all(_rel_err(grad, grad_o) <= 1e-14)
+        assert np.all(_rel_err(hess, hess_o) <= 1e-14)
+        grad_H, hess_H = body._homogeneous_derivatives(Z, alpha)
+        grad_Ho, hess_Ho = oracle._homogeneous_derivatives(Z, alpha)
+        assert np.all(_rel_err(grad_H, grad_Ho) <= 1e-14)
+        assert np.all(_rel_err(hess_H, hess_Ho) <= 1e-14)
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0], [3.0, 1.0, 2.0]])
+    def test_quadric_at_origin(self, a):
+        body = ConvexBody(a, validate=False)
+        for z in (np.zeros(body.dim), np.zeros((3, body.dim))):
+            G, grad, hess = body._gauge2_derivatives(z)
+            assert np.array_equal(G, np.zeros(z.shape[:-1]))
+            assert np.array_equal(grad, np.zeros(z.shape))
+            want = np.diag(np.repeat(2.0 * np.pi / np.array(a), 2))
+            assert np.array_equal(hess, np.broadcast_to(want, z.shape + (body.dim,)))
 
 
 class TestSupportAndDual:

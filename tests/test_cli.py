@@ -12,6 +12,7 @@ import pytest
 
 import reeb_spectra
 from reeb_spectra import cli
+from reeb_spectra.bodies import ConvexBody
 from reeb_spectra.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from reeb_spectra.ellipsoid import action_spectrum
 
@@ -93,6 +94,22 @@ class TestPinch:
         )
         assert code == EXIT_OK
         assert json.loads(out)["status"] == "certified-zoll"
+
+    @pytest.mark.parametrize("a, spectrum, dsq", [([2, 1], "1,2", "3/2"),
+                                                  (["3/2", 1], "1,3/2", "7/4")])
+    def test_unsorted_parameters_pinch_as_sorted(self, a, spectrum, dsq, capsys, tmp_path):
+        # the radii come from min a and max a, not from the first and last entry
+        results = []
+        for order in (a, sorted(a, key=Fraction)):
+            spec = {"type": "ellipsoid", "a": order}
+            body = tmp_path / "body.json"
+            body.write_text(json.dumps(spec))
+            code, out, _ = run_cli(capsys, "pinch", "--body", str(body), "--spectrum", spectrum,
+                                   "--attest-coverage", "--delta-sq", dsq)
+            assert code == EXIT_OK
+            results.append((json.loads(out), ConvexBody.from_spec(spec).pinching_radii()))
+        assert results[0] == results[1]
+        assert results[0][0]["status"] != "certified-zoll"
 
     def test_besse_refusal_is_exit_zero(self, capsys):
         code, out, _ = run_cli(
