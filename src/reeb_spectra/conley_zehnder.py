@@ -17,14 +17,26 @@ exp(-eps t J) and the limit eps -> 0+ is taken (eps sequence 3e-3, 1e-3,
 
 Crossings are found on a uniform grid of DEFAULT_GRID cells.  Array masks
 over the grid bracket the sign changes of det(Gamma - I) and the local
-minima of the smallest singular value of Gamma - I (touching zeros, where
-det does not change sign).  All brackets of a grid are then refined
-together: a batched Illinois regula falsi on det for the sign changes, and
-a batched bracket zoom plus a parabola polish on the squared singular value
-for the dips, so each step is one evaluation of the path at many times.  A
-neighborhood the grid cannot resolve is rescanned on a finer local grid.
-Each path is scanned once per grid size: `cz_index`, `crossing_records`
-and `morse_index_from_path` share the scan, which is kept on the path.
+minima, below DIP_LEVEL, of the smallest singular value of Gamma - I
+(touching zeros, where det does not change sign).  All brackets of a grid
+are then refined together: a batched Illinois regula falsi on det for the
+sign changes, and a batched bracket zoom plus a parabola polish on the
+squared singular value for the dips, so each step is one evaluation of the
+path at many times.  A neighborhood the grid cannot resolve is rescanned on
+a finer local grid.
+
+Each path is evaluated once per grid size.  Gamma and the singular values
+of Gamma - I on the grid are kept on the path with the scan's candidates,
+and `cz_index`, `crossing_records` and `morse_index_from_path` share them;
+the Morse index checks that the path is not singular on a positive fraction
+of the grid before it scans.  A path that moves MAX_GRID_STEP or more per
+cell (largest column norm of Gamma(t_{i+1}) - Gamma(t_i)) could pass a
+crossing between grid points and is refused with UnresolvedCrossingError.
+The eps-ladder paths R(-eps t) Gamma(t) take their grid from the path's:
+one matmul for Gamma_eps, and singular values only where the Weyl bound
+s_min(Gamma_eps - I) >= s_min(Gamma - I) - eps t (1 + s_max(Gamma - I))
+cannot rule out a dip below DIP_LEVEL (Horn-Johnson, Matrix Analysis,
+Sec. 7.3); the brackets and refinements are those of a full scan.
 """
 
 from __future__ import annotations
@@ -47,6 +59,12 @@ XTOL_ROOT = 1e-14
 # dip zoom: samples per bracket and level, and the bracket width it stops at
 ZOOM_POINTS = 15
 ZOOM_TOL = 1e-9
+# a grid value of s_min(Gamma - I) below this brackets a dip
+DIP_LEVEL = 0.2
+# largest column norm of Gamma(t_{i+1}) - Gamma(t_i) a grid can resolve
+MAX_GRID_STEP = 2.0 * DIP_LEVEL
+# relative rounding allowance on the Weyl bound of the eps-ladder window
+WEYL_MARGIN = 1e-9
 
 
 class UnresolvedCrossingError(RuntimeError):
@@ -68,11 +86,55 @@ class CrossingRecord:
     signature: int
 
 
+@dataclass
+class _Grid:
+    """A path's top-level grid t_i = i / grid and its scan.
+
+    mats holds Gamma(t_i) and svals the singular values of Gamma(t_i) - I,
+    in descending order; a row is +inf where the scan needs no value (see
+    `_perturbed`).  candidates is filled by the first scan.
+    """
+
+    mats: np.ndarray
+    svals: np.ndarray
+    candidates: tuple | None = None
+
+
+def _grid_values(path: SymplecticPath, ts: np.ndarray):
+    """Gamma and the singular values of Gamma - I at the times ts."""
+    mats = path.evaluate_batch(ts)
+    return mats, np.linalg.svd(mats - np.eye(path.dim), compute_uv=False)
+
+
 def _smallest_svals(path: SymplecticPath, ts: np.ndarray) -> np.ndarray:
     if not len(ts):
         return np.empty(0)
-    diff = path.evaluate_batch(ts) - np.eye(path.dim)
-    return np.linalg.svd(diff, compute_uv=False)[:, -1]
+    return _grid_values(path, ts)[1][:, -1]
+
+
+def _grid(path: SymplecticPath, grid: int) -> _Grid:
+    """The path's top-level grid, evaluated once and kept in path._scans.
+
+    Refuses a path that moves MAX_GRID_STEP or more per cell: a crossing is
+    seen only where some grid value of s_min(Gamma - I) falls below
+    DIP_LEVEL, and a rotation that turns a chord of 2 * DIP_LEVEL per cell
+    can pass a crossing between two grid points.  The step is the largest
+    column norm of Gamma(t_{i+1}) - Gamma(t_i): at most the spectral norm,
+    and equal to it on rotation blocks.
+    """
+    g = path._scans.get(grid)
+    if g is None:
+        mats, svals = _grid_values(path, np.linspace(0.0, 1.0, grid + 1))
+        d = mats[1:] - mats[:-1]
+        step = float(np.sqrt(np.einsum("tij,tij->tj", d, d).max()))
+        if step >= MAX_GRID_STEP:
+            raise UnresolvedCrossingError(
+                f"path moves {step:.3g} per grid cell (limit {MAX_GRID_STEP}); "
+                f"a grid of {grid} cells cannot resolve its crossings",
+                interval=(0.0, 1.0),
+            )
+        g = path._scans[grid] = _Grid(mats, svals)
+    return g
 
 
 def _refine_sign_changes(path, lo, hi, f_lo, f_hi):
@@ -178,7 +240,9 @@ def _push_candidate(path, t, s_resid, svals, speed, a, b, points, depth, out):
     lo, hi = max(0.0, t - w), min(1.0, t + w)
     if banded and depth < MAX_REFINE_DEPTH and w > 1e-9 and hi - lo > 1e-11:
         n_before = len(out)
-        _scan_interval(path, lo, hi, 256, depth + 1, out)
+        ts = np.linspace(lo, hi, 257)
+        mats, svals = _grid_values(path, ts)
+        _scan_interval(path, ts, mats, svals[:, -1], depth + 1, out)
         found_self = any(abs(tc - t) <= w for tc, _ in out[n_before:])
         if not found_self:
             out.append((t, s_resid))  # child scan lost it; keep the parent
@@ -186,30 +250,31 @@ def _push_candidate(path, t, s_resid, svals, speed, a, b, points, depth, out):
         out.append((t, s_resid))
 
 
-def _scan_interval(path, a, b, points, depth, out):
-    """Find crossings of det(Gamma - I) on [a, b] at the given resolution.
+def _scan_interval(path, ts, mats, smin, depth, out):
+    """Find crossings of det(Gamma - I) on the grid ts at its resolution.
 
+    mats holds Gamma(ts) and smin the smallest singular values of
+    Gamma(ts) - I; a value of +inf stands for one at or above DIP_LEVEL.
     Brackets come from array masks over the grid.  Sign changes of det are
     refined together by `_refine_sign_changes`; touching zeros (the det of a
     rotation block is >= 0) are caught as local minima of the smallest
     singular value and refined together by `_refine_dips`.  Dips hiding
-    inside the first/last cell are checked explicitly.  Returns the grid's
-    smallest singular values.
+    inside the first/last cell are checked explicitly.
     """
-    ts = np.linspace(a, b, points + 1)
-    diff = path.evaluate_batch(ts) - np.eye(path.dim)
-    dets = np.linalg.det(diff)
-    smin = np.linalg.svd(diff, compute_uv=False)[:, -1]
+    points = len(ts) - 1
+    dets = np.linalg.det(mats - np.eye(path.dim))
 
     sign = np.sign(dets)
     i = np.flatnonzero((sign[:-1] != 0.0) & (sign[:-1] * sign[1:] < 0))
     roots = _refine_sign_changes(path, ts[i], ts[i + 1], dets[i], dets[i + 1])
 
     mid = smin[1:-1]
-    j = 1 + np.flatnonzero((mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.2))
+    j = 1 + np.flatnonzero((mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < DIP_LEVEL))
     # dips inside the edge cells (monotone samples hide them from the
     # local-minimum detector)
-    edges = np.array([c for c in (0, points - 1) if min(smin[c], smin[c + 1]) < 0.2], dtype=int)
+    edges = np.array(
+        [c for c in (0, points - 1) if min(smin[c], smin[c + 1]) < DIP_LEVEL], dtype=int
+    )
     lo = np.concatenate([j - 1, edges])
     hi = np.concatenate([j + 1, edges + 1])
     t_dip, s_dip = _refine_dips(path, ts[lo], ts[hi], smin[lo], smin[hi])
@@ -219,23 +284,23 @@ def _scan_interval(path, a, b, points, depth, out):
     cand_t = np.concatenate([roots, t_dip[accept]])
     cand_s = np.concatenate([np.zeros(len(roots)), s_dip[accept]])
     if len(cand_t):
-        svals = np.linalg.svd(path.evaluate_batch(cand_t) - np.eye(path.dim), compute_uv=False)
+        svals = _grid_values(path, cand_t)[1]
         speeds = np.linalg.norm(_path_derivative(path, cand_t), 2, axis=(1, 2))
         for t, s, sv, v in zip(cand_t, cand_s, svals, speeds):
-            _push_candidate(path, float(t), float(s), sv, v, a, b, points, depth, out)
-    return smin
+            _push_candidate(path, float(t), float(s), sv, v, ts[0], ts[-1], points, depth, out)
 
 
 def _candidate_times(path: SymplecticPath, grid: int):
-    """Interior crossing candidates in (0, 1), refined and deduplicated.
+    """Interior crossing candidates (t, s_min) in (0, 1), refined and deduplicated.
 
-    Returns the candidates with the grid's smallest singular values.  The
-    scan runs once per path and grid; the result is kept on the path.
+    The top-level scan reads the path's grid and runs once per path and
+    grid; the result is kept with the grid.
     """
-    if grid in path._scans:
-        return path._scans[grid]
+    g = _grid(path, grid)
+    if g.candidates is not None:
+        return g.candidates
     out: list[tuple[float, float]] = []
-    smin = _scan_interval(path, 0.0, 1.0, grid, 0, out)
+    _scan_interval(path, np.linspace(0.0, 1.0, grid + 1), g.mats, g.svals[:, -1], 0, out)
 
     endpoint_singular = _endpoint_singular(path, tol=TOL_CROSS * 0.1)
     out.sort()
@@ -253,9 +318,8 @@ def _candidate_times(path: SymplecticPath, grid: int):
                 merged[-1] = (t, s)
             continue
         merged.append((t, s))
-    smin.flags.writeable = False
-    path._scans[grid] = (tuple(merged), smin)
-    return path._scans[grid]
+    g.candidates = tuple(merged)
+    return g.candidates
 
 
 def _kernel_basis(M: np.ndarray, tol: float = TOL_KER):
@@ -301,7 +365,7 @@ def _signature(Q: np.ndarray, rel_tol: float = 1e-4):
 def crossing_records(path: SymplecticPath, grid: int = DEFAULT_GRID) -> list[CrossingRecord]:
     """Interior crossings of the path with the Maslov cycle, in time order."""
     records = []
-    for t, s_resid in _candidate_times(path, grid)[0]:
+    for t, s_resid in _candidate_times(path, grid):
         # kernel tolerance keyed to how precisely the crossing was localized
         tol = max(TOL_KER, 3.0 * s_resid)
         k, basis = _kernel_basis(path(t), tol=tol)
@@ -334,9 +398,32 @@ def _index_nondegenerate(path: SymplecticPath, grid: int) -> int:
     return int(total)
 
 
-def _perturbed(path: SymplecticPath, eps: float) -> SymplecticPath:
+def _perturbed(path: SymplecticPath, eps: float, grid: int) -> SymplecticPath:
+    """The product R(-eps t) Gamma(t), its top-level grid built from the path's.
+
+    Gamma_eps = R(-eps t) Gamma on the grid is one matmul with the path's
+    cached Gamma, bitwise what the product path evaluates.  Singular values
+    are computed only where the Weyl bound cannot certify s_min >= DIP_LEVEL:
+    Gamma_eps - I = (Gamma - I) + (R - I) Gamma with |R(-eps t) - I|_2 <= eps t
+    and |Gamma|_2 <= 1 + s_max(Gamma - I), so
+    s_min(Gamma_eps - I) >= s_min(Gamma - I) - eps t (1 + s_max(Gamma - I)).
+    The window is padded by one point, so each value a bracket reads is
+    computed; every other point reads +inf, which leaves all brackets,
+    edge checks and refinements as a full scan makes them.
+    """
     ramp = rotation_path([-eps / (2.0 * np.pi)] * (path.dim // 2))
-    return path_product(ramp, path)
+    pert = path_product(ramp, path)
+    base = _grid(path, grid)
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    mats = np.matmul(ramp.evaluate_batch(ts), base.mats)
+    smin, smax = base.svals[:, -1], base.svals[:, 0]
+    bound = smin - eps * ts * (1.0 + smax)
+    near = bound < DIP_LEVEL + WEYL_MARGIN * (1.0 + smax)
+    window = np.convolve(near, np.ones(3), mode="same") > 0
+    svals = np.full(base.svals.shape, np.inf)
+    svals[window] = np.linalg.svd(mats[window] - np.eye(path.dim), compute_uv=False)
+    pert._scans[grid] = _Grid(mats, svals)
+    return pert
 
 
 def _endpoint_singular(path: SymplecticPath, tol: float = TOL_KER) -> bool:
@@ -355,6 +442,7 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
     Raises UnresolvedCrossingError when the crossing structure cannot be
     resolved, with the offending interval when known.
     """
+    _grid(path, grid)  # a path the grid cannot resolve is refused, not laddered
     if not _endpoint_singular(path):
         try:
             return _index_nondegenerate(path, grid)
@@ -363,7 +451,7 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
 
     values = []
     for eps in EPS_SEQUENCE:
-        pert = _perturbed(path, eps)
+        pert = _perturbed(path, eps, grid)
         if _endpoint_singular(pert):
             continue
         try:
@@ -383,14 +471,14 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
 
 def morse_index_from_path(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
     """Sum of dim ker(Gamma(t) - I) over interior crossing times t in (0,1)."""
-    candidates, smin = _candidate_times(path, grid)
+    smin = _grid(path, grid).svals[:, -1]
     if np.count_nonzero(smin < TOL_CROSS) > 0.2 * len(smin):
         raise UnresolvedCrossingError(
             "path is singular on a positive fraction of the grid; "
             "crossings are not isolated"
         )
     total = 0
-    for t, s_resid in candidates:
+    for t, s_resid in _candidate_times(path, grid):
         k, _ = _kernel_basis(path(t), tol=max(TOL_KER, 3.0 * s_resid))
         total += k
     return total

@@ -74,8 +74,10 @@ class SymplecticPath:
     kind is one of "rotation", "block", "product", "conjugate",
     "linearized-flow", "sampled". The batch evaluator maps a (T,) array of
     times to a (T, 2n, 2n) stack; scalar evaluation goes through __call__.
-    The crossing counter keeps its scan of the path in _scans, keyed by
-    grid size, so every grid is scanned once per path.
+    The crossing counter keeps its grids of the path in _scans, keyed by
+    grid size: Gamma at the grid times, the singular values of Gamma - I
+    there and, once scanned, the crossing candidates, so every grid is
+    evaluated and scanned once per path.
     """
 
     dim: int

@@ -165,14 +165,19 @@ class TestMorseIndexFromPath:
         # E(1,2) at tau = 2: rates (2, 1); ind = 2 sum(ceil(tau/a_h) - 1) = 2
         assert morse_index_from_path(rotation_path([2.0, 1.0])) == 2
 
-    def test_degenerate_ramp_raises(self):
+    def test_degenerate_ramp_raises(self, monkeypatch):
         def shear(ts):
             out = np.broadcast_to(np.eye(2), (len(ts), 2, 2)).copy()
             out[:, 0, 1] = -0.8 * np.asarray(ts)
             return out
 
+        # the guard reads the path's grid, so no crossing is searched for
+        def spy(*args):
+            raise AssertionError("the scan ran before the guard")
+
+        monkeypatch.setattr(cz, "_scan_interval", spy)
         path = SymplecticPath(dim=2, kind="sampled", eval_batch=shear)
-        with pytest.raises(UnresolvedCrossingError):
+        with pytest.raises(UnresolvedCrossingError, match="positive fraction"):
             morse_index_from_path(path)
 
 
@@ -419,8 +424,10 @@ class TestOneScanPerPath:
 
     @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 3)])
     def test_grid_evaluations(self, rates, scans, monkeypatch, capsys):
-        # "2,4/3" ends on a singular endpoint: two rungs of the eps ladder,
-        # plus the unperturbed path for the Morse index
+        # "2,4/3" ends on a singular endpoint: the path itself, whose grid
+        # the Morse index and both rungs of the eps ladder share, plus the
+        # backward rotation of each rung; no product path is evaluated on
+        # the full grid
         evaluate = SymplecticPath.evaluate_batch
         calls, depth = [0], [0]
 
@@ -439,3 +446,112 @@ class TestOneScanPerPath:
         assert main(["cz", "--rotation", rates]) == 0
         capsys.readouterr()
         assert calls[0] == scans
+
+    def test_one_full_grid_svd(self, monkeypatch, capsys):
+        # the resonant path's two ladder rungs read its grid and compute
+        # singular values only in their Weyl windows
+        svd = np.linalg.svd
+        full = [0]
+
+        def counting(a, *args, **kwargs):
+            full[0] += a.ndim == 3 and len(a) == DEFAULT_GRID + 1
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert main(["cz", "--rotation", "1,3/2,2"]) == 0
+        capsys.readouterr()
+        assert full[0] == 1
+
+
+def _plane_one_alpha_path():
+    """Linearized degree-1.5 flow along the plane-1 orbit of perturbed E(1,2)."""
+    from test_clarke import planar_period_oracle
+
+    from reeb_spectra.bodies import ConvexBody
+    from reeb_spectra.dynamics import flow_with_monodromy
+
+    body = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
+    z = body.project_to_surface(np.array([1.0, 0.0, 0.0, 0.0]))
+    tau = planar_period_oracle(1.0, 1e-3, 1.0)
+    return flow_with_monodromy(body, z, tau, alpha=1.5, dense=True)[2]
+
+
+LADDER_PATHS = {
+    "resonant-2": lambda: rotation_path([2.0]),
+    "resonant-1,3/2,2": lambda: rotation_path([1.0, 1.5, 2.0]),
+    "resonant-2,4/3": lambda: rotation_path([2.0, 4.0 / 3.0]),
+    # the slow block crosses DIP_LEVEL over many grid points, where the
+    # eps term of the bound decides the window
+    "resonant-slow-2,1/20": lambda: rotation_path([2.0, 0.05]),
+    "negative-2,3": lambda: rotation_path([-2.0, 3.0]),
+    "negative-3/2,1": lambda: rotation_path([-1.5, 1.0]),
+    "blocks": lambda: block_compose([rotation_path([2.0]), rotation_path([1.0])]),
+    "conjugated": lambda: conjugate_path(
+        block_compose([rotation_path([2.0]), rotation_path([0.5])]), _P
+    ),
+    "twist-2": lambda: _twist(2.0, 1.5),
+    "twist-1.7": lambda: _twist(1.7, 1.3),
+    "perturbed-E12-plane-1": _plane_one_alpha_path,
+}
+
+
+def _records_or_error(path):
+    try:
+        return cz.crossing_records(path)
+    except (cz.DegenerateCrossingError, UnresolvedCrossingError) as e:
+        return type(e)
+
+
+class TestLadderWindow:
+    """An eps-ladder path built from its base path's grid scans as the
+    product path scanned on its own grid does."""
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PATHS))
+    def test_matches_full_scan(self, name):
+        path = LADDER_PATHS[name]()
+        n = path.dim // 2
+        ts = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
+        for eps in cz.EPS_SEQUENCE:
+            seeded = cz._perturbed(path, eps, DEFAULT_GRID)
+            oracle = path_product(rotation_path([-eps / (2.0 * np.pi)] * n), path)
+            assert not oracle._scans
+            mats = seeded._scans[DEFAULT_GRID].mats
+            assert np.array_equal(mats, oracle.evaluate_batch(ts))
+
+            assert cz._candidate_times(seeded, DEFAULT_GRID) == cz._candidate_times(
+                oracle, DEFAULT_GRID
+            )
+            assert _records_or_error(seeded) == _records_or_error(oracle)
+
+            svals = seeded._scans[DEFAULT_GRID].svals
+            full = np.linalg.svd(mats - np.eye(path.dim), compute_uv=False)
+            outside = np.isinf(svals[:, -1])
+            assert outside.any()
+            assert np.array_equal(svals[~outside], full[~outside])
+            # every value a bracket can read is computed: the points below
+            # DIP_LEVEL and their neighbours
+            below = full[:, -1] < cz.DIP_LEVEL
+            read = below.copy()
+            read[1:] |= below[:-1]
+            read[:-1] |= below[1:]
+            assert not np.any(read & outside)
+
+
+class TestGridRefusal:
+    """A path that moves too far per grid cell can hide crossings between
+    grid points; it is refused instead of miscounted."""
+
+    def test_fastest_resolved_rotation(self):
+        path = rotation_path([130.5])
+        assert cz_index(path) == 2 * 130 + 1
+        assert morse_index_from_path(path) == 2 * 130
+
+    @pytest.mark.parametrize("rates", ["131.5", "1000.5", "1,1e6"])
+    def test_unresolvable_rates_refused(self, rates, capsys):
+        path = rotation_path([float(r) for r in rates.split(",")])
+        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+            cz_index(path)
+        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+            morse_index_from_path(path)
+        assert main(["cz", "--rotation", rates]) == 1
+        assert capsys.readouterr().out == ""
