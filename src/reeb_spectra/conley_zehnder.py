@@ -1,19 +1,26 @@
 """Conley-Zehnder index of symplectic paths by crossing counting.
 
-The index of a path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I and a
-non-singular endpoint is
+The index of a path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I is counted
+from its crossings, the times with det(Gamma(t) - I) = 0.  At a crossing,
+Q_t is the crossing form Q_t(v) = omega(v, Gamma'(t) v) restricted to
+ker(Gamma(t) - I), and sign() is its signature.  The sign is calibrated
+so that t -> exp(2 pi J t) in Sp(2) has index +1.
 
-    ind = sign(Q_0)/2  +  sum over interior crossings of sign(Q_t),
+A singular endpoint gets the largest lower semicontinuous extension, the
+limit eps -> 0+ of the index of the path times the backward rotation ramp
+exp(-eps t J).  When every crossing form is non-degenerate (the crossings
+are regular), this is the Robbin-Salamon index minus
+dim ker(Gamma(1) - I) / 2:
 
-where a crossing is a time with det(Gamma(t) - I) = 0, Q_t is the crossing
-form Q_t(v) = omega(v, Gamma'(t) v) restricted to ker(Gamma(t) - I), and
-sign() is the signature.  The sign of the form is calibrated so that
-t -> exp(2 pi J t) in Sp(2) has index +1.
+    ind = sign(Q_0)/2  +  sum over interior crossings of sign(Q_t)  -  n_-(Q_1),
 
-Paths with a singular endpoint get the largest lower semicontinuous
-extension: the path is multiplied by the backward rotation ramp
-exp(-eps t J) and the limit eps -> 0+ is taken (eps sequence 3e-3, 1e-3,
-1e-4, 1e-5; accepted when two consecutive values agree).
+where n_-(Q_1) is the negative inertia of the form on ker(Gamma(1) - I),
+0 on a non-singular endpoint (Robbin-Salamon, The Maslov index for paths,
+Topology 32 (1993); Long, Index Theory for Symplectic Paths (2002)).
+`cz_index` counts every path so.  The eps ladder, which scans the rotated
+paths at eps = 3e-3, 1e-3, 1e-4, 1e-5 and accepts two consecutive equal
+values, is the fallback for a degenerate form (at t = 0, inside or at the
+endpoint) and for an unstable endpoint kernel.
 
 Crossings are found on a uniform grid of DEFAULT_GRID cells.  Array masks
 over the grid bracket the sign changes of det(Gamma - I) and the local
@@ -23,7 +30,11 @@ are then refined together: a batched Illinois regula falsi on det for the
 sign changes, and a batched bracket zoom plus a parabola polish on the
 squared singular value for the dips, so each step is one evaluation of the
 path at many times.  A neighborhood the grid cannot resolve is rescanned on
-a finer local grid.
+a finer local grid.  On a singular endpoint the endpoint's own dip can
+mask a crossing a few cells before t = 1: while Gamma(1) - I has a singular
+value above the kernel tolerance but below |Gamma'(1)| * 4 cells, the last
+3 cells are rescanned on a finer grid, and only candidates within 1e-8 of
+t = 1 count as the endpoint crossing.
 
 Each path is evaluated once per grid size.  Gamma and the singular values
 of Gamma - I on the grid are kept on the path with the scan's candidates,
@@ -32,8 +43,10 @@ the Morse index checks that the path is not singular on a positive fraction
 of the grid before it scans.  A path that moves MAX_GRID_STEP or more per
 cell (largest column norm of Gamma(t_{i+1}) - Gamma(t_i)) could pass a
 crossing between grid points and is refused with UnresolvedCrossingError.
-The eps-ladder paths R(-eps t) Gamma(t) take their grid from the path's:
-one matmul for Gamma_eps, and singular values only where the Weyl bound
+The kernel of Gamma(1) - I is decided once per path and grid, for the
+candidate filter and the endpoint term alike.  The eps-ladder paths
+R(-eps t) Gamma(t) take their grid from the path's: one matmul for
+Gamma_eps, and singular values only where the Weyl bound
 s_min(Gamma_eps - I) >= s_min(Gamma - I) - eps t (1 + s_max(Gamma - I))
 cannot rule out a dip below DIP_LEVEL (Horn-Johnson, Matrix Analysis,
 Sec. 7.3); the brackets and refinements are those of a full scan.
@@ -92,12 +105,14 @@ class _Grid:
 
     mats holds Gamma(t_i) and svals the singular values of Gamma(t_i) - I,
     in descending order; a row is +inf where the scan needs no value (see
-    `_perturbed`).  candidates is filled by the first scan.
+    `_perturbed`).  candidates is filled by the first scan, and endpoint,
+    the dimension and a basis of ker(Gamma(1) - I), by `_endpoint_kernel`.
     """
 
     mats: np.ndarray
     svals: np.ndarray
     candidates: tuple | None = None
+    endpoint: tuple | None = None
 
 
 def _grid_values(path: SymplecticPath, ts: np.ndarray):
@@ -217,22 +232,28 @@ def _refine_dips(path, lo, hi, s_lo, s_hi):
     return t_star, s_star
 
 
-def _push_candidate(path, t, s_resid, svals, speed, a, b, points, depth, out):
-    """Accept a refined crossing, or split its neighborhood further.
+def _masks_companion(svals, s_resid, speed, cell) -> bool:
+    """Whether a crossing may hide a companion the grid has not separated.
 
     A companion crossing masked by this one's dip (the backward-rotation
     perturbation splits coincident block crossings by O(eps)) leaves a
     singular value of size |Gamma'| * distance; anything above the kernel
     tolerance but below |Gamma'| * 4 cells therefore flags a neighborhood
-    that the current resolution cannot have separated, and it is rescanned
-    on a finer local grid.  svals are the singular values of Gamma(t) - I
-    and speed is |Gamma'(t)|.
+    that the current resolution cannot have separated.  svals are the
+    singular values of Gamma(t) - I at the crossing and speed is |Gamma'(t)|.
     """
-    scale = max(1.0, svals[0])
-    tol_k = max(TOL_KER * scale, 3.0 * s_resid)
+    tol_k = max(TOL_KER * max(1.0, svals[0]), 3.0 * s_resid)
+    return bool(np.any((svals > tol_k) & (svals < speed * 4.0 * cell)))
+
+
+def _push_candidate(path, t, s_resid, svals, speed, a, b, points, depth, out):
+    """Accept a refined crossing, or split its neighborhood further.
+
+    A crossing that may mask a companion (`_masks_companion`) has its
+    neighborhood rescanned on a finer local grid.
+    """
     cell = (b - a) / points
-    ceiling = speed * 4.0 * cell
-    banded = np.any((svals > tol_k) & (svals < ceiling))
+    banded = _masks_companion(svals, s_resid, speed, cell)
     # a masked companion sits within ~3 parent cells; the child window is
     # clamped to [0, 1] only, since a polished crossing may sit just outside
     # its parent interval
@@ -290,26 +311,48 @@ def _scan_interval(path, ts, mats, smin, depth, out):
             _push_candidate(path, float(t), float(s), sv, v, ts[0], ts[-1], points, depth, out)
 
 
+def _resolve_endpoint(path, svals, grid, out):
+    """Rescan the last cells while the endpoint crossing may mask a companion.
+
+    The endpoint's own dip hides a crossing a few cells before t = 1 from
+    the grid.  While `_masks_companion` fires at t = 1 (svals are the
+    singular values of Gamma(1) - I), [1 - 3 cells, 1] is scanned on 257
+    points, each level with a finer cell, up to MAX_REFINE_DEPTH levels.
+    """
+    speed = float(np.linalg.norm(_path_derivative(path, np.array([1.0]))[0], 2))
+    cell = 1.0 / grid
+    for depth in range(1, MAX_REFINE_DEPTH + 1):
+        if not _masks_companion(svals, 0.0, speed, cell):
+            return
+        ts = np.linspace(1.0 - 3.0 * cell, 1.0, 257)
+        mats, sv = _grid_values(path, ts)
+        _scan_interval(path, ts, mats, sv[:, -1], depth, out)
+        cell *= 3.0 / 256
+
+
 def _candidate_times(path: SymplecticPath, grid: int):
     """Interior crossing candidates (t, s_min) in (0, 1), refined and deduplicated.
 
     The top-level scan reads the path's grid and runs once per path and
-    grid; the result is kept with the grid.
+    grid; the result is kept with the grid.  On a singular endpoint the last
+    cells are resolved by `_resolve_endpoint`, and only candidates within
+    1e-8 of t = 1, which are the endpoint crossing itself, are dropped.
     """
     g = _grid(path, grid)
     if g.candidates is not None:
         return g.candidates
     out: list[tuple[float, float]] = []
     _scan_interval(path, np.linspace(0.0, 1.0, grid + 1), g.mats, g.svals[:, -1], 0, out)
+    end = 1.0 - 1e-12
+    if _endpoint_kernel(path, grid)[0]:
+        _resolve_endpoint(path, g.svals[-1], grid, out)
+        end = 1.0 - 1e-8  # the endpoint crossing, counted by the caller
 
-    endpoint_singular = _endpoint_singular(path, tol=TOL_CROSS * 0.1)
     out.sort()
     merged: list[tuple[float, float]] = []
     for t, s in out:
-        if not (1e-9 < t < 1.0 - 1e-12):
+        if not (1e-9 < t < end):
             continue
-        if endpoint_singular and t > 1.0 - 0.5 / grid:
-            continue  # that is the endpoint crossing, handled by the caller
         # the same crossing refined through different detectors agrees to
         # ~1e-9; distinct crossings the splitter leaves unmerged sit > 1e-8
         # apart and sub-1e-8 pairs are counted through the kernel tolerance
@@ -390,11 +433,36 @@ def _start_signature(path: SymplecticPath, h: float = 1e-7) -> int:
     return sig
 
 
-def _index_nondegenerate(path: SymplecticPath, grid: int) -> int:
+def _endpoint_kernel(path: SymplecticPath, grid: int):
+    """dim ker(Gamma(1) - I) and a basis, decided once per path and grid.
+
+    The candidate filter and the endpoint term of the index read the same
+    decision.  Raises UnresolvedCrossingError on an unstable kernel.
+    """
+    g = _grid(path, grid)
+    if g.endpoint is None:
+        g.endpoint = _kernel_basis(path(1.0))
+    return g.endpoint
+
+
+def _index_regular(path: SymplecticPath, grid: int) -> int:
+    """sign(Q_0)/2 + sum of interior sign(Q_t) - n_-(Q_1), for regular crossings.
+
+    Q_1 is the crossing form on ker(Gamma(1) - I) and n_- its negative
+    inertia (0 on an empty kernel).  Raises DegenerateCrossingError when a
+    form is singular.
+    """
     half = _start_signature(path)
     if half % 2:
         raise UnresolvedCrossingError("odd signature at t = 0; index not integral")
-    total = half // 2 + sum(r.signature for r in crossing_records(path, grid))
+    k, basis = _endpoint_kernel(path, grid)
+    n_minus = 0
+    if k:
+        sig, degenerate = _signature(_crossing_form(path, 1.0, basis))
+        if degenerate:
+            raise DegenerateCrossingError("singular crossing form at t = 1")
+        n_minus = (k - sig) // 2
+    total = half // 2 + sum(r.signature for r in crossing_records(path, grid)) - n_minus
     return int(total)
 
 
@@ -426,36 +494,19 @@ def _perturbed(path: SymplecticPath, eps: float, grid: int) -> SymplecticPath:
     return pert
 
 
-def _endpoint_singular(path: SymplecticPath, tol: float = TOL_KER) -> bool:
-    diff = path(1.0) - np.eye(path.dim)
-    svals = np.linalg.svd(diff, compute_uv=False)
-    return bool(svals[-1] < tol * max(1.0, svals[0]))
+def _ladder_index(path: SymplecticPath, grid: int) -> int:
+    """The lower semicontinuous index as the limit over the eps ladder.
 
-
-def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
-    """Conley-Zehnder index of an identity-based symplectic path.
-
-    Non-degenerate paths are handled by direct crossing counting; paths with
-    a singular endpoint (or a singular interior crossing form) fall back to
-    the backward-rotation perturbation and the lower semicontinuous limit.
-
-    Raises UnresolvedCrossingError when the crossing structure cannot be
-    resolved, with the offending interval when known.
+    Each rung R(-eps t) Gamma(t) with a non-singular endpoint is counted by
+    `_index_regular`; the value is accepted when two consecutive rungs agree.
     """
-    _grid(path, grid)  # a path the grid cannot resolve is refused, not laddered
-    if not _endpoint_singular(path):
-        try:
-            return _index_nondegenerate(path, grid)
-        except (DegenerateCrossingError, UnresolvedCrossingError):
-            pass
-
     values = []
     for eps in EPS_SEQUENCE:
         pert = _perturbed(path, eps, grid)
-        if _endpoint_singular(pert):
-            continue
         try:
-            values.append(_index_nondegenerate(pert, grid))
+            if _endpoint_kernel(pert, grid)[0]:
+                continue
+            values.append(_index_regular(pert, grid))
         except DegenerateCrossingError:
             continue
         if len(values) >= 2 and values[-1] == values[-2]:
@@ -467,6 +518,25 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
     raise UnresolvedCrossingError(
         f"perturbed indices did not stabilize: {values}", interval=(0.0, 1.0)
     )
+
+
+def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
+    """Conley-Zehnder index of an identity-based symplectic path.
+
+    Paths whose crossing forms are non-degenerate, at t = 0, inside and at a
+    singular endpoint, are counted directly (`_index_regular`); the others,
+    and paths with an unstable endpoint kernel, fall back to the eps ladder
+    (`_ladder_index`).
+
+    Raises UnresolvedCrossingError when the crossing structure cannot be
+    resolved, with the offending interval when known.
+    """
+    _grid(path, grid)  # a path the grid cannot resolve is refused, not laddered
+    try:
+        return _index_regular(path, grid)
+    except (DegenerateCrossingError, UnresolvedCrossingError):
+        pass
+    return _ladder_index(path, grid)
 
 
 def morse_index_from_path(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:

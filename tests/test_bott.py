@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from reeb_spectra.bott import (
@@ -65,6 +67,47 @@ class TestBottIndices:
     def test_rejects_m0(self):
         with pytest.raises(ValueError):
             bott_indices(cross_model("S^n", 2), 0)
+
+
+
+def conjugate_point_count(model, m):
+    """(index, nullity) of the m-th iterate from the Morse index theorem.
+
+    Along a closed geodesic of a compact rank-one symmetric space, with
+    sectional curvatures in [1, 4], the Jacobi operator has curvature 4 on
+    the d - 1 directions J gamma' (d = 1, 2, 4, 8 for S, CP, HP, CaP) and 1
+    on the other n - d normal directions; the prime geodesic has length 2 pi
+    on S^n and pi on the others.  A direction of curvature kappa has its
+    conjugate points at k pi / sqrt(kappa), k >= 1.  The free-loop index of
+    the m-th iterate is the number of conjugate points in (0, m l), with
+    multiplicity (Ziller, Invent. Math. 41 (1977)); the periodic Jacobi
+    fields are gamma' and two for each direction conjugate at m l.  Lengths
+    are in units of pi.
+    """
+    d = {"S^n": 1, "CP^{n/2}": 2, "HP^{n/4}": 4, "CaP^2": 8}[model.model]
+    end = m * (2 if d == 1 else 1)
+    index = endpoint = 0
+    for mult, root in ((d - 1, 2), (model.n - d, 1)):  # root = sqrt(kappa)
+        times = [Fraction(k, root) for k in range(1, end * root + 1)]
+        index += mult * sum(1 for t in times if t < end)
+        endpoint += mult * sum(1 for t in times if t == end)
+    return index, 2 * endpoint + 1
+
+
+class TestMorseIndexTheorem:
+    """bott_indices against an independent conjugate-point count."""
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [("S^n", n) for n in range(2, 10)]
+        + [("CP^{n/2}", n) for n in range(2, 14, 2)]
+        + [("HP^{n/4}", n) for n in (4, 8, 12)]
+        + [("CaP^2", 16)],
+    )
+    def test_conjugate_points(self, model, n):
+        cm = cross_model(model, n)
+        for m in range(1, 13):
+            assert bott_indices(cm, m) == conjugate_point_count(cm, m)
 
 
 class TestClassDegrees:

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +309,13 @@ RATES = st.one_of(
 )
 
 
+def _closed_form(rates):
+    """cz (2 floor(r) + 1, or 2r - 1 at integers) and Morse index
+    (2 (ceil|r| - 1)) of a rotation path, summed over its rates."""
+    index = sum(2 * r - 1 if float(r).is_integer() else 2 * math.floor(r) + 1 for r in rates)
+    return index, 2 * sum(math.ceil(abs(r)) - 1 for r in rates)
+
+
 class TestClosedForms:
     @settings(max_examples=40, deadline=None)
     @given(rates=st.lists(RATES, min_size=1, max_size=3), blocks=st.booleans())
@@ -316,12 +325,9 @@ class TestClosedForms:
             if blocks
             else rotation_path(rates)
         )
-        integers = [r for r in rates if float(r).is_integer()]
-        cz_closed = sum(2 * r - 1 if r in integers else 2 * math.floor(r) + 1 for r in rates)
-        assert cz_index(path) == cz_closed
         # interior crossings of a block sit at t = k/|r|, k = 1 .. ceil(|r|) - 1
-        assert morse_index_from_path(path) == 2 * sum(math.ceil(abs(r)) - 1 for r in rates)
-        assert cz_nullity(path) == 2 * len(integers)
+        assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
+        assert cz_nullity(path) == 2 * sum(float(r).is_integer() for r in rates)
 
 
 def _reference_root(path, a, b):
@@ -422,12 +428,11 @@ class TestBatchedRefiners:
 class TestOneScanPerPath:
     """The cz command scans every distinct path once on the full grid."""
 
-    @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 3)])
+    @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 1)])
     def test_grid_evaluations(self, rates, scans, monkeypatch, capsys):
-        # "2,4/3" ends on a singular endpoint: the path itself, whose grid
-        # the Morse index and both rungs of the eps ladder share, plus the
-        # backward rotation of each rung; no product path is evaluated on
-        # the full grid
+        # "2,4/3" ends on a singular endpoint whose crossing form is
+        # non-degenerate: the index and the Morse index read the path's one
+        # grid, and no eps-ladder rung is built
         evaluate = SymplecticPath.evaluate_batch
         calls, depth = [0], [0]
 
@@ -555,3 +560,98 @@ class TestGridRefusal:
             morse_index_from_path(path)
         assert main(["cz", "--rotation", rates]) == 1
         assert capsys.readouterr().out == ""
+
+
+# a base of rates plus one rate m +- delta: for delta <= 1e-3 the extra
+# block's crossing next to t = 1 sits within a few grid cells of a singular
+# endpoint, or of the near-singular endpoint of a non-resonant base
+SWEEP_BASES = ([1.0], [2.0], [1.0, 2.0], [-1.0], [1.0, 1.0], [0.5], [1.5, 1.0])
+SWEEP_DELTAS = (1e-2, 4e-3, 1e-3, 4e-4, 1e-4, 4e-5, 1e-5, 1e-6)
+
+
+def _angle_path(f):
+    """The Sp(2) path t -> exp(2 pi f(t) J)."""
+
+    def _eval(ts):
+        th = 2 * np.pi * f(np.asarray(ts, dtype=float))
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+    return SymplecticPath(dim=2, kind="sampled", eval_batch=_eval)
+
+
+def _spy_rungs(monkeypatch):
+    built = []
+    perturbed = cz._perturbed
+
+    def spy(path, eps, grid):
+        built.append(eps)
+        return perturbed(path, eps, grid)
+
+    monkeypatch.setattr(cz, "_perturbed", spy)
+    return built
+
+
+class TestRegularCrossingRule:
+    """cz = sign(Q_0)/2 + sum of interior sign(Q_t) - n_-(Q_1) on paths with
+    regular crossings, the eps ladder only where a form is degenerate."""
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=str)
+    def test_near_endpoint_sweep(self, base):
+        wrong = []
+        for m in (1, -1, 2, -2, 3):
+            for delta in SWEEP_DELTAS:
+                for rates in (base + [m + delta], base + [m - delta]):
+                    path = rotation_path(rates)
+                    got = (cz_index(path), morse_index_from_path(path))
+                    if got != _closed_form(rates):
+                        wrong.append((rates, got, _closed_form(rates)))
+        assert wrong == []
+
+    @pytest.mark.parametrize("rates,expected", [("1,2.0001", (6, 4)), ("1,-0.9999", (0, 0)),
+                                                ("1,2.001", (6, 4)), ("1,2.0004", (6, 4))])
+    def test_cli_companions_of_the_endpoint(self, rates, expected, capsys):
+        assert main(["cz", "--rotation", rates]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["cz_index"], out["morse_index"]) == expected
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PATHS))
+    def test_rule_matches_ladder(self, name):
+        path = LADDER_PATHS[name]()
+        assert cz._index_regular(path, DEFAULT_GRID) == cz._ladder_index(path, DEFAULT_GRID)
+
+    def test_no_rung_on_regular_paths(self, monkeypatch, capsys):
+        built = _spy_rungs(monkeypatch)
+        assert main(["cz", "--rotation", "1,3/2,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["cz_index"] == 7
+        assert cz_index(_plane_one_alpha_path()) == 2
+        assert built == []
+
+    @pytest.mark.parametrize("rates,expected", [([0.0, 1.0], 0), ([1.0, 0.0, 2.0], 1),
+                                                ([0.0], -1)])
+    def test_identity_blocks_take_the_ladder(self, rates, expected, monkeypatch):
+        # an identity block makes the form at t = 0 degenerate
+        built = _spy_rungs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cz_index(rotation_path(rates)) == expected
+        assert built
+
+    def test_degenerate_endpoint_form_takes_the_ladder(self, monkeypatch):
+        # the second block reaches the full turn with zero speed, so Q_1 is
+        # singular on its half of the kernel; the backward rotation removes
+        # that crossing, and the index is 1 + 1
+        path = block_compose([rotation_path([1.0]), _angle_path(lambda t: 2 * t - t * t)])
+        with pytest.raises(cz.DegenerateCrossingError, match="t = 1"):
+            cz._index_regular(path, DEFAULT_GRID)
+        built = _spy_rungs(monkeypatch)
+        assert cz_index(path) == 2
+        assert built
+
+    def test_degenerate_interior_form_is_refused_by_the_rule(self):
+        # both blocks cross at t = 0.625, the second one at an inflection
+        path = block_compose(
+            [rotation_path([1.6]), _angle_path(lambda t: 1 - (1 - 1.6 * t) ** 3)]
+        )
+        with pytest.raises(cz.DegenerateCrossingError):
+            cz._index_regular(path, DEFAULT_GRID)
