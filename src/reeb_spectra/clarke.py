@@ -72,13 +72,6 @@ class FourierLoop:
         """u(t_j) on the quadrature grid, shape (M, 2n)."""
         return _synthesize(self.coeffs, self.grid_size)
 
-    def primitive_values(self) -> np.ndarray:
-        """zeta(t_j) for the zero-mean primitive zeta' = u."""
-        K = self.n_modes
-        k = np.arange(1, K + 1)
-        prim = self.coeffs / (2j * np.pi * k)[:, None]
-        return _synthesize(prim, self.grid_size)
-
     def time_shift(self, s: float) -> "FourierLoop":
         K = self.n_modes
         phase = np.exp(2j * np.pi * np.arange(1, K + 1) * s)

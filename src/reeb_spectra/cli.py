@@ -242,7 +242,7 @@ def cmd_classify(args) -> int:
 
 def cmd_pinch(args) -> int:
     from .certify import zoll_by_pinching
-    from .ellipsoid import action_spectrum, spectral_invariants
+    from .ellipsoid import spectral_invariants, spectrum_table
 
     delta_sq = _parse_value(args.delta_sq) if args.delta_sq else None
     delta = float(args.delta) if args.delta else None
@@ -253,7 +253,7 @@ def cmd_pinch(args) -> int:
         body = _load_body(args)
         dsq_f = float(delta_sq) if delta_sq is not None else float(delta) ** 2
         upper = dsq_f * float(E.a[0]) * 1.0001
-        spectrum = [e.tau for e in action_spectrum(E, upper)]
+        spectrum = spectrum_table(E, upper).values()
         invariants = spectral_invariants(E, E.n)
         attested = True  # exact ellipsoid spectra are complete on the window
     else:

@@ -33,11 +33,17 @@ path at many times.  A neighborhood the grid cannot resolve is rescanned on
 a finer local grid.  On a singular endpoint the endpoint's own dip can
 mask a crossing a few cells before t = 1: while Gamma(1) - I has a singular
 value above the kernel tolerance but below |Gamma'(1)| * 4 cells, the last
-3 cells are rescanned on a finer grid, and only candidates within 1e-8 of
-t = 1 count as the endpoint crossing.
+3 cells are rescanned on a finer grid.
+
+Each refined candidate's kernel ker(Gamma(t) - I) is decided once and kept
+as (t, dim, basis); inside (1e-9, 1] time alone never merges or drops one.
+Two candidates are one crossing only when they lie within 1e-8 and one
+kernel contains the other (the larger is kept), so two blocks that cross
+1e-9 apart count twice.  Within 1e-8 of t = 1 a candidate is the endpoint
+crossing, the n_-(Q_1) term, only when its kernel lies in ker(Gamma(1) - I).
 
 Each path is evaluated once per grid size.  Gamma and the singular values
-of Gamma - I on the grid are kept on the path with the scan's candidates,
+of Gamma - I on the grid are kept on the path with the scan's crossings,
 and `cz_index`, `crossing_records` and `morse_index_from_path` share them;
 the Morse index checks that the path is not singular on a positive fraction
 of the grid before it scans.  A path that moves MAX_GRID_STEP or more per
@@ -78,6 +84,10 @@ DIP_LEVEL = 0.2
 MAX_GRID_STEP = 2.0 * DIP_LEVEL
 # relative rounding allowance on the Weyl bound of the eps-ladder window
 WEYL_MARGIN = 1e-9
+# one kernel contains another when the sine of every principal angle is below
+# this; kernels of one crossing found twice agree to 3e-11 on the test paths,
+# and crossings of different blocks have orthogonal kernels
+TOL_SPAN = 1e-3
 
 
 class UnresolvedCrossingError(RuntimeError):
@@ -105,8 +115,9 @@ class _Grid:
 
     mats holds Gamma(t_i) and svals the singular values of Gamma(t_i) - I,
     in descending order; a row is +inf where the scan needs no value (see
-    `_perturbed`).  candidates is filled by the first scan, and endpoint,
-    the dimension and a basis of ker(Gamma(1) - I), by `_endpoint_kernel`.
+    `_perturbed`).  candidates, the crossings (t, dim, basis), is filled by
+    `_candidate_times`, and endpoint, the dimension and a basis of
+    ker(Gamma(1) - I), by `_endpoint_kernel`.
     """
 
     mats: np.ndarray
@@ -331,37 +342,37 @@ def _resolve_endpoint(path, svals, grid, out):
 
 
 def _candidate_times(path: SymplecticPath, grid: int):
-    """Interior crossing candidates (t, s_min) in (0, 1), refined and deduplicated.
+    """Interior crossings (t, dim, basis) for t in (1e-9, 1], one per crossing.
 
-    The top-level scan reads the path's grid and runs once per path and
-    grid; the result is kept with the grid.  On a singular endpoint the last
-    cells are resolved by `_resolve_endpoint`, and only candidates within
-    1e-8 of t = 1, which are the endpoint crossing itself, are dropped.
+    The scan runs once per path and grid and is kept with the grid.  Each
+    candidate's kernel is decided here, at a tolerance keyed to how closely
+    the scan localized it; the merge and endpoint rules are those of the
+    module docstring.
     """
     g = _grid(path, grid)
     if g.candidates is not None:
         return g.candidates
     out: list[tuple[float, float]] = []
     _scan_interval(path, np.linspace(0.0, 1.0, grid + 1), g.mats, g.svals[:, -1], 0, out)
-    end = 1.0 - 1e-12
-    if _endpoint_kernel(path, grid)[0]:
+    k_end, end_basis = _endpoint_kernel(path, grid)
+    if k_end:
         _resolve_endpoint(path, g.svals[-1], grid, out)
-        end = 1.0 - 1e-8  # the endpoint crossing, counted by the caller
 
-    out.sort()
-    merged: list[tuple[float, float]] = []
-    for t, s in out:
-        if not (1e-9 < t < end):
+    crossings: list[tuple[float, int, np.ndarray]] = []
+    for t, s in sorted(out):
+        if not 1e-9 < t <= 1.0:
             continue
-        # the same crossing refined through different detectors agrees to
-        # ~1e-9; distinct crossings the splitter leaves unmerged sit > 1e-8
-        # apart and sub-1e-8 pairs are counted through the kernel tolerance
-        if merged and abs(t - merged[-1][0]) < 1e-8:
-            if s < merged[-1][1]:
-                merged[-1] = (t, s)
-            continue
-        merged.append((t, s))
-    g.candidates = tuple(merged)
+        k, basis = _kernel_basis(path(t), tol=max(TOL_KER, 3.0 * s))
+        if k == 0 or (1.0 - t < 1e-8 and _contains(end_basis, basis)):
+            continue  # no crossing, or the endpoint crossing
+        same = (i for i, (tc, _, bc) in enumerate(crossings)
+                if t - tc < 1e-8 and (_contains(bc, basis) or _contains(basis, bc)))
+        i = next(same, None)
+        if i is None:
+            crossings.append((t, k, basis))
+        elif k > crossings[i][1]:
+            crossings[i] = (t, k, basis)
+    g.candidates = tuple(crossings)
     return g.candidates
 
 
@@ -378,7 +389,13 @@ def _kernel_basis(M: np.ndarray, tol: float = TOL_KER):
             raise UnresolvedCrossingError(
                 f"kernel dimension unstable: singular values {svals}", None
             )
-    return k, vt[len(svals) - k :].T if k else np.zeros((M.shape[0], 0))
+    return k, vt[len(svals) - k :].T
+
+
+def _contains(outer: np.ndarray, inner: np.ndarray) -> bool:
+    """Whether span(inner) lies in span(outer), both with orthonormal columns:
+    the sine of every principal angle is below TOL_SPAN."""
+    return bool(np.linalg.norm(inner - outer @ (outer.T @ inner), 2) < TOL_SPAN)
 
 
 def _path_derivative(path: SymplecticPath, ts: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -408,14 +425,8 @@ def _signature(Q: np.ndarray, rel_tol: float = 1e-4):
 def crossing_records(path: SymplecticPath, grid: int = DEFAULT_GRID) -> list[CrossingRecord]:
     """Interior crossings of the path with the Maslov cycle, in time order."""
     records = []
-    for t, s_resid in _candidate_times(path, grid):
-        # kernel tolerance keyed to how precisely the crossing was localized
-        tol = max(TOL_KER, 3.0 * s_resid)
-        k, basis = _kernel_basis(path(t), tol=tol)
-        if k == 0:
-            continue
-        Q = _crossing_form(path, t, basis)
-        sig, degenerate = _signature(Q)
+    for t, k, basis in _candidate_times(path, grid):
+        sig, degenerate = _signature(_crossing_form(path, t, basis))
         if degenerate:
             raise DegenerateCrossingError(f"singular crossing form at t = {t:.12f}")
         records.append(CrossingRecord(time=t, kernel_dim=k, signature=sig))
@@ -547,11 +558,7 @@ def morse_index_from_path(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int
             "path is singular on a positive fraction of the grid; "
             "crossings are not isolated"
         )
-    total = 0
-    for t, s_resid in _candidate_times(path, grid):
-        k, _ = _kernel_basis(path(t), tol=max(TOL_KER, 3.0 * s_resid))
-        total += k
-    return total
+    return sum(k for _, k, _ in _candidate_times(path, grid))
 
 
 def cz_nullity(path: SymplecticPath, tol_ker: float = TOL_KER) -> int:

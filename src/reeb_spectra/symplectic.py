@@ -107,16 +107,6 @@ class SymplecticPath:
         return float(np.abs(defect).max())
 
 
-def identity_path(dim: int) -> SymplecticPath:
-    if dim < 2 or dim % 2:
-        raise ValueError("dim must be a positive even integer")
-
-    def _eval(ts):
-        return np.broadcast_to(np.eye(dim), (len(ts), dim, dim)).copy()
-
-    return SymplecticPath(dim=dim, kind="rotation", eval_batch=_eval, meta={"rates": (0.0,) * (dim // 2)})
-
-
 def rotation_path(rates: Sequence[float], total_time: float = 1.0) -> SymplecticPath:
     """Block-diagonal rotation path Gamma(t) = diag_h exp(2 pi J rate_h total_time t).
 

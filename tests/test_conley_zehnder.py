@@ -523,9 +523,10 @@ class TestLadderWindow:
             mats = seeded._scans[DEFAULT_GRID].mats
             assert np.array_equal(mats, oracle.evaluate_batch(ts))
 
-            assert cz._candidate_times(seeded, DEFAULT_GRID) == cz._candidate_times(
-                oracle, DEFAULT_GRID
-            )
+            got = cz._candidate_times(seeded, DEFAULT_GRID)
+            want = cz._candidate_times(oracle, DEFAULT_GRID)
+            assert [(t, k) for t, k, _ in got] == [(t, k) for t, k, _ in want]
+            assert all(np.array_equal(a, b) for (*_, a), (*_, b) in zip(got, want))
             assert _records_or_error(seeded) == _records_or_error(oracle)
 
             svals = seeded._scans[DEFAULT_GRID].svals
@@ -611,6 +612,18 @@ class TestRegularCrossingRule:
     @pytest.mark.parametrize("rates,expected", [("1,2.0001", (6, 4)), ("1,-0.9999", (0, 0)),
                                                 ("1,2.001", (6, 4)), ("1,2.0004", (6, 4))])
     def test_cli_companions_of_the_endpoint(self, rates, expected, capsys):
+        assert main(["cz", "--rotation", rates]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["cz_index"], out["morse_index"]) == expected
+
+    @pytest.mark.parametrize("rates,expected", [
+        ("1,1.00000001", (4, 2)), ("1.5,1.50000001", (6, 4)), ("2,2.00000001", (8, 6)),
+        ("1.5,1.49999999", (6, 4)), ("1.5,3.00000001", (10, 8)),
+    ])
+    def test_crossings_closer_than_1e8(self, rates, expected, capsys):
+        # two blocks cross within 1e-8 of each other (or of t = 1) with
+        # orthogonal kernels: two crossings, not one
+        assert _closed_form([float(r) for r in rates.split(",")]) == expected
         assert main(["cz", "--rotation", rates]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["cz_index"], out["morse_index"]) == expected

@@ -10,7 +10,6 @@ from reeb_spectra.dynamics import (
     find_closed_orbits,
     flow_with_monodromy,
     integrate_reeb,
-    integrate_reeb_batch,
     monodromy_and_index,
     numerical_besse_test,
     return_block,
@@ -48,14 +47,29 @@ class TestIntegrateReeb:
         zt = integrate_reeb(E12, z, 5.0)
         assert abs(E12.gauge2(zt) - 1.0) < 1e-9
 
+    def test_long_solve_stays_on_surface(self):
+        # one solve, no re-projection
+        z = surface_point(PERTURBED, [0.25, 0.15, 0.35, -0.45])
+        assert abs(PERTURBED.gauge2(integrate_reeb(PERTURBED, z, 50.0)) - 1.0) < 1e-9
+
+    def test_dense_interpolant_matches_endpoints(self):
+        Z = PERTURBED.surface_samples(3, seed=2)
+        interp = integrate_reeb(PERTURBED, Z, 1.7, dense=True)
+        ends = integrate_reeb(PERTURBED, Z, 1.7)
+        assert np.abs(interp(1.7).reshape(Z.shape) - ends).max() < 1e-12
+        assert np.array_equal(interp(0.0).reshape(Z.shape), Z)
+
     def test_off_surface_rejected(self):
         with pytest.raises(ValueError):
             integrate_reeb(E12, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
+        Z = np.stack([surface_point(E12, [0.3, -0.2, 0.5, 0.1]), [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            integrate_reeb(E12, Z, 1.0, dense=True)
 
     def test_batch_matches_single(self):
         Z = np.stack([surface_point(E12, [0.3, -0.2, 0.5, 0.1]),
                       surface_point(E12, [0.1, 0.2, 0.3, 0.4])])
-        out = integrate_reeb_batch(E12, Z, 0.8)
+        out = integrate_reeb(E12, Z, 0.8)
         for i in range(2):
             assert np.abs(out[i] - integrate_reeb(E12, Z[i], 0.8)).max() < 1e-9
 

@@ -5,7 +5,6 @@ from reeb_spectra.symplectic import (
     SymplecticPath,
     block_compose,
     conjugate_path,
-    identity_path,
     is_symplectic,
     omega,
     path_product,
@@ -97,7 +96,7 @@ class TestBlockCompose:
         assert np.abs(m[:2, 2:]).max() == 0.0
 
     def test_identity_blocks(self):
-        q = block_compose([identity_path(2), identity_path(2)])
+        q = block_compose([rotation_path([0.0]), rotation_path([0.0])])
         for t in (0.0, 0.41, 1.0):
             assert np.array_equal(q(t), np.eye(4))
 
