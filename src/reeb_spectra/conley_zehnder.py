@@ -50,12 +50,8 @@ of the grid before it scans.  A path that moves MAX_GRID_STEP or more per
 cell (largest column norm of Gamma(t_{i+1}) - Gamma(t_i)) could pass a
 crossing between grid points and is refused with UnresolvedCrossingError.
 The kernel of Gamma(1) - I is decided once per path and grid, for the
-candidate filter and the endpoint term alike.  The eps-ladder paths
-R(-eps t) Gamma(t) take their grid from the path's: one matmul for
-Gamma_eps, and singular values only where the Weyl bound
-s_min(Gamma_eps - I) >= s_min(Gamma - I) - eps t (1 + s_max(Gamma - I))
-cannot rule out a dip below DIP_LEVEL (Horn-Johnson, Matrix Analysis,
-Sec. 7.3); the brackets and refinements are those of a full scan.
+candidate filter and the endpoint term alike.  An eps-ladder rung is the
+product path R(-eps t) Gamma(t), scanned on its own grid like any other.
 """
 
 from __future__ import annotations
@@ -82,8 +78,6 @@ ZOOM_TOL = 1e-9
 DIP_LEVEL = 0.2
 # largest column norm of Gamma(t_{i+1}) - Gamma(t_i) a grid can resolve
 MAX_GRID_STEP = 2.0 * DIP_LEVEL
-# relative rounding allowance on the Weyl bound of the eps-ladder window
-WEYL_MARGIN = 1e-9
 # one kernel contains another when the sine of every principal angle is below
 # this; kernels of one crossing found twice agree to 3e-11 on the test paths,
 # and crossings of different blocks have orthogonal kernels
@@ -114,10 +108,9 @@ class _Grid:
     """A path's top-level grid t_i = i / grid and its scan.
 
     mats holds Gamma(t_i) and svals the singular values of Gamma(t_i) - I,
-    in descending order; a row is +inf where the scan needs no value (see
-    `_perturbed`).  candidates, the crossings (t, dim, basis), is filled by
-    `_candidate_times`, and endpoint, the dimension and a basis of
-    ker(Gamma(1) - I), by `_endpoint_kernel`.
+    in descending order.  candidates, the crossings (t, dim, basis), is
+    filled by `_candidate_times`, and endpoint, the dimension and a basis
+    of ker(Gamma(1) - I), by `_endpoint_kernel`.
     """
 
     mats: np.ndarray
@@ -286,12 +279,11 @@ def _scan_interval(path, ts, mats, smin, depth, out):
     """Find crossings of det(Gamma - I) on the grid ts at its resolution.
 
     mats holds Gamma(ts) and smin the smallest singular values of
-    Gamma(ts) - I; a value of +inf stands for one at or above DIP_LEVEL.
-    Brackets come from array masks over the grid.  Sign changes of det are
-    refined together by `_refine_sign_changes`; touching zeros (the det of a
-    rotation block is >= 0) are caught as local minima of the smallest
-    singular value and refined together by `_refine_dips`.  Dips hiding
-    inside the first/last cell are checked explicitly.
+    Gamma(ts) - I.  Brackets come from array masks over the grid.  Sign
+    changes of det are refined together by `_refine_sign_changes`; touching
+    zeros (the det of a rotation block is >= 0) are caught as local minima
+    of the smallest singular value and refined together by `_refine_dips`.
+    Dips hiding inside the first/last cell are checked explicitly.
     """
     points = len(ts) - 1
     dets = np.linalg.det(mats - np.eye(path.dim))
@@ -413,35 +405,26 @@ def _crossing_form(path: SymplecticPath, t: float, kernel: np.ndarray) -> np.nda
     return 0.5 * (Q + Q.T)
 
 
-def _signature(Q: np.ndarray, rel_tol: float = 1e-4):
-    eigs = np.linalg.eigvalsh(Q)
+def _form_signature(path: SymplecticPath, t: float, kernel: np.ndarray,
+                    rel_tol: float = 1e-4) -> int:
+    """Signature of the crossing form at t on span(kernel).
+
+    Raises DegenerateCrossingError when an eigenvalue is below rel_tol times
+    the largest in modulus: the form is singular there.
+    """
+    eigs = np.linalg.eigvalsh(_crossing_form(path, t, kernel))
     scale = max(np.abs(eigs).max(), 1e-12)
     pos = int(np.count_nonzero(eigs > rel_tol * scale))
     neg = int(np.count_nonzero(eigs < -rel_tol * scale))
-    degenerate = pos + neg < len(eigs)
-    return pos - neg, degenerate
+    if pos + neg < len(eigs):
+        raise DegenerateCrossingError(f"singular crossing form at t = {t:.12g}")
+    return pos - neg
 
 
 def crossing_records(path: SymplecticPath, grid: int = DEFAULT_GRID) -> list[CrossingRecord]:
     """Interior crossings of the path with the Maslov cycle, in time order."""
-    records = []
-    for t, k, basis in _candidate_times(path, grid):
-        sig, degenerate = _signature(_crossing_form(path, t, basis))
-        if degenerate:
-            raise DegenerateCrossingError(f"singular crossing form at t = {t:.12f}")
-        records.append(CrossingRecord(time=t, kernel_dim=k, signature=sig))
-    return records
-
-
-def _start_signature(path: SymplecticPath, h: float = 1e-7) -> int:
-    dG0 = (path.evaluate_batch(np.array([0.0, h]))[1] - np.eye(path.dim)) / h
-    J = standard_J(path.dim // 2)
-    Q = -(J @ dG0)  # omega(v, dG0 v) on the full kernel R^{2n}
-    Q = 0.5 * (Q + Q.T)
-    sig, degenerate = _signature(Q)
-    if degenerate:
-        raise DegenerateCrossingError("singular crossing form at t = 0")
-    return sig
+    return [CrossingRecord(time=t, kernel_dim=k, signature=_form_signature(path, t, basis))
+            for t, k, basis in _candidate_times(path, grid)]
 
 
 def _endpoint_kernel(path: SymplecticPath, grid: int):
@@ -459,50 +442,20 @@ def _endpoint_kernel(path: SymplecticPath, grid: int):
 def _index_regular(path: SymplecticPath, grid: int) -> int:
     """sign(Q_0)/2 + sum of interior sign(Q_t) - n_-(Q_1), for regular crossings.
 
-    Q_1 is the crossing form on ker(Gamma(1) - I) and n_- its negative
-    inertia (0 on an empty kernel).  Raises DegenerateCrossingError when a
-    form is singular.
+    Q_0 is the crossing form on all of R^{2n}, so a non-degenerate Q_0 has
+    even signature; Q_1 is the form on ker(Gamma(1) - I) and n_- its
+    negative inertia (0 on an empty kernel).  Raises DegenerateCrossingError
+    when a form is singular.
     """
-    half = _start_signature(path)
-    if half % 2:
-        raise UnresolvedCrossingError("odd signature at t = 0; index not integral")
+    half = _form_signature(path, 0.0, np.eye(path.dim)) // 2
     k, basis = _endpoint_kernel(path, grid)
-    n_minus = 0
-    if k:
-        sig, degenerate = _signature(_crossing_form(path, 1.0, basis))
-        if degenerate:
-            raise DegenerateCrossingError("singular crossing form at t = 1")
-        n_minus = (k - sig) // 2
-    total = half // 2 + sum(r.signature for r in crossing_records(path, grid)) - n_minus
-    return int(total)
+    n_minus = (k - _form_signature(path, 1.0, basis)) // 2 if k else 0
+    return half + sum(r.signature for r in crossing_records(path, grid)) - n_minus
 
 
-def _perturbed(path: SymplecticPath, eps: float, grid: int) -> SymplecticPath:
-    """The product R(-eps t) Gamma(t), its top-level grid built from the path's.
-
-    Gamma_eps = R(-eps t) Gamma on the grid is one matmul with the path's
-    cached Gamma, bitwise what the product path evaluates.  Singular values
-    are computed only where the Weyl bound cannot certify s_min >= DIP_LEVEL:
-    Gamma_eps - I = (Gamma - I) + (R - I) Gamma with |R(-eps t) - I|_2 <= eps t
-    and |Gamma|_2 <= 1 + s_max(Gamma - I), so
-    s_min(Gamma_eps - I) >= s_min(Gamma - I) - eps t (1 + s_max(Gamma - I)).
-    The window is padded by one point, so each value a bracket reads is
-    computed; every other point reads +inf, which leaves all brackets,
-    edge checks and refinements as a full scan makes them.
-    """
-    ramp = rotation_path([-eps / (2.0 * np.pi)] * (path.dim // 2))
-    pert = path_product(ramp, path)
-    base = _grid(path, grid)
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    mats = np.matmul(ramp.evaluate_batch(ts), base.mats)
-    smin, smax = base.svals[:, -1], base.svals[:, 0]
-    bound = smin - eps * ts * (1.0 + smax)
-    near = bound < DIP_LEVEL + WEYL_MARGIN * (1.0 + smax)
-    window = np.convolve(near, np.ones(3), mode="same") > 0
-    svals = np.full(base.svals.shape, np.inf)
-    svals[window] = np.linalg.svd(mats[window] - np.eye(path.dim), compute_uv=False)
-    pert._scans[grid] = _Grid(mats, svals)
-    return pert
+def _perturbed(path: SymplecticPath, eps: float) -> SymplecticPath:
+    """The eps-ladder rung, the product path R(-eps t) Gamma(t)."""
+    return path_product(rotation_path([-eps / (2.0 * np.pi)] * (path.dim // 2)), path)
 
 
 def _ladder_index(path: SymplecticPath, grid: int) -> int:
@@ -513,7 +466,7 @@ def _ladder_index(path: SymplecticPath, grid: int) -> int:
     """
     values = []
     for eps in EPS_SEQUENCE:
-        pert = _perturbed(path, eps, grid)
+        pert = _perturbed(path, eps)
         try:
             if _endpoint_kernel(pert, grid)[0]:
                 continue

@@ -314,49 +314,25 @@ def find_closed_orbits(
 
 
 def _symplectic_complement_basis(body: ConvexBody, z0: np.ndarray) -> np.ndarray:
-    """Symplectic basis of E^omega for E = span{R(z0), z0}, as columns.
+    """Symplectic basis S of E^omega for E = span{R(z0), z0}, as columns.
 
-    Basis ordering inside E is (Reeb direction, dilation direction); the
-    complement basis S satisfies S^T J S = J_{2n-2}.
+    E^omega is the orthogonal complement of J E; let Q be an orthonormal
+    basis of it.  A = Q^T J Q is real skew and non-degenerate, so iA is
+    Hermitian with eigenvalues +-lambda.  Each unit eigenvector x + iy with
+    lambda > 0 has x, y orthogonal of norm 1/sqrt(2) and A x = lambda y, and
+    the vectors of distinct eigenvectors are mutually orthogonal (the normal
+    form of a real skew matrix, Horn-Johnson, Matrix Analysis, Sec. 2.5).
+    The pairs sqrt(2/lambda) (x, y) are therefore the columns of a T with
+    T^T A T = J_{2n-2}, and S = Q T satisfies S^T J S = J_{2n-2}.
     """
     d = body.dim
-    u1 = body.reeb_field(z0)
-    u2 = np.asarray(z0, float)
     J = standard_J(d // 2)
-
-    def om(a, b):
-        return float(a @ (J @ b))
-
-    w12 = om(u1, u2)
-    raw = []
-    for e in np.eye(d):
-        x = om(e, u2) / w12
-        y = om(e, u1) / (-w12)
-        v = e - x * u1 - y * u2
-        raw.append(v)
-    Q, s, _ = np.linalg.svd(np.array(raw).T)
-    basis = Q[:, : d - 2]
-    # symplectic Gram-Schmidt on the Euclidean-orthonormal complement basis;
-    # pairs are normalized to v^T J w = -1 so that S^T J S = J_{2n-2}
-    cols = [basis[:, i] for i in range(d - 2)]
-    sympl = []
-    while cols:
-        v = cols.pop(0)
-        pair_idx, best = None, 0.0
-        for i, wv in enumerate(cols):
-            val = om(v, wv)
-            if abs(val) > abs(best):
-                best, pair_idx = val, i
-        if pair_idx is None or abs(best) < 1e-12:
-            raise RuntimeError("failed to build a symplectic basis of E^omega")
-        w = cols.pop(pair_idx) / (-best)
-        sympl.extend([v, w])
-        cols = [
-            c + om(c, w) * v - om(c, v) * w  # remove components along span{v, w}
-            for c in cols
-        ]
-    S = np.array(sympl).T
-    return S
+    Q = np.linalg.svd(J @ np.column_stack([body.reeb_field(z0), z0]))[0][:, 2:]
+    lam, W = np.linalg.eigh(1j * (Q.T @ J @ Q))  # ascending: the lambda > 0 half last
+    W = W[:, d // 2 - 1 :] * np.sqrt(2.0 / lam[d // 2 - 1 :])
+    T = np.empty((d - 2, d - 2))
+    T[:, 0::2], T[:, 1::2] = W.real, W.imag
+    return Q @ T
 
 
 def return_block(body: ConvexBody, z0: np.ndarray, M: np.ndarray):

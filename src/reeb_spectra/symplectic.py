@@ -26,17 +26,6 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def omega(u: np.ndarray, v: np.ndarray) -> float:
-    """Standard symplectic form omega(u, v) = <J u, v>."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = u.shape[-1] // 2
-    Ju = np.empty_like(u)
-    Ju[..., 0::2] = -u[..., 1::2]
-    Ju[..., 1::2] = u[..., 0::2]
-    return float(np.dot(Ju, v)) if u.ndim == 1 else np.sum(Ju * v, axis=-1)
-
-
 def apply_J(v: np.ndarray) -> np.ndarray:
     """J v without materializing the matrix; works on (..., 2n) arrays."""
     v = np.asarray(v)

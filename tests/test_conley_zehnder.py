@@ -453,8 +453,8 @@ class TestOneScanPerPath:
         assert calls[0] == scans
 
     def test_one_full_grid_svd(self, monkeypatch, capsys):
-        # the resonant path's two ladder rungs read its grid and compute
-        # singular values only in their Weyl windows
+        # the resonant path's index and Morse index read its one grid; its
+        # crossing forms are non-degenerate, so no ladder rung is built
         svd = np.linalg.svd
         full = [0]
 
@@ -500,47 +500,29 @@ LADDER_PATHS = {
 }
 
 
-def _records_or_error(path):
-    try:
-        return cz.crossing_records(path)
-    except (cz.DegenerateCrossingError, UnresolvedCrossingError) as e:
-        return type(e)
+# the rates of the rotation-built LADDER_PATHS entries
+LADDER_RATES = {
+    "resonant-2": [2.0],
+    "resonant-1,3/2,2": [1.0, 1.5, 2.0],
+    "resonant-2,4/3": [2.0, 4.0 / 3.0],
+    "resonant-slow-2,1/20": [2.0, 0.05],
+    "negative-2,3": [-2.0, 3.0],
+    "negative-3/2,1": [-1.5, 1.0],
+    "blocks": [2.0, 1.0],
+    "conjugated": [2.0, 0.5],
+}
 
 
-class TestLadderWindow:
-    """An eps-ladder path built from its base path's grid scans as the
-    product path scanned on its own grid does."""
+class TestLadderRungs:
+    """An eps-ladder rung of a rotation path turns every block back by
+    eps / 2 pi: its index is the closed form at the rates r - eps / 2 pi."""
 
-    @pytest.mark.parametrize("name", sorted(LADDER_PATHS))
-    def test_matches_full_scan(self, name):
-        path = LADDER_PATHS[name]()
-        n = path.dim // 2
-        ts = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
-        for eps in cz.EPS_SEQUENCE:
-            seeded = cz._perturbed(path, eps, DEFAULT_GRID)
-            oracle = path_product(rotation_path([-eps / (2.0 * np.pi)] * n), path)
-            assert not oracle._scans
-            mats = seeded._scans[DEFAULT_GRID].mats
-            assert np.array_equal(mats, oracle.evaluate_batch(ts))
-
-            got = cz._candidate_times(seeded, DEFAULT_GRID)
-            want = cz._candidate_times(oracle, DEFAULT_GRID)
-            assert [(t, k) for t, k, _ in got] == [(t, k) for t, k, _ in want]
-            assert all(np.array_equal(a, b) for (*_, a), (*_, b) in zip(got, want))
-            assert _records_or_error(seeded) == _records_or_error(oracle)
-
-            svals = seeded._scans[DEFAULT_GRID].svals
-            full = np.linalg.svd(mats - np.eye(path.dim), compute_uv=False)
-            outside = np.isinf(svals[:, -1])
-            assert outside.any()
-            assert np.array_equal(svals[~outside], full[~outside])
-            # every value a bracket can read is computed: the points below
-            # DIP_LEVEL and their neighbours
-            below = full[:, -1] < cz.DIP_LEVEL
-            read = below.copy()
-            read[1:] |= below[:-1]
-            read[:-1] |= below[1:]
-            assert not np.any(read & outside)
+    @pytest.mark.parametrize("eps", cz.EPS_SEQUENCE)
+    @pytest.mark.parametrize("name", sorted(LADDER_RATES))
+    def test_rung_matches_closed_form(self, name, eps):
+        rung = cz._perturbed(LADDER_PATHS[name](), eps)
+        rates = [r - eps / (2.0 * np.pi) for r in LADDER_RATES[name]]
+        assert cz._index_regular(rung, DEFAULT_GRID) == _closed_form(rates)[0]
 
 
 class TestGridRefusal:
@@ -585,9 +567,9 @@ def _spy_rungs(monkeypatch):
     built = []
     perturbed = cz._perturbed
 
-    def spy(path, eps, grid):
+    def spy(path, eps):
         built.append(eps)
-        return perturbed(path, eps, grid)
+        return perturbed(path, eps)
 
     monkeypatch.setattr(cz, "_perturbed", spy)
     return built

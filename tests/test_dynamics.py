@@ -325,6 +325,33 @@ class TestMonodromy:
             assert key in d
 
 
+COMPLEMENT_BODIES = {
+    "perturbed-n2": PERTURBED,
+    "perturbed-n3": ConvexBody(a=[1.0, 1.5, 2.0], epsilon=2e-3, quartic=[1.0, 0.5, 2.0]),
+    "perturbed-n4": ConvexBody(a=[1.0, 1.3, 1.7, 2.5], epsilon=1e-3,
+                               quartic=[1.0, 2.0, 0.5, 1.0]),
+    # iA has one eigenvalue of multiplicity 2
+    "round-E111": ConvexBody(a=[1.0, 1.0, 1.0], validate=False),
+}
+
+
+class TestSymplecticComplementBasis:
+    """The closed-form frame of E^omega, E = span{R(z0), z0}, is a
+    symplectic basis of the omega-complement of E."""
+
+    @pytest.mark.parametrize("name", sorted(COMPLEMENT_BODIES))
+    def test_symplectic_frame_of_the_complement(self, name):
+        body = COMPLEMENT_BODIES[name]
+        J = standard_J(body.n)
+        for z0 in body.surface_samples(6, seed=3):
+            S = dynamics._symplectic_complement_basis(body, z0)
+            assert S.shape == (body.dim, body.dim - 2)
+            assert np.abs(S.T @ J @ S - standard_J(body.n - 1)).max() < 1e-12
+            # omega(s, e) = <J s, e> for e in E
+            E = np.column_stack([body.reeb_field(z0), z0])
+            assert np.abs((J @ S).T @ E).max() < 1e-12
+
+
 class TestBesseTest:
     def test_e12_common_period(self):
         res = numerical_besse_test(E12, 2.0, samples=3000, seed=0)

@@ -6,7 +6,6 @@ from reeb_spectra.symplectic import (
     block_compose,
     conjugate_path,
     is_symplectic,
-    omega,
     path_product,
     rotation_path,
     standard_J,
@@ -42,8 +41,8 @@ class TestStandardJ:
             ex, ey = np.zeros(6), np.zeros(6)
             ex[2 * h] = 1.0
             ey[2 * h + 1] = 1.0
-            assert omega(ex, ey) == 1.0
-            assert omega(ey, ex) == -1.0
+            assert (standard_J(3) @ ex) @ ey == 1.0
+            assert (standard_J(3) @ ey) @ ex == -1.0
 
 
 class TestRotationPath:
