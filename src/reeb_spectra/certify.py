@@ -11,10 +11,12 @@ attestation and labels its verdict as a sufficient condition only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bodies import ConvexBody
+from .ellipsoid import Ellipsoid, ellipsoid
 
 TOL_EQ = 1e-9  # relative, float invariant lists
 
@@ -73,7 +75,7 @@ def _plain(v):
 
 
 def zoll_by_pinching(
-    body: ConvexBody,
+    body: Ellipsoid | ConvexBody,
     partial_spectrum: list,
     delta: float | None = None,
     delta_sq=None,
@@ -88,6 +90,12 @@ def zoll_by_pinching(
     (sys, delta^2 sys); boundary values do not block.  When an invariant
     list is supplied, the internal bound chain c_{n-1} <= pi R^2 <
     delta^2 pi r^2 <= delta^2 sys is checked and reported.
+
+    An ellipsoid, an `Ellipsoid` or a quadric `ConvexBody`, pinches on its
+    parameters, pi r^2 = a_1 and pi R^2 = a_n; any other body on its
+    `pinching_radii`.  A rational delta^2 is compared exactly: on an exact
+    ellipsoid the hypothesis and the bound chain are decided in Fractions,
+    and a float area enters at its exact value.
     """
     if not coverage_attested:
         raise ValueError(
@@ -107,20 +115,17 @@ def zoll_by_pinching(
             detail={"reason": f"delta^2 = {float(dsq):.6g} outside (1, 2]"},
         )
 
-    r, R = body.pinching_radii()
-    if body.kind == "quadric":
-        # exact chain values for ellipsoids: pi r^2 = min a, pi R^2 = max a
-        pi_r2 = body.a.min()
-        pi_R2 = body.a.max()
+    if isinstance(body, ConvexBody) and body.kind == "quadric":
+        body = ellipsoid(body.a.tolist())
+    if isinstance(body, Ellipsoid):
+        pi_r2, pi_R2 = body.a[0], body.a[-1]
+        r, R = (math.sqrt(float(v) / math.pi) for v in (pi_r2, pi_R2))
     else:
-        import math
-
-        pi_r2 = math.pi * r * r
-        pi_R2 = math.pi * R * R
-    pinch_ok = pi_R2 < float(dsq) * pi_r2 if not isinstance(dsq, Fraction) else Fraction(
-        pi_R2
-    ).limit_denominator(10**12) < dsq * Fraction(pi_r2).limit_denominator(10**12)
-    if not pinch_ok:
+        r, R = body.pinching_radii()
+        pi_r2, pi_R2 = math.pi * r * r, math.pi * R * R
+    # Fraction(x) is the exact value of a float x
+    num = Fraction if isinstance(dsq, Fraction) else float
+    if not num(pi_R2) < dsq * num(pi_r2):
         return PinchingResult(
             status="not-applicable",
             detail={
@@ -147,11 +152,12 @@ def zoll_by_pinching(
         if len(invariants_c) < n:
             raise ValueError("invariant list shorter than n")
         c_nm1 = invariants_c[n - 1]
-        chain = (
-            float(c_nm1) <= float(pi_R2) + 1e-12
-            and float(pi_R2) < float(dsq) * float(pi_r2)
-            and float(dsq) * float(pi_r2) <= float(dsq) * float(sys_val) + 1e-12
-        )
+        # the middle link pi R^2 < delta^2 pi r^2 is the hypothesis above
+        if all(isinstance(v, Fraction) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val)):
+            chain = c_nm1 <= pi_R2 and dsq * pi_r2 <= dsq * sys_val
+        else:
+            c, R2, r2, d, s = (float(v) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
+            chain = c <= R2 + 1e-12 and d * r2 <= d * s + 1e-12
         detail["bound_chain"] = {
             "c_{n-1}": c_nm1,
             "pi_R^2": pi_R2,

@@ -249,8 +249,8 @@ def cmd_pinch(args) -> int:
     if delta is None and delta_sq is None:
         raise ValueError("supply --delta or --delta-sq")
     if args.ellipsoid:
-        E = _parse_ellipsoid(args.ellipsoid)
-        body = _load_body(args)
+        # the certificate reads pi r^2 and pi R^2 off the ellipsoid's parameters
+        body = E = _parse_ellipsoid(args.ellipsoid)
         dsq_f = float(delta_sq) if delta_sq is not None else float(delta) ** 2
         upper = dsq_f * float(E.a[0]) * 1.0001
         spectrum = spectrum_table(E, upper).values()

@@ -42,16 +42,20 @@ kernel contains the other (the larger is kept), so two blocks that cross
 1e-9 apart count twice.  Within 1e-8 of t = 1 a candidate is the endpoint
 crossing, the n_-(Q_1) term, only when its kernel lies in ker(Gamma(1) - I).
 
-Each path is evaluated once per grid size.  Gamma and the singular values
-of Gamma - I on the grid are kept on the path with the scan's crossings,
-and `cz_index`, `crossing_records` and `morse_index_from_path` share them;
-the Morse index checks that the path is not singular on a positive fraction
-of the grid before it scans.  A path that moves MAX_GRID_STEP or more per
-cell (largest column norm of Gamma(t_{i+1}) - Gamma(t_i)) could pass a
-crossing between grid points and is refused with UnresolvedCrossingError.
-The kernel of Gamma(1) - I is decided once per path and grid, for the
-candidate filter and the endpoint term alike.  An eps-ladder rung is the
-product path R(-eps t) Gamma(t), scanned on its own grid like any other.
+Each path is evaluated once on the grid, whose size DEFAULT_GRID is read
+when the path's grid is first built.  Gamma and the singular values of
+Gamma - I on the grid are kept on the path (one `_Scan`) with the scan's
+crossings, and `cz_index`, `crossing_records` and `morse_index_from_path`
+share them; the Morse index checks that the path is not singular on a
+positive fraction of the grid before it scans.  A path that moves
+MAX_GRID_STEP or more per cell (largest column norm of Gamma(t_{i+1}) -
+Gamma(t_i)) could pass a crossing between grid points and is refused with
+UnresolvedCrossingError.  The kernel of Gamma(1) - I is decided once per
+path, from Gamma(1) alone, for the candidate filter, the endpoint term and
+`cz_nullity` alike; an unstable kernel sends `cz_index` to the eps ladder,
+and `cz_nullity` counts it at TOL_KER with a warning.  An eps-ladder rung
+is the product path R(-eps t) Gamma(t), scanned on its own grid like any
+other.
 """
 
 from __future__ import annotations
@@ -82,6 +86,11 @@ MAX_GRID_STEP = 2.0 * DIP_LEVEL
 # this; kernels of one crossing found twice agree to 3e-11 on the test paths,
 # and crossings of different blocks have orthogonal kernels
 TOL_SPAN = 1e-3
+# a crossing form is degenerate when an eigenvalue is below this times the
+# largest in modulus
+TOL_FORM = 1e-4
+# eigenvalues within this (relative) of the real axis or of 1, for `parity`
+TOL_EIG = 1e-8
 
 
 class UnresolvedCrossingError(RuntimeError):
@@ -104,19 +113,26 @@ class CrossingRecord:
 
 
 @dataclass
-class _Grid:
-    """A path's top-level grid t_i = i / grid and its scan.
+class _Scan:
+    """What the crossing counter has decided on one path, each part once.
 
-    mats holds Gamma(t_i) and svals the singular values of Gamma(t_i) - I,
-    in descending order.  candidates, the crossings (t, dim, basis), is
-    filled by `_candidate_times`, and endpoint, the dimension and a basis
-    of ker(Gamma(1) - I), by `_endpoint_kernel`.
+    mats holds Gamma(t_i) on the top-level grid t_i = i / DEFAULT_GRID and
+    svals the singular values of Gamma(t_i) - I, in descending order; both
+    are filled by `_grid`.  candidates, the crossings (t, dim, basis), is
+    filled by `_candidate_times`, and endpoint, the `_kernel_split` of
+    Gamma(1), by `_endpoint_split`, which needs no grid.
     """
 
-    mats: np.ndarray
-    svals: np.ndarray
+    mats: np.ndarray | None = None
+    svals: np.ndarray | None = None
     candidates: tuple | None = None
     endpoint: tuple | None = None
+
+
+def _scan(path: SymplecticPath) -> _Scan:
+    if path._scan is None:
+        object.__setattr__(path, "_scan", _Scan())  # a cache on the frozen path
+    return path._scan
 
 
 def _grid_values(path: SymplecticPath, ts: np.ndarray):
@@ -131,8 +147,8 @@ def _smallest_svals(path: SymplecticPath, ts: np.ndarray) -> np.ndarray:
     return _grid_values(path, ts)[1][:, -1]
 
 
-def _grid(path: SymplecticPath, grid: int) -> _Grid:
-    """The path's top-level grid, evaluated once and kept in path._scans.
+def _grid(path: SymplecticPath) -> _Scan:
+    """The path's scan with its top-level grid, evaluated once.
 
     Refuses a path that moves MAX_GRID_STEP or more per cell: a crossing is
     seen only where some grid value of s_min(Gamma - I) falls below
@@ -141,18 +157,18 @@ def _grid(path: SymplecticPath, grid: int) -> _Grid:
     column norm of Gamma(t_{i+1}) - Gamma(t_i): at most the spectral norm,
     and equal to it on rotation blocks.
     """
-    g = path._scans.get(grid)
-    if g is None:
-        mats, svals = _grid_values(path, np.linspace(0.0, 1.0, grid + 1))
+    g = _scan(path)
+    if g.mats is None:
+        mats, svals = _grid_values(path, np.linspace(0.0, 1.0, DEFAULT_GRID + 1))
         d = mats[1:] - mats[:-1]
         step = float(np.sqrt(np.einsum("tij,tij->tj", d, d).max()))
         if step >= MAX_GRID_STEP:
             raise UnresolvedCrossingError(
                 f"path moves {step:.3g} per grid cell (limit {MAX_GRID_STEP}); "
-                f"a grid of {grid} cells cannot resolve its crossings",
+                f"a grid of {DEFAULT_GRID} cells cannot resolve its crossings",
                 interval=(0.0, 1.0),
             )
-        g = path._scans[grid] = _Grid(mats, svals)
+        g.mats, g.svals = mats, svals
     return g
 
 
@@ -314,7 +330,7 @@ def _scan_interval(path, ts, mats, smin, depth, out):
             _push_candidate(path, float(t), float(s), sv, v, ts[0], ts[-1], points, depth, out)
 
 
-def _resolve_endpoint(path, svals, grid, out):
+def _resolve_endpoint(path, svals, out):
     """Rescan the last cells while the endpoint crossing may mask a companion.
 
     The endpoint's own dip hides a crossing a few cells before t = 1 from
@@ -323,7 +339,7 @@ def _resolve_endpoint(path, svals, grid, out):
     points, each level with a finer cell, up to MAX_REFINE_DEPTH levels.
     """
     speed = float(np.linalg.norm(_path_derivative(path, np.array([1.0]))[0], 2))
-    cell = 1.0 / grid
+    cell = 1.0 / DEFAULT_GRID
     for depth in range(1, MAX_REFINE_DEPTH + 1):
         if not _masks_companion(svals, 0.0, speed, cell):
             return
@@ -333,28 +349,28 @@ def _resolve_endpoint(path, svals, grid, out):
         cell *= 3.0 / 256
 
 
-def _candidate_times(path: SymplecticPath, grid: int):
+def _candidate_times(path: SymplecticPath):
     """Interior crossings (t, dim, basis) for t in (1e-9, 1], one per crossing.
 
-    The scan runs once per path and grid and is kept with the grid.  Each
+    The scan runs once per path and is kept with the grid.  Each
     candidate's kernel is decided here, at a tolerance keyed to how closely
     the scan localized it; the merge and endpoint rules are those of the
     module docstring.
     """
-    g = _grid(path, grid)
+    g = _grid(path)
     if g.candidates is not None:
         return g.candidates
     out: list[tuple[float, float]] = []
-    _scan_interval(path, np.linspace(0.0, 1.0, grid + 1), g.mats, g.svals[:, -1], 0, out)
-    k_end, end_basis = _endpoint_kernel(path, grid)
+    _scan_interval(path, np.linspace(0.0, 1.0, DEFAULT_GRID + 1), g.mats, g.svals[:, -1], 0, out)
+    k_end, end_basis = _endpoint_kernel(path)
     if k_end:
-        _resolve_endpoint(path, g.svals[-1], grid, out)
+        _resolve_endpoint(path, g.svals[-1], out)
 
     crossings: list[tuple[float, int, np.ndarray]] = []
     for t, s in sorted(out):
         if not 1e-9 < t <= 1.0:
             continue
-        k, basis = _kernel_basis(path(t), tol=max(TOL_KER, 3.0 * s))
+        k, basis = _checked(_kernel_split(path(t), tol=max(TOL_KER, 3.0 * s)))
         if k == 0 or (1.0 - t < 1e-8 and _contains(end_basis, basis)):
             continue  # no crossing, or the endpoint crossing
         same = (i for i, (tc, _, bc) in enumerate(crossings)
@@ -368,20 +384,27 @@ def _candidate_times(path: SymplecticPath, grid: int):
     return g.candidates
 
 
-def _kernel_basis(M: np.ndarray, tol: float = TOL_KER):
-    diff = M - np.eye(M.shape[0])
-    _, svals, vt = np.linalg.svd(diff)
+def _kernel_split(M: np.ndarray, tol: float = TOL_KER):
+    """dim ker(M - I) counted at tol * max(1, s_max), a basis of that kernel,
+    the singular values of M - I, and whether the split is stable."""
+    _, svals, vt = np.linalg.svd(M - np.eye(M.shape[0]))
     scale = max(1.0, svals[0])
     k = int(np.count_nonzero(svals < tol * scale))
+    stable = True
     if 0 < k < len(svals):
         nxt, kmax = svals[-k - 1], svals[-k]
         # stable splits show either a wide ratio gap over the kernel block
         # or clear air above the threshold itself
-        if nxt < 100.0 * kmax and nxt < 10.0 * tol * scale:
-            raise UnresolvedCrossingError(
-                f"kernel dimension unstable: singular values {svals}", None
-            )
-    return k, vt[len(svals) - k :].T
+        stable = not (nxt < 100.0 * kmax and nxt < 10.0 * tol * scale)
+    return k, vt[len(svals) - k :].T, svals, stable
+
+
+def _checked(split) -> tuple[int, np.ndarray]:
+    """dim and basis of a `_kernel_split`; UnresolvedCrossingError if unstable."""
+    k, basis, svals, stable = split
+    if not stable:
+        raise UnresolvedCrossingError(f"kernel dimension unstable: singular values {svals}", None)
+    return k, basis
 
 
 def _contains(outer: np.ndarray, inner: np.ndarray) -> bool:
@@ -405,41 +428,51 @@ def _crossing_form(path: SymplecticPath, t: float, kernel: np.ndarray) -> np.nda
     return 0.5 * (Q + Q.T)
 
 
-def _form_signature(path: SymplecticPath, t: float, kernel: np.ndarray,
-                    rel_tol: float = 1e-4) -> int:
+def _form_signature(path: SymplecticPath, t: float, kernel: np.ndarray) -> int:
     """Signature of the crossing form at t on span(kernel).
 
-    Raises DegenerateCrossingError when an eigenvalue is below rel_tol times
-    the largest in modulus: the form is singular there.
+    Raises DegenerateCrossingError when an eigenvalue is below TOL_FORM
+    times the largest in modulus: the form is singular there.
     """
     eigs = np.linalg.eigvalsh(_crossing_form(path, t, kernel))
     scale = max(np.abs(eigs).max(), 1e-12)
-    pos = int(np.count_nonzero(eigs > rel_tol * scale))
-    neg = int(np.count_nonzero(eigs < -rel_tol * scale))
+    pos = int(np.count_nonzero(eigs > TOL_FORM * scale))
+    neg = int(np.count_nonzero(eigs < -TOL_FORM * scale))
     if pos + neg < len(eigs):
         raise DegenerateCrossingError(f"singular crossing form at t = {t:.12g}")
     return pos - neg
 
 
-def crossing_records(path: SymplecticPath, grid: int = DEFAULT_GRID) -> list[CrossingRecord]:
+def crossing_records(path: SymplecticPath) -> list[CrossingRecord]:
     """Interior crossings of the path with the Maslov cycle, in time order."""
     return [CrossingRecord(time=t, kernel_dim=k, signature=_form_signature(path, t, basis))
-            for t, k, basis in _candidate_times(path, grid)]
+            for t, k, basis in _candidate_times(path)]
 
 
-def _endpoint_kernel(path: SymplecticPath, grid: int):
-    """dim ker(Gamma(1) - I) and a basis, decided once per path and grid.
+def _endpoint_split(path: SymplecticPath):
+    """The `_kernel_split` of Gamma(1), decided once per path, without the grid.
 
-    The candidate filter and the endpoint term of the index read the same
-    decision.  Raises UnresolvedCrossingError on an unstable kernel.
+    The candidate filter, the endpoint term of the index and `cz_nullity`
+    read this one decision.  An empty kernel whose smallest singular value
+    is within 10x above the tolerance gets a warning, once.
     """
-    g = _grid(path, grid)
+    g = _scan(path)
     if g.endpoint is None:
-        g.endpoint = _kernel_basis(path(1.0))
+        g.endpoint = k, _, s, _ = _kernel_split(path(1.0))
+        if not k and s[-1] < 10 * TOL_KER * max(1.0, s[0]):
+            warnings.warn(
+                f"ker(Gamma(1) - I) is empty, but its smallest singular value {s[-1]:.3g} "
+                "is within 10x of the kernel tolerance; kernel dimension may not be converged"
+            )
     return g.endpoint
 
 
-def _index_regular(path: SymplecticPath, grid: int) -> int:
+def _endpoint_kernel(path: SymplecticPath):
+    """dim ker(Gamma(1) - I) and a basis; UnresolvedCrossingError if unstable."""
+    return _checked(_endpoint_split(path))
+
+
+def _index_regular(path: SymplecticPath) -> int:
     """sign(Q_0)/2 + sum of interior sign(Q_t) - n_-(Q_1), for regular crossings.
 
     Q_0 is the crossing form on all of R^{2n}, so a non-degenerate Q_0 has
@@ -448,9 +481,9 @@ def _index_regular(path: SymplecticPath, grid: int) -> int:
     when a form is singular.
     """
     half = _form_signature(path, 0.0, np.eye(path.dim)) // 2
-    k, basis = _endpoint_kernel(path, grid)
+    k, basis = _endpoint_kernel(path)
     n_minus = (k - _form_signature(path, 1.0, basis)) // 2 if k else 0
-    return half + sum(r.signature for r in crossing_records(path, grid)) - n_minus
+    return half + sum(r.signature for r in crossing_records(path)) - n_minus
 
 
 def _perturbed(path: SymplecticPath, eps: float) -> SymplecticPath:
@@ -458,7 +491,7 @@ def _perturbed(path: SymplecticPath, eps: float) -> SymplecticPath:
     return path_product(rotation_path([-eps / (2.0 * np.pi)] * (path.dim // 2)), path)
 
 
-def _ladder_index(path: SymplecticPath, grid: int) -> int:
+def _ladder_index(path: SymplecticPath) -> int:
     """The lower semicontinuous index as the limit over the eps ladder.
 
     Each rung R(-eps t) Gamma(t) with a non-singular endpoint is counted by
@@ -468,9 +501,9 @@ def _ladder_index(path: SymplecticPath, grid: int) -> int:
     for eps in EPS_SEQUENCE:
         pert = _perturbed(path, eps)
         try:
-            if _endpoint_kernel(pert, grid)[0]:
+            if _endpoint_kernel(pert)[0]:
                 continue
-            values.append(_index_regular(pert, grid))
+            values.append(_index_regular(pert))
         except DegenerateCrossingError:
             continue
         if len(values) >= 2 and values[-1] == values[-2]:
@@ -484,7 +517,7 @@ def _ladder_index(path: SymplecticPath, grid: int) -> int:
     )
 
 
-def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
+def cz_index(path: SymplecticPath) -> int:
     """Conley-Zehnder index of an identity-based symplectic path.
 
     Paths whose crossing forms are non-degenerate, at t = 0, inside and at a
@@ -495,40 +528,43 @@ def cz_index(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
     Raises UnresolvedCrossingError when the crossing structure cannot be
     resolved, with the offending interval when known.
     """
-    _grid(path, grid)  # a path the grid cannot resolve is refused, not laddered
+    _grid(path)  # a path the grid cannot resolve is refused, not laddered
     try:
-        return _index_regular(path, grid)
+        return _index_regular(path)
     except (DegenerateCrossingError, UnresolvedCrossingError):
         pass
-    return _ladder_index(path, grid)
+    return _ladder_index(path)
 
 
-def morse_index_from_path(path: SymplecticPath, grid: int = DEFAULT_GRID) -> int:
+def morse_index_from_path(path: SymplecticPath) -> int:
     """Sum of dim ker(Gamma(t) - I) over interior crossing times t in (0,1)."""
-    smin = _grid(path, grid).svals[:, -1]
+    smin = _grid(path).svals[:, -1]
     if np.count_nonzero(smin < TOL_CROSS) > 0.2 * len(smin):
         raise UnresolvedCrossingError(
             "path is singular on a positive fraction of the grid; "
             "crossings are not isolated"
         )
-    return sum(k for _, k, _ in _candidate_times(path, grid))
+    return sum(k for _, k, _ in _candidate_times(path))
 
 
-def cz_nullity(path: SymplecticPath, tol_ker: float = TOL_KER) -> int:
-    """dim ker(Gamma(1) - I), with rank decided at tol_ker."""
-    diff = path(1.0) - np.eye(path.dim)
-    svals = np.linalg.svd(diff, compute_uv=False)
-    scale = max(1.0, svals[0])
-    borderline = np.count_nonzero((svals >= tol_ker * scale) & (svals < 10 * tol_ker * scale))
-    if borderline:
+def cz_nullity(path: SymplecticPath) -> int:
+    """dim ker(Gamma(1) - I): the endpoint kernel `cz_index` decides for its
+    n_-(Q_1) term (`_endpoint_split`), read from the path's scan.
+
+    Needs no grid, so a path the grid refuses still has a nullity.  An
+    unstable kernel, for which `cz_index` takes the eps ladder, is counted
+    at TOL_KER with a warning.
+    """
+    k, _, svals, stable = _endpoint_split(path)
+    if not stable:
         warnings.warn(
-            f"cz_nullity: {borderline} singular value(s) within 10x of tol_ker; "
-            "kernel dimension may not be converged"
+            f"ker(Gamma(1) - I) is unstable at the kernel tolerance (singular values "
+            f"{svals}); counted {k}, kernel dimension may not be converged"
         )
-    return int(np.count_nonzero(svals < tol_ker * scale))
+    return k
 
 
-def parity(M: np.ndarray, tol: float = 1e-8) -> int:
+def parity(M: np.ndarray) -> int:
     """Parity (mod 2) of the CZ index of any identity-based path ending at M.
 
     Eigenvalue computation: each positive real hyperbolic pair (lambda > 1)
@@ -540,13 +576,13 @@ def parity(M: np.ndarray, tol: float = 1e-8) -> int:
     n = M.shape[0] // 2
     eigs = np.linalg.eigvals(M)
     scale = max(1.0, np.abs(eigs).max())
-    real = np.abs(eigs.imag) < tol * scale
-    near_one = np.abs(eigs - 1.0) < tol * scale
-    ambiguous = real & ~near_one & (np.abs(eigs - 1.0) < 10 * tol * scale)
+    real = np.abs(eigs.imag) < TOL_EIG * scale
+    near_one = np.abs(eigs - 1.0) < TOL_EIG * scale
+    ambiguous = real & ~near_one & (np.abs(eigs - 1.0) < 10 * TOL_EIG * scale)
     if np.any(ambiguous):
         raise ValueError(
-            f"eigenvalue classification ambiguous near 1 at tol {tol}: "
+            f"eigenvalue classification ambiguous near 1 at tol {TOL_EIG}: "
             f"{eigs[ambiguous]}"
         )
-    pos_hyperbolic = int(np.count_nonzero(real & (eigs.real > 1.0 + tol * scale)))
+    pos_hyperbolic = int(np.count_nonzero(real & (eigs.real > 1.0 + TOL_EIG * scale)))
     return (n + pos_hyperbolic) % 2

@@ -26,6 +26,8 @@ ATOL = 1e-13
 TOL_ORBIT = 1e-9
 TOL_DEDUP = 1e-6
 TOL_SUBPERIOD = 1e-5
+# time samples of the seed scan over (0, t_max]
+SCAN_POINTS = 4000
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
 # the shooting's dense trajectories: seed scan, minimal period, deduplication
 TRAJECTORY_TOLS = {"rtol": 1e-10, "atol": 1e-11, "dense": True}
@@ -148,8 +150,7 @@ def flow_with_monodromy(
     def _eval(ts):
         return sol.sol(np.asarray(ts) * span)[d:].T.reshape(len(ts), d, d)
 
-    return z_end, M, SymplecticPath(dim=d, kind="linearized-flow", eval_batch=_eval,
-                                    meta={"alpha": alpha, "tau": tau})
+    return z_end, M, SymplecticPath(dim=d, eval_batch=_eval)
 
 
 # -- closed-orbit shooting ---------------------------------------------------
@@ -258,7 +259,6 @@ def find_closed_orbits(
     t_max: float,
     n_seeds: int = 16,
     seed: int = 0,
-    scan_points: int = 4000,
 ) -> list[ClosedOrbit]:
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
@@ -276,7 +276,7 @@ def find_closed_orbits(
     _, R = body.pinching_radii()
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
     interp = integrate_reeb(body, seeds, t_max, **TRAJECTORY_TOLS)
-    ts = np.linspace(0.0, t_max, scan_points + 1)
+    ts = np.linspace(0.0, t_max, SCAN_POINTS + 1)
     disp = np.linalg.norm(interp(ts).T.reshape(len(ts), *seeds.shape) - seeds, axis=-1)
     inner = disp[1:-1]
     near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
@@ -352,15 +352,16 @@ def monodromy_and_index(
     body: ConvexBody,
     orbit: ClosedOrbit,
     alpha: float = 1.5,
-    grid: int = cz.DEFAULT_GRID,
 ) -> ClosedOrbit:
     """Fill monodromy, return block and (cz, morse, nullity) on a found orbit.
 
     The CZ index is computed on the full linearized degree-alpha flow path
-    (alpha in (1,2); the value is alpha-independent).  The nullity uses the
-    block structure of the endpoint over E + E^omega: 1 + dim ker(N - I),
+    (alpha in (1,2); the value is alpha-independent).  The nullity is
+    dim ker(Gamma_alpha(1) - I), the endpoint kernel `cz_index` decides
+    (`cz.cz_nullity`).  Over E + E^omega the endpoint is blockdiag(shear, N),
     with N the alpha-independent restriction of the Reeb monodromy to
-    E^omega.  A residual of the blockdiag(M_alpha, N) reconstruction of the
+    E^omega, and the shear block adds exactly one kernel direction, so the
+    nullity is 1 + dim ker(N - I).  A residual of that reconstruction of the
     endpoint is recorded; above 1e-6 the raw monodromy is kept and flagged.
     The Reeb monodromy is taken from orbit.monodromy and integrated only
     when the orbit carries none.
@@ -393,19 +394,12 @@ def monodromy_and_index(
     M_assembled = B @ assembled @ np.linalg.inv(B)
     block_resid = float(np.abs(M_assembled - M_alpha_full).max())
 
-    index = cz.cz_index(path_alpha, grid=grid)
-    ker_dim = int(
-        np.count_nonzero(
-            np.linalg.svd(N - np.eye(d - 2), compute_uv=False)
-            < cz.TOL_KER * max(1.0, np.linalg.norm(N - np.eye(d - 2), 2))
-        )
-    ) if d > 2 else 0
-    nullity = 1 + ker_dim
+    index = cz.cz_index(path_alpha)
     orbit.monodromy = M2
     orbit.return_block = N
     orbit.cz_index = int(index)
     orbit.morse_index = int(index) - n
-    orbit.nullity = nullity
+    orbit.nullity = cz.cz_nullity(path_alpha)
     orbit.meta.update(
         {
             "alpha": alpha,
@@ -442,8 +436,6 @@ def numerical_besse_test(
     tau: float,
     samples: int = 10000,
     seed: int = 0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> BesseTestResult:
     """Sample Sigma, flow to time tau, report the worst displacement.
 
@@ -453,7 +445,7 @@ def numerical_besse_test(
     if tau <= 0:
         raise ValueError("tau must be positive")
     Z = body.surface_samples(samples, seed=seed)
-    Z_end = integrate_reeb(body, Z, tau, rtol=rtol, atol=atol)
+    Z_end = integrate_reeb(body, Z, tau)
     disp = np.linalg.norm(Z_end - Z, axis=1)
     worst = int(np.argmax(disp))
     _, R = body.pinching_radii()

@@ -44,17 +44,14 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"exact mode needs int/Fraction/'p/q' strings, got {type(x).__name__}")
 
 
-def rational_reconstruct(
-    x: float,
-    max_denominator: int = CF_MAX_DENOMINATOR,
-    big_quotient: int = CF_BIG_QUOTIENT,
-):
+def rational_reconstruct(x: float):
     """Continued-fraction rational reconstruction of a float.
 
-    Returns a Fraction when the expansion hits a huge partial quotient (the
-    float noise floor of a true rational) while the denominator is still
-    below max_denominator, else None.  A float carrying an irrational value
-    keeps moderate quotients until the denominator bound is passed.
+    Returns a Fraction when the expansion hits a huge partial quotient
+    (CF_BIG_QUOTIENT or more, the float noise floor of a true rational)
+    while the denominator is still at most CF_MAX_DENOMINATOR, else None.
+    A float carrying an irrational value keeps moderate quotients until the
+    denominator bound is passed.
     """
     if x <= 0 or not math.isfinite(x):
         return None
@@ -67,16 +64,16 @@ def rational_reconstruct(
     a, b = p, q
     while b:
         quot, rem = divmod(a, b)
-        if quot >= big_quotient and k >= 1:
-            if k <= max_denominator and k > 0:
+        if quot >= CF_BIG_QUOTIENT and k >= 1:
+            if k <= CF_MAX_DENOMINATOR and k > 0:
                 return Fraction(h, k)
             return None
         h_prev, h = h, quot * h + h_prev
         k_prev, k = k, quot * k + k_prev
-        if k > max_denominator:
+        if k > CF_MAX_DENOMINATOR:
             return None
         a, b = b, rem
-    if k <= max_denominator:
+    if k <= CF_MAX_DENOMINATOR:
         return Fraction(h, k)
     return None
 

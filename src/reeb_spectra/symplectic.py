@@ -60,20 +60,16 @@ def assert_symplectic(M: np.ndarray, tol: float = TOL_SYM) -> None:
 class SymplecticPath:
     """Path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I.
 
-    kind is one of "rotation", "block", "product", "conjugate",
-    "linearized-flow", "sampled". The batch evaluator maps a (T,) array of
-    times to a (T, 2n, 2n) stack; scalar evaluation goes through __call__.
-    The crossing counter keeps its grids of the path in _scans, keyed by
-    grid size: Gamma at the grid times, the singular values of Gamma - I
-    there and, once scanned, the crossing candidates, so every grid is
-    evaluated and scanned once per path.
+    The batch evaluator maps a (T,) array of times to a (T, 2n, 2n) stack;
+    scalar evaluation goes through __call__.  The crossing counter keeps what
+    it decides on the path in _scan: Gamma at the grid times, the singular
+    values of Gamma - I there, the crossing candidates and the endpoint
+    kernel, so the grid is evaluated and scanned once per path.
     """
 
     dim: int
-    kind: str
     eval_batch: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
-    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2:
@@ -96,8 +92,8 @@ class SymplecticPath:
         return float(np.abs(defect).max())
 
 
-def rotation_path(rates: Sequence[float], total_time: float = 1.0) -> SymplecticPath:
-    """Block-diagonal rotation path Gamma(t) = diag_h exp(2 pi J rate_h total_time t).
+def rotation_path(rates: Sequence[float]) -> SymplecticPath:
+    """Block-diagonal rotation path Gamma(t) = diag_h exp(2 pi J rate_h t).
 
     Angles are reduced mod one full turn before calling sin/cos, so an
     integer number of turns lands on the identity bitwise.
@@ -107,14 +103,11 @@ def rotation_path(rates: Sequence[float], total_time: float = 1.0) -> Symplectic
         raise ValueError("at least one rotation rate required")
     if not all(np.isfinite(rates)):
         raise ValueError("rotation rates must be finite")
-    total_time = float(total_time)
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
     n = len(rates)
     rates_arr = np.asarray(rates)
 
     def _eval(ts):
-        turns = np.outer(ts, rates_arr) * total_time  # (T, n)
+        turns = np.outer(ts, rates_arr)  # (T, n)
         frac = turns - np.floor(turns)
         ang = 2.0 * np.pi * frac
         c, s = np.cos(ang), np.sin(ang)
@@ -126,12 +119,7 @@ def rotation_path(rates: Sequence[float], total_time: float = 1.0) -> Symplectic
             out[:, 2 * h + 1, 2 * h + 1] = c[:, h]
         return out
 
-    return SymplecticPath(
-        dim=2 * n,
-        kind="rotation",
-        eval_batch=_eval,
-        meta={"rates": rates, "total_time": total_time},
-    )
+    return SymplecticPath(dim=2 * n, eval_batch=_eval)
 
 
 def block_compose(blocks: Sequence[SymplecticPath]) -> SymplecticPath:
@@ -150,7 +138,7 @@ def block_compose(blocks: Sequence[SymplecticPath]) -> SymplecticPath:
             out[:, off : off + b.dim, off : off + b.dim] = b.evaluate_batch(ts)
         return out
 
-    return SymplecticPath(dim=dim, kind="block", eval_batch=_eval, meta={"blocks": len(blocks)})
+    return SymplecticPath(dim=dim, eval_batch=_eval)
 
 
 def path_product(p: SymplecticPath, q: SymplecticPath) -> SymplecticPath:
@@ -161,7 +149,7 @@ def path_product(p: SymplecticPath, q: SymplecticPath) -> SymplecticPath:
     def _eval(ts):
         return np.matmul(p.evaluate_batch(ts), q.evaluate_batch(ts))
 
-    return SymplecticPath(dim=p.dim, kind="product", eval_batch=_eval)
+    return SymplecticPath(dim=p.dim, eval_batch=_eval)
 
 
 def conjugate_path(path: SymplecticPath, P: np.ndarray) -> SymplecticPath:
@@ -173,4 +161,4 @@ def conjugate_path(path: SymplecticPath, P: np.ndarray) -> SymplecticPath:
     def _eval(ts):
         return np.matmul(Pinv, np.matmul(path.evaluate_batch(ts), P))
 
-    return SymplecticPath(dim=path.dim, kind="conjugate", eval_batch=_eval)
+    return SymplecticPath(dim=path.dim, eval_batch=_eval)

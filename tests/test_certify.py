@@ -152,6 +152,35 @@ class TestZollByPinching:
         )
         assert res.status == "certified-zoll"
 
+    @pytest.mark.parametrize("x", [F(1000000007, 1000000000), F(12345678901, 10000000000)])
+    def test_exact_ellipsoid_at_the_pinching_boundary(self, x):
+        # R^2/r^2 = x = delta^2: the hypothesis R/r < delta fails exactly
+        E = ellipsoid([1, x])
+        res = zoll_by_pinching(E, self._spectrum([1, x], 2 * x), delta_sq=x,
+                               coverage_attested=True,
+                               invariants_c=spectral_invariants(E, 2))
+        assert res.status == "not-applicable"
+        # just inside the boundary the exact chain c_1 <= pi R^2 < delta^2 pi r^2 holds
+        dsq = x + F(1, 10**12)
+        res = zoll_by_pinching(E, self._spectrum([1, x], 2 * x), delta_sq=dsq,
+                               coverage_attested=True,
+                               invariants_c=spectral_invariants(E, 2))
+        assert res.detail["bound_chain"]["holds"]
+        assert res.detail["bound_chain"]["pi_R^2"] == x
+
+    def test_quadric_body_pinches_on_its_parameters(self):
+        # a quadric ConvexBody pinches on its float parameters, compared
+        # exactly with a rational delta^2: at delta^2 = R^2/r^2 the hypothesis
+        # fails, and 1e-17 inside it the chain holds though float(delta^2) = x
+        x = 1000000007 / 1000000000
+        body = ConvexBody(a=[1.0, x], alpha=1.5, validate=False)
+        kwargs = {"coverage_attested": True, "invariants_c": [1.0, x]}
+        res = zoll_by_pinching(body, [1.0, x, 2.0], delta_sq=F(x), **kwargs)
+        assert res.status == "not-applicable"
+        res = zoll_by_pinching(body, [1.0, x, 2.0], delta_sq=F(x) + F(1, 10**17), **kwargs)
+        assert res.detail["bound_chain"]["pi_R^2"] == x
+        assert res.detail["bound_chain"]["holds"]
+
     def test_family_certifies_only_round(self):
         for x in [F(1), F(11, 10), F(3, 2), F(19, 10)]:
             body = ConvexBody(a=[1.0, float(x)], alpha=1.5, validate=False)

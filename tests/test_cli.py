@@ -111,6 +111,14 @@ class TestPinch:
         assert results[0] == results[1]
         assert results[0][0]["status"] != "certified-zoll"
 
+    @pytest.mark.parametrize("x", ["1000000007/1000000000", "12345678901/10000000000"])
+    def test_pinching_boundary_is_not_applicable(self, x, capsys):
+        # R^2/r^2 = x = delta^2 fails R/r < delta; decided on the exact x,
+        # not on a float rebuilt from it
+        code, out, _ = run_cli(capsys, "pinch", "--ellipsoid", f"1,{x}", "--delta-sq", x)
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "not-applicable"
+
     def test_besse_refusal_is_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "pinch", "--ellipsoid", "1,3/2", "--delta-sq", "7/4"

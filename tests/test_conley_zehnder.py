@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def ellipsoid_alpha_path(a, z0, tau, alpha) -> SymplecticPath:
         out += (s * (alpha / 2 - 1.0))[:, None, None] * np.einsum("ti,j->tij", w, gradQ)
         return out
 
-    return SymplecticPath(dim=2 * n, kind="linearized-flow", eval_batch=_eval)
+    return SymplecticPath(dim=2 * n, eval_batch=_eval)
 
 
 class TestRotationIndices:
@@ -178,7 +179,7 @@ class TestMorseIndexFromPath:
             raise AssertionError("the scan ran before the guard")
 
         monkeypatch.setattr(cz, "_scan_interval", spy)
-        path = SymplecticPath(dim=2, kind="sampled", eval_batch=shear)
+        path = SymplecticPath(dim=2, eval_batch=shear)
         with pytest.raises(UnresolvedCrossingError, match="positive fraction"):
             morse_index_from_path(path)
 
@@ -204,9 +205,25 @@ class TestNullity:
             out[:, 1, 1] /= 1.0 + 5e-8 * np.asarray(ts)
             return out
 
-        path = SymplecticPath(dim=2, kind="sampled", eval_batch=near_identity)
+        path = SymplecticPath(dim=2, eval_batch=near_identity)
         with pytest.warns(UserWarning, match="kernel dimension may not be converged"):
             cz_nullity(path)
+
+    def test_unstable_kernel_is_counted(self):
+        # singular values 3.1e-8 (twice) over 6.3e-9 (twice) straddle TOL_KER
+        # with no clear gap: cz_index takes the eps ladder, and the nullity is
+        # the count at TOL_KER, with a warning, not an error
+        path = rotation_path([1 + 5e-9, 2 + 1e-9])
+        with pytest.warns(UserWarning, match="unstable"):
+            assert cz_nullity(path) == 2
+        assert cz_index(path) == 4
+
+    def test_needs_no_grid(self):
+        # a path too fast for the grid is refused by the index, not the nullity
+        path = rotation_path([1000.0])
+        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+            cz_index(path)
+        assert cz_nullity(path) == 2
 
 
 class TestParity:
@@ -467,6 +484,25 @@ class TestOneScanPerPath:
         capsys.readouterr()
         assert full[0] == 1
 
+    @pytest.mark.parametrize("rates", ["2.3,0.7", "2,4/3", "1,3/2,2"])
+    def test_one_endpoint_kernel_decision(self, rates, monkeypatch, capsys):
+        # cz_index, morse_index_from_path and cz_nullity read one decision
+        # of ker(Gamma(1) - I): one SVD of that matrix per cz run
+        path = rotation_path([float(Fraction(r)) for r in rates.split(",")])
+        end = path(1.0) - np.eye(path.dim)
+        svd = np.linalg.svd
+        decided = [0]
+
+        def counting(a, *args, **kwargs):
+            decided[0] += a.ndim == 2 and np.array_equal(a, end)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert main(["cz", "--rotation", rates]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert decided[0] == 1
+        assert out["nullity"] == 2 * sum(Fraction(r).denominator == 1 for r in rates.split(","))
+
 
 def _plane_one_alpha_path():
     """Linearized degree-1.5 flow along the plane-1 orbit of perturbed E(1,2)."""
@@ -522,7 +558,7 @@ class TestLadderRungs:
     def test_rung_matches_closed_form(self, name, eps):
         rung = cz._perturbed(LADDER_PATHS[name](), eps)
         rates = [r - eps / (2.0 * np.pi) for r in LADDER_RATES[name]]
-        assert cz._index_regular(rung, DEFAULT_GRID) == _closed_form(rates)[0]
+        assert cz._index_regular(rung) == _closed_form(rates)[0]
 
 
 class TestGridRefusal:
@@ -560,7 +596,7 @@ def _angle_path(f):
         c, s = np.cos(th), np.sin(th)
         return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
-    return SymplecticPath(dim=2, kind="sampled", eval_batch=_eval)
+    return SymplecticPath(dim=2, eval_batch=_eval)
 
 
 def _spy_rungs(monkeypatch):
@@ -613,7 +649,7 @@ class TestRegularCrossingRule:
     @pytest.mark.parametrize("name", sorted(LADDER_PATHS))
     def test_rule_matches_ladder(self, name):
         path = LADDER_PATHS[name]()
-        assert cz._index_regular(path, DEFAULT_GRID) == cz._ladder_index(path, DEFAULT_GRID)
+        assert cz._index_regular(path) == cz._ladder_index(path)
 
     def test_no_rung_on_regular_paths(self, monkeypatch, capsys):
         built = _spy_rungs(monkeypatch)
@@ -638,7 +674,7 @@ class TestRegularCrossingRule:
         # that crossing, and the index is 1 + 1
         path = block_compose([rotation_path([1.0]), _angle_path(lambda t: 2 * t - t * t)])
         with pytest.raises(cz.DegenerateCrossingError, match="t = 1"):
-            cz._index_regular(path, DEFAULT_GRID)
+            cz._index_regular(path)
         built = _spy_rungs(monkeypatch)
         assert cz_index(path) == 2
         assert built
@@ -649,4 +685,4 @@ class TestRegularCrossingRule:
             [rotation_path([1.6]), _angle_path(lambda t: 1 - (1 - 1.6 * t) ** 3)]
         )
         with pytest.raises(cz.DegenerateCrossingError):
-            cz._index_regular(path, DEFAULT_GRID)
+            cz._index_regular(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from reeb_spectra import conley_zehnder as cz
 from reeb_spectra import dynamics
 from reeb_spectra.bodies import ConvexBody
 from reeb_spectra.dynamics import (
@@ -284,6 +285,44 @@ class TestMonodromy:
         orbit = ClosedOrbit(initial_point=z, period=tau, residual=0.0)
         monodromy_and_index(body, orbit, alpha=1.5)
         assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == (2, 0, 1)
+
+    def test_nullity_is_the_endpoint_kernel_of_the_index(self, monkeypatch):
+        # the nullity is the endpoint kernel cz_index decided on the
+        # degree-alpha path; no SVD of N - I is taken
+        from reeb_spectra.dynamics import ClosedOrbit
+
+        orbit = ClosedOrbit(initial_point=surface_point(E12, [1.0, 0.0, 0.0, 0.0]),
+                            period=2.0, residual=0.0)
+        paths, small = [], []
+        index, svd = cz.cz_index, np.linalg.svd
+
+        def spy_index(path):
+            paths.append(path)
+            return index(path)
+
+        def spy_svd(a, *args, **kwargs):
+            small.append(a.shape == (2, 2))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(cz, "cz_index", spy_index)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monodromy_and_index(E12, orbit, alpha=1.5)
+        assert not any(small)
+        assert orbit.nullity == paths[0]._scan.endpoint[0] == 3
+
+    def test_unstable_endpoint_kernel_keeps_the_orbit(self):
+        # on near-round E(1, 1 + 1e-9, 1 + 2e-8) the return block's singular
+        # values 1.3e-7 and 6.3e-9 split ker(Gamma_alpha(1) - I) with no clear
+        # gap: the index comes from the eps ladder, and the nullity from the
+        # same kernel, counted at TOL_KER with a warning
+        from reeb_spectra.dynamics import ClosedOrbit
+
+        body = ConvexBody(a=[1.0, 1 + 1e-9, 1 + 2e-8], alpha=1.5, validate=False)
+        orbit = ClosedOrbit(initial_point=surface_point(body, [1.0, 0, 0, 0, 0, 0]),
+                            period=1.0, residual=0.0)
+        with pytest.warns(UserWarning, match="unstable"):
+            monodromy_and_index(body, orbit, alpha=1.5)
+        assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == (3, 0, 3)
 
     def test_reuses_the_polished_monodromy(self, monkeypatch):
         from reeb_spectra.dynamics import ClosedOrbit

@@ -74,10 +74,6 @@ class TestRotationPath:
         with pytest.raises(ValueError):
             rotation_path([np.inf])
 
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            rotation_path([1.0], total_time=0.0)
-
 
 class TestBlockCompose:
     def test_empty_rejected(self):
@@ -109,7 +105,6 @@ class TestPathOps:
         with pytest.raises(ValueError):
             SymplecticPath(
                 dim=2,
-                kind="sampled",
                 eval_batch=lambda ts: np.broadcast_to(2 * np.eye(2), (len(ts), 2, 2)).copy(),
             )
 
