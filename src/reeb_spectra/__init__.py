@@ -1,6 +1,6 @@
 """Action spectra, spectral invariants and Besse/Zoll certificates for
 convex contact spheres: exact ellipsoid engines, Conley-Zehnder index
-computation by crossing counting, Clarke-dual systole minimization, closed
+computation by an eigen-angle count, Clarke-dual systole minimization, closed
 orbit shooting, and Bott-index bookkeeping for Zoll geodesic flows."""
 
 from .bodies import ConvexBody

@@ -61,10 +61,10 @@ class SymplecticPath:
     """Path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I.
 
     The batch evaluator maps a (T,) array of times to a (T, 2n, 2n) stack;
-    scalar evaluation goes through __call__.  The crossing counter keeps what
-    it decides on the path in _scan: Gamma at the grid times, the singular
-    values of Gamma - I there, the crossing candidates and the endpoint
-    kernel, so the grid is evaluated and scanned once per path.
+    scalar evaluation goes through __call__.  The index count keeps what it
+    decides on the path in _scan: the eigen-angles of the graph's Souriau
+    map at the grid times, their unwrapped sum, the grid's cell bounds and
+    the endpoint kernel, so the grid is evaluated and counted once per path.
     """
 
     dim: int

@@ -1,21 +1,17 @@
 import json
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize_scalar
 
 from reeb_spectra import conley_zehnder as cz
 from reeb_spectra.cli import main
 from reeb_spectra.conley_zehnder import (
     DEFAULT_GRID,
-    TOL_CROSS,
     UnresolvedCrossingError,
-    crossing_records,
     cz_index,
     cz_nullity,
     morse_index_from_path,
@@ -168,17 +164,18 @@ class TestMorseIndexFromPath:
         # E(1,2) at tau = 2: rates (2, 1); ind = 2 sum(ceil(tau/a_h) - 1) = 2
         assert morse_index_from_path(rotation_path([2.0, 1.0])) == 2
 
-    def test_degenerate_ramp_raises(self, monkeypatch):
+    def test_simultaneous_block_crossings(self):
+        # rates 2 and 4 cross together at t = 1/2, with a kernel of dim 4
+        path = block_compose([rotation_path([2.0]), rotation_path([4.0])])
+        assert morse_index_from_path(path) == 2 + 2 + 4
+
+    def test_degenerate_ramp_raises(self):
+        # the shear is singular at every grid point: its kernel angle is 0
         def shear(ts):
             out = np.broadcast_to(np.eye(2), (len(ts), 2, 2)).copy()
             out[:, 0, 1] = -0.8 * np.asarray(ts)
             return out
 
-        # the guard reads the path's grid, so no crossing is searched for
-        def spy(*args):
-            raise AssertionError("the scan ran before the guard")
-
-        monkeypatch.setattr(cz, "_scan_interval", spy)
         path = SymplecticPath(dim=2, eval_batch=shear)
         with pytest.raises(UnresolvedCrossingError, match="positive fraction"):
             morse_index_from_path(path)
@@ -210,13 +207,14 @@ class TestNullity:
             cz_nullity(path)
 
     def test_unstable_kernel_is_counted(self):
-        # singular values 3.1e-8 (twice) over 6.3e-9 (twice) straddle TOL_KER
-        # with no clear gap: cz_index takes the eps ladder, and the nullity is
-        # the count at TOL_KER, with a warning, not an error
+        # eigen-angles 3.1e-8 (twice) over 6.3e-9 (twice) straddle TOL_KER
+        # with no clear gap: the nullity is the count at TOL_KER, with a
+        # warning, not an error, and the index counts the same kernel at
+        # 2 pi: 3 + 3
         path = rotation_path([1 + 5e-9, 2 + 1e-9])
         with pytest.warns(UserWarning, match="unstable"):
             assert cz_nullity(path) == 2
-        assert cz_index(path) == 4
+        assert cz_index(path) == 6
 
     def test_needs_no_grid(self):
         # a path too fast for the grid is refused by the index, not the nullity
@@ -301,22 +299,6 @@ class TestAlphaModelPaths:
             assert cz_nullity(path) == 2 * m - 1
 
 
-class TestCrossingRecords:
-    def test_times_increasing_and_kernel_dims(self):
-        recs = crossing_records(rotation_path([2.5]))
-        assert [round(r.time, 6) for r in recs] == [0.4, 0.8]
-        assert all(r.kernel_dim == 2 for r in recs)
-        assert all(r.signature == 2 for r in recs)
-
-    def test_simultaneous_block_crossings(self):
-        # rates 2 and 4 cross together at t = 1/2
-        recs = crossing_records(block_compose([rotation_path([2.0]), rotation_path([4.0])]))
-        times = sorted(round(r.time, 6) for r in recs)
-        assert times == [0.25, 0.5, 0.75]
-        mid = [r for r in recs if abs(r.time - 0.5) < 1e-9][0]
-        assert mid.kernel_dim == 4
-
-
 # rates in (-3.5, 3.5): half of them integers or half-integers, the rest
 # generic and at least 1e-3 from an integer; zero is left out, since an
 # identity block is singular on the whole grid and has no isolated crossings
@@ -347,46 +329,6 @@ class TestClosedForms:
         assert cz_nullity(path) == 2 * sum(float(r).is_integer() for r in rates)
 
 
-def _reference_root(path, a, b):
-    """Per-bracket brentq on det(Gamma - I); where det noise on a flat zero
-    defeats it, the singular-value dip locates the crossing instead."""
-    eye = np.eye(path.dim)
-    try:
-        return brentq(lambda t: float(np.linalg.det(path(t) - eye)), a, b,
-                      xtol=1e-14, rtol=8.9e-16)
-    except (ValueError, RuntimeError):
-        return _reference_dip(path, a, b)[0]
-
-
-def _reference_dip(path, a, b):
-    """Per-bracket bounded minimization of the smallest singular value,
-    then the parabola polish on its square, one time at a time."""
-    eye = np.eye(path.dim)
-
-    def s(t):
-        return float(np.linalg.svd(path(t) - eye, compute_uv=False)[-1])
-
-    res = minimize_scalar(s, bounds=(a, b), method="bounded", options={"xatol": 1e-13})
-    t_star, s_star = float(res.x), float(res.fun)
-    h = min(1e-6, 0.25 * (b - a))
-    margin = b - a
-    for _ in range(8):
-        if h < 1e-13:
-            break
-        lo, hi = t_star - h, t_star + h
-        if lo > a - margin and hi < b + margin:
-            s_m, s_0, s_p = s(lo) ** 2, s_star**2, s(hi) ** 2
-            denom = s_p - 2.0 * s_0 + s_m
-            if denom > 0:
-                t_new = t_star - 0.5 * h * (s_p - s_m) / denom
-                if a - margin < t_new < b + margin:
-                    s_new = s(t_new)
-                    if s_new < s_star:
-                        t_star, s_star = t_new, s_new
-        h *= 0.1
-    return t_star, s_star
-
-
 def _twist(tau, alpha):
     z0 = np.array([1 / np.sqrt(np.pi), 0.0, 0.0, 0.0])
     return ellipsoid_alpha_path([1.0, 2.0], z0, tau, alpha)
@@ -411,35 +353,41 @@ REFERENCE_PATHS = {
 }
 
 
-class TestBatchedRefiners:
-    """The batched refiners find the crossing times that per-bracket scipy
-    refinement finds, on the brackets of the top-level grid."""
+def _souriau_polynomial(G: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial of M = W(0)* W(Gamma), from the complex
+    Souriau map W = (X + iY)(X - iY)^{-1} of the frame [I; Gamma] of
+    Gr Gamma, in the Darboux coordinates q = (y(z), x(w)), p = (x(z), y(w))
+    of (-omega) + omega: the definition, independent of the Cayley chart."""
+
+    def souriau(G):
+        z, w = np.eye(len(G)), G
+        X = np.vstack([z[1::2], w[0::2]])
+        Y = np.vstack([z[0::2], w[1::2]])
+        return (X + 1j * Y) @ np.linalg.inv(X - 1j * Y)
+
+    return np.poly(souriau(np.eye(len(G))).conj().T @ souriau(G))
+
+
+class TestChartAngles:
+    """The Cayley chart's eigen-angles are those of the Souriau map M."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_PATHS))
-    def test_match_scalar_reference(self, name):
+    def test_match_souriau_map(self, name):
         path = REFERENCE_PATHS[name]()
-        ts = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
-        diff = path.evaluate_batch(ts) - np.eye(path.dim)
-        dets = np.linalg.det(diff)
-        smin = np.linalg.svd(diff, compute_uv=False)[:, -1]
+        mats = path.evaluate_batch(np.linspace(0.0, 1.0, 65))
+        for G, theta in zip(mats, cz._angles(mats)):
+            assert np.abs(np.poly(np.exp(1j * theta)) - _souriau_polynomial(G)).max() < 1e-9
 
-        sign = np.sign(dets)
-        i = np.flatnonzero((sign[:-1] != 0) & (sign[:-1] * sign[1:] < 0))
-        roots = cz._refine_sign_changes(path, ts[i], ts[i + 1], dets[i], dets[i + 1])
-        ref_roots = [_reference_root(path, ts[k], ts[k + 1]) for k in i]
-        assert np.abs(roots - ref_roots).max(initial=0.0) <= 1e-12
+    def test_random_symplectic_matrices(self):
+        from scipy.linalg import expm
 
-        mid = smin[1:-1]
-        j = 1 + np.flatnonzero((mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.2))
-        t_dip, s_dip = cz._refine_dips(path, ts[j - 1], ts[j + 1], smin[j - 1], smin[j + 1])
-        ref = np.array([_reference_dip(path, ts[k - 1], ts[k + 1]) for k in j]).reshape(-1, 2)
-        accepted = s_dip < TOL_CROSS
-        assert np.array_equal(accepted, ref[:, 1] < TOL_CROSS)
-        assert np.abs(t_dip[accepted] - ref[accepted, 0]).max(initial=0.0) <= 1e-12
-
-        assert len(roots) + np.count_nonzero(accepted) > 0
-        if name.startswith("twist"):
-            assert len(roots) > 0  # the twist exercises the sign-change refiner
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            H = rng.normal(size=(2 * n, 2 * n))
+            G = expm(standard_J(n) @ (H + H.T))
+            theta = cz._angles(G[None])[0]
+            assert np.abs(np.poly(np.exp(1j * theta)) - _souriau_polynomial(G)).max() < 1e-9
 
 
 class TestOneScanPerPath:
@@ -447,9 +395,8 @@ class TestOneScanPerPath:
 
     @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 1)])
     def test_grid_evaluations(self, rates, scans, monkeypatch, capsys):
-        # "2,4/3" ends on a singular endpoint whose crossing form is
-        # non-degenerate: the index and the Morse index read the path's one
-        # grid, and no eps-ladder rung is built
+        # "2,4/3" ends on a singular endpoint: the index and the Morse index
+        # read the path's one grid
         evaluate = SymplecticPath.evaluate_batch
         calls, depth = [0], [0]
 
@@ -469,35 +416,19 @@ class TestOneScanPerPath:
         capsys.readouterr()
         assert calls[0] == scans
 
-    def test_one_full_grid_svd(self, monkeypatch, capsys):
-        # the resonant path's index and Morse index read its one grid; its
-        # crossing forms are non-degenerate, so no ladder rung is built
-        svd = np.linalg.svd
-        full = [0]
-
-        def counting(a, *args, **kwargs):
-            full[0] += a.ndim == 3 and len(a) == DEFAULT_GRID + 1
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        assert main(["cz", "--rotation", "1,3/2,2"]) == 0
-        capsys.readouterr()
-        assert full[0] == 1
-
     @pytest.mark.parametrize("rates", ["2.3,0.7", "2,4/3", "1,3/2,2"])
     def test_one_endpoint_kernel_decision(self, rates, monkeypatch, capsys):
         # cz_index, morse_index_from_path and cz_nullity read one decision
-        # of ker(Gamma(1) - I): one SVD of that matrix per cz run
-        path = rotation_path([float(Fraction(r)) for r in rates.split(",")])
-        end = path(1.0) - np.eye(path.dim)
-        svd = np.linalg.svd
+        # of ker(Gamma(1) - I): the eigen-angles of M(1) are computed once
+        # per cz run
+        angles = cz._angles
         decided = [0]
 
-        def counting(a, *args, **kwargs):
-            decided[0] += a.ndim == 2 and np.array_equal(a, end)
-            return svd(a, *args, **kwargs)
+        def counting(mats):
+            decided[0] += len(mats) == 1
+            return angles(mats)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(cz, "_angles", counting)
         assert main(["cz", "--rotation", rates]) == 0
         out = json.loads(capsys.readouterr().out)
         assert decided[0] == 1
@@ -518,11 +449,13 @@ def _plane_one_alpha_path():
 
 
 LADDER_PATHS = {
+    "resonant-1": lambda: rotation_path([1.0]),
+    "resonant-1,2": lambda: rotation_path([1.0, 2.0]),
+    "resonant-2,3/2": lambda: rotation_path([2.0, 1.5]),
     "resonant-2": lambda: rotation_path([2.0]),
     "resonant-1,3/2,2": lambda: rotation_path([1.0, 1.5, 2.0]),
     "resonant-2,4/3": lambda: rotation_path([2.0, 4.0 / 3.0]),
-    # the slow block crosses DIP_LEVEL over many grid points, where the
-    # eps term of the bound decides the window
+    # a slow block next to a resonant one
     "resonant-slow-2,1/20": lambda: rotation_path([2.0, 0.05]),
     "negative-2,3": lambda: rotation_path([-2.0, 3.0]),
     "negative-3/2,1": lambda: rotation_path([-1.5, 1.0]),
@@ -550,27 +483,32 @@ LADDER_RATES = {
 
 
 class TestLadderRungs:
-    """An eps-ladder rung of a rotation path turns every block back by
-    eps / 2 pi: its index is the closed form at the rates r - eps / 2 pi."""
+    """A backward-rotated rung R(-eps t) Gamma(t) of a rotation path turns
+    every block back by eps / 2 pi: its index is the closed form at the
+    rates r - eps / 2 pi."""
 
-    @pytest.mark.parametrize("eps", cz.EPS_SEQUENCE)
+    @pytest.mark.parametrize("eps", (3e-3, 1e-3, 1e-4, 1e-5))
     @pytest.mark.parametrize("name", sorted(LADDER_RATES))
     def test_rung_matches_closed_form(self, name, eps):
         rung = cz._perturbed(LADDER_PATHS[name](), eps)
         rates = [r - eps / (2.0 * np.pi) for r in LADDER_RATES[name]]
-        assert cz._index_regular(rung) == _closed_form(rates)[0]
+        assert cz_index(rung) == _closed_form(rates)[0]
 
 
 class TestGridRefusal:
-    """A path that moves too far per grid cell can hide crossings between
-    grid points; it is refused instead of miscounted."""
+    """A grid cell whose eigen-angles may move pi or more in sum could hide
+    a turn from the unwrap; it is cut, and a path whose cell bound says
+    nothing (saturated at pi) is refused instead of miscounted."""
 
     def test_fastest_resolved_rotation(self):
-        path = rotation_path([130.5])
-        assert cz_index(path) == 2 * 130 + 1
-        assert morse_index_from_path(path) == 2 * 130
+        # a rotation cell saturates the bound from 2048 asin(1 / 2 sqrt 2) / pi
+        # = 235.6 turns on; below that, cut cells answer any n
+        for rates in ([130.5], [131.5], [164.5], [165.5], [88.5, 88.5], [235.5], [235.5] * 2):
+            path = rotation_path(rates)
+            assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
+        assert len(path._scan.times) > DEFAULT_GRID + 1
 
-    @pytest.mark.parametrize("rates", ["131.5", "1000.5", "1,1e6"])
+    @pytest.mark.parametrize("rates", ["236", "1,236", "1000.5", "1,1e6"])
     def test_unresolvable_rates_refused(self, rates, capsys):
         path = rotation_path([float(r) for r in rates.split(",")])
         with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
@@ -599,21 +537,10 @@ def _angle_path(f):
     return SymplecticPath(dim=2, eval_batch=_eval)
 
 
-def _spy_rungs(monkeypatch):
-    built = []
-    perturbed = cz._perturbed
-
-    def spy(path, eps):
-        built.append(eps)
-        return perturbed(path, eps)
-
-    monkeypatch.setattr(cz, "_perturbed", spy)
-    return built
-
-
 class TestRegularCrossingRule:
-    """cz = sign(Q_0)/2 + sum of interior sign(Q_t) - n_-(Q_1) on paths with
-    regular crossings, the eps ladder only where a form is degenerate."""
+    """The count gives the closed forms next to a singular endpoint, and its
+    value is that of a backward-rotated rung R(-eps t) Gamma(t): the lower
+    semicontinuous index."""
 
     @pytest.mark.parametrize("base", SWEEP_BASES, ids=str)
     def test_near_endpoint_sweep(self, base):
@@ -639,8 +566,8 @@ class TestRegularCrossingRule:
         ("1.5,1.49999999", (6, 4)), ("1.5,3.00000001", (10, 8)),
     ])
     def test_crossings_closer_than_1e8(self, rates, expected, capsys):
-        # two blocks cross within 1e-8 of each other (or of t = 1) with
-        # orthogonal kernels: two crossings, not one
+        # two blocks cross within 1e-8 of each other (or of t = 1): two
+        # crossings, not one
         assert _closed_form([float(r) for r in rates.split(",")]) == expected
         assert main(["cz", "--rotation", rates]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -649,40 +576,109 @@ class TestRegularCrossingRule:
     @pytest.mark.parametrize("name", sorted(LADDER_PATHS))
     def test_rule_matches_ladder(self, name):
         path = LADDER_PATHS[name]()
-        assert cz._index_regular(path) == cz._ladder_index(path)
+        assert cz_index(path) == cz_index(cz._perturbed(path, 1e-3))
 
-    def test_no_rung_on_regular_paths(self, monkeypatch, capsys):
-        built = _spy_rungs(monkeypatch)
-        assert main(["cz", "--rotation", "1,3/2,2"]) == 0
-        assert json.loads(capsys.readouterr().out)["cz_index"] == 7
-        assert cz_index(_plane_one_alpha_path()) == 2
-        assert built == []
-
-    @pytest.mark.parametrize("rates,expected", [([0.0, 1.0], 0), ([1.0, 0.0, 2.0], 1),
+    @pytest.mark.parametrize("rates,expected", [([0.0, 1.0], 0), ([1.0, 0.0, 2.0], 3),
                                                 ([0.0], -1)])
-    def test_identity_blocks_take_the_ladder(self, rates, expected, monkeypatch):
-        # an identity block makes the form at t = 0 degenerate
-        built = _spy_rungs(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert cz_index(rotation_path(rates)) == expected
-        assert built
+    def test_identity_blocks(self, rates, expected):
+        # an identity block's angles sit at 0 throughout and count -1 each:
+        # (1, 0, 2) gives 1 - 1 + 3, as block additivity does
+        assert cz_index(rotation_path(rates)) == expected
 
-    def test_degenerate_endpoint_form_takes_the_ladder(self, monkeypatch):
-        # the second block reaches the full turn with zero speed, so Q_1 is
-        # singular on its half of the kernel; the backward rotation removes
-        # that crossing, and the index is 1 + 1
+    def test_degenerate_endpoint_form(self):
+        # the second block reaches the full turn with zero speed; the
+        # backward rotation removes that crossing, and the index is 1 + 1
         path = block_compose([rotation_path([1.0]), _angle_path(lambda t: 2 * t - t * t)])
-        with pytest.raises(cz.DegenerateCrossingError, match="t = 1"):
-            cz._index_regular(path)
-        built = _spy_rungs(monkeypatch)
-        assert cz_index(path) == 2
-        assert built
+        assert cz_index(path) == cz_index(cz._perturbed(path, 1e-3)) == 2
+        assert (morse_index_from_path(path), cz_nullity(path)) == (0, 4)
 
-    def test_degenerate_interior_form_is_refused_by_the_rule(self):
-        # both blocks cross at t = 0.625, the second one at an inflection
+    def test_masked_crossing_at_an_inflection(self):
+        # both blocks cross at t = 0.625, the second one at an inflection,
+        # under the first block's small singular value: 3 + 3
         path = block_compose(
             [rotation_path([1.6]), _angle_path(lambda t: 1 - (1 - 1.6 * t) ** 3)]
         )
-        with pytest.raises(cz.DegenerateCrossingError):
-            cz._index_regular(path)
+        assert (cz_index(path), morse_index_from_path(path)) == (6, 4)
+
+
+class TestMaskedCrossings:
+    """A slow block's small singular value 2 sin(pi s t) does not hide a
+    faster block's crossing from the eigen-angle count, and a slow block
+    leaving t = 0 backwards, within TOL_KER of 0 for some grid points, is
+    no interior crossing."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("s", [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6])
+    @pytest.mark.parametrize("b", [1.5, 2.5, 1.3, 3.7])
+    def test_slow_block_sweep(self, b, s, sign):
+        rates = [b, sign * s]
+        path = rotation_path(rates)
+        assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
+
+    @pytest.mark.parametrize("rates,expected", [([-1e-6], (-1, 0)), ([2.5, -1e-6], (4, 4)),
+                                                ([-3e-7, 1.5], (2, 2))])
+    def test_slow_block_leaving_backwards(self, rates, expected):
+        path = rotation_path(rates)
+        assert _closed_form(rates) == expected
+        assert (cz_index(path), morse_index_from_path(path)) == expected
+
+    @pytest.mark.parametrize("rates,expected", [("3.7,0.003", (8, 6)), ("1.5,0.0003", (4, 2)),
+                                                ("2.5,0.000001", (6, 4))])
+    def test_cli(self, rates, expected, capsys):
+        assert main(["cz", "--rotation", rates]) == 0
+        out = capsys.readouterr()
+        assert (json.loads(out.out)["cz_index"], json.loads(out.out)["morse_index"]) == expected
+        assert out.err == ""
+
+
+class TestChartPoles:
+    def test_exact_minus_identity_on_the_grid(self):
+        # Gamma(1/2) + I is exactly singular, so the chart at that grid
+        # point is taken at a turned pole
+        def turn(ts):
+            out = _angle_path(lambda t: t).evaluate_batch(ts)
+            out[np.asarray(ts) == 0.5] = -np.eye(2)
+            return out
+
+        path = SymplecticPath(dim=2, eval_batch=turn)
+        assert np.array_equal(path(0.5), -np.eye(2))
+        assert (cz_index(path), morse_index_from_path(path), cz_nullity(path)) == (1, 0, 2)
+
+    def test_conjugated_endpoint_at_minus_one(self):
+        # Gamma(1) = P^-1 diag(I, R(pi)) P: the chart with its pole at -1 is
+        # ill conditioned there, and the kernel is read at a turned pole
+        path = conjugate_path(block_compose([rotation_path([2.0]), rotation_path([0.5])]), _P)
+        assert (cz_index(path), morse_index_from_path(path), cz_nullity(path)) == (4, 2, 2)
+
+
+class TestCutCells:
+    # conjugated rotation paths (cond P of 34-82) whose Gamma moves enough
+    # per grid cell that the bound needs cut cells; the crossing counter
+    # answered all but (2, 1/2), which it refused
+    @pytest.mark.parametrize("rates,seed", [([2.5, -1.5], 6), ([3.2, -0.4], 3),
+                                            ([2.0, 0.5], 6), ([2.5, 0.7, -1.5], 5)])
+    def test_conjugated_paths(self, rates, seed):
+        from scipy.linalg import expm
+
+        n = len(rates)
+        H = np.random.default_rng(seed).normal(size=(2 * n, 2 * n)) * 0.5
+        path = conjugate_path(rotation_path(rates), expm(standard_J(n) @ (H + H.T)))
+        assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
+        assert cz_nullity(path) == 2 * sum(float(r).is_integer() for r in rates)
+        assert len(path._scan.times) > DEFAULT_GRID + 1
+
+
+class TestPositivePaths:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_morse_is_cz_minus_n(self, seed):
+        # products and symplectic conjugates of positive rotation paths are
+        # positive paths, whose crossings are all positive
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        H = rng.normal(size=(2 * n, 2 * n)) * 0.3
+        P = expm(standard_J(n) @ (H + H.T))
+        first = conjugate_path(rotation_path(rng.uniform(0.1, 3.0, size=n)), P)
+        path = path_product(first, rotation_path(rng.uniform(0.1, 3.0, size=n)))
+        assert morse_index_from_path(path) == cz_index(path) - n

@@ -311,13 +311,14 @@ class TestMonodromy:
         assert orbit.nullity == paths[0]._scan.endpoint[0] == 3
 
     def test_unstable_endpoint_kernel_keeps_the_orbit(self):
-        # on near-round E(1, 1 + 1e-9, 1 + 2e-8) the return block's singular
-        # values 1.3e-7 and 6.3e-9 split ker(Gamma_alpha(1) - I) with no clear
-        # gap: the index comes from the eps ladder, and the nullity from the
-        # same kernel, counted at TOL_KER with a warning
+        # on near-round E(1, 1 + 1e-9, 1 + 5e-9) the return block's angles
+        # 3.1e-8 and 6.3e-9 split ker(Gamma_alpha(1) - I) with no clear gap:
+        # the nullity is counted at TOL_KER with a warning, and the index
+        # counts the same kernel.  The Reeb shear (pi here) does not scale
+        # the kernel test, which counted 5 when it did
         from reeb_spectra.dynamics import ClosedOrbit
 
-        body = ConvexBody(a=[1.0, 1 + 1e-9, 1 + 2e-8], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 1 + 1e-9, 1 + 5e-9], alpha=1.5, validate=False)
         orbit = ClosedOrbit(initial_point=surface_point(body, [1.0, 0, 0, 0, 0, 0]),
                             period=1.0, residual=0.0)
         with pytest.warns(UserWarning, match="unstable"):
