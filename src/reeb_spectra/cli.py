@@ -324,7 +324,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_cz(args) -> int:
-    from .conley_zehnder import DEFAULT_GRID, cz_index, cz_nullity, morse_index_from_path
+    from .conley_zehnder import cz_index, cz_nullity, grid_cells, morse_index_from_path
     from .symplectic import rotation_path
 
     rates = [float(_parse_value(t)) for t in args.rotation.split(",") if t.strip()]
@@ -335,7 +335,7 @@ def cmd_cz(args) -> int:
         "cz_index": index,
         "morse_index": morse_index_from_path(path),
         "nullity": cz_nullity(path),
-        "meta": _meta(False, grid=DEFAULT_GRID, normalization="cz(e^{2 pi J t}) = 1"),
+        "meta": _meta(False, grid=grid_cells(path), normalization="cz(e^{2 pi J t}) = 1"),
     }
     _emit(payload, [payload], {}, args)
     return EXIT_OK

@@ -25,20 +25,27 @@ grid, Theta(0) = 0, the net number of crossings up to t_i is
   cell and where opposite ones may cancel in F.
 - `cz_nullity` = k, the number of angles of M(1) within TOL_KER of 0.
 
-Each path is evaluated once on a grid of DEFAULT_GRID cells, kept on the
-path (one `_Scan`).  The unwrap is exact while the angles move less than pi
-in sum per cell.  In a cell |dM| <= 2 sqrt(2) |dGamma|_2, as the complex
-frame Z of [I; Gamma] has Z* Z = I + Gamma^T Gamma >= I, and matched
-eigenvalues of unitary matrices move by at most |dM| (Bhatia-Davis, 1984):
-each angle moves at most 2 arcsin(sqrt(2) b), b = sqrt(|dGamma^T dGamma|_1)
->= |dGamma|_2, exact on rotation blocks (|dGamma|_2 itself where 2n times
-that reaches pi).  A cell where it still does is cut; a path with a cell
-where the bound says nothing (sqrt(2) b >= 1), or a cut cell where it still
-reaches pi, is refused (UnresolvedCrossingError).
+Each path is evaluated once on a grid, kept on the path (one `_Scan`).  The
+unwrap is exact while the angles move less than pi in sum per cell.  In a
+cell |dM| <= 2 sqrt(2) |dGamma|_2, as the complex frame Z of [I; Gamma] has
+Z* Z = I + Gamma^T Gamma >= I, and matched eigenvalues of unitary matrices
+move by at most |dM| (Bhatia-Davis, 1984): each angle moves at most
+2 arcsin(sqrt(2) b) for b >= |dGamma|_2.  The path's `speed` L bounds
+|Gamma'|_2, so N = ceil(sqrt(2) L / sin(pi / 4 dim)) equal cells hold the
+sum over the dim angles to pi / 2, half the limit (`_cells`; at least
+MIN_CELLS, and a path needing more than MAX_CELLS is refused with
+ValueError before it is evaluated).  A declared speed may be sampled, not
+proved, so every cell is still checked with b = sqrt(|dGamma^T dGamma|_1),
+exact on rotation blocks (|dGamma|_2 itself where 2n times that reaches
+pi).  A cell where it still does is cut; a path with a cell where the bound
+says nothing (sqrt(2) b >= 1), or a cut cell where it still reaches pi, is
+refused (UnresolvedCrossingError).  A speed understated so far that Gamma
+returns to where it was over every cell cannot be seen on the grid.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,13 +53,17 @@ import numpy as np
 
 from .symplectic import SymplecticPath, apply_J, path_product, rotation_path, standard_J
 
-DEFAULT_GRID = 2048
 TOL_KER = 1e-8
 # a kernel is unstable when the next angle is within KERNEL_GAP times its
 # largest and below KERNEL_MARGIN * TOL_KER (`_endpoint_split`)
 KERNEL_GAP, KERNEL_MARGIN = 100.0, 10.0
 CHART_CAP = 1e3  # of a Cayley chart's |eigenvalues| (`_charts`)
 SINGULAR_FRACTION = 0.2  # of grid points, above which crossings are not isolated
+# t = 0 and a singular endpoint together stay within SINGULAR_FRACTION of the grid
+MIN_CELLS = math.ceil(2 / SINGULAR_FRACTION)
+# of a grid, 38 MB per stack of its 6x6 matrices; a path needing more is refused
+# before it is evaluated
+MAX_CELLS = 2**17
 TOL_EIG = 1e-8  # relative, to the real axis and to 1, for `parity`
 TWO_PI = 2.0 * np.pi
 
@@ -137,6 +148,15 @@ def _cell_bounds(mats: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(2.0) * b))
 
 
+def _cells(path: SymplecticPath) -> int:
+    """Cells of the path's grid, sized from its speed as the module says."""
+    cells = max(MIN_CELLS, math.ceil(np.sqrt(2.0) * path.speed / np.sin(np.pi / (4 * path.dim))))
+    if cells > MAX_CELLS:
+        raise ValueError(f"a path of speed {path.speed:.3g} needs a grid of {cells} cells, "
+                         f"more than the {MAX_CELLS} a grid may hold")
+    return cells
+
+
 def _grid(path: SymplecticPath) -> _Scan:
     """The path's scan with its grid times, angles, winding and cell bounds,
     evaluated once, cells cut or the path refused as the module says.
@@ -149,7 +169,7 @@ def _grid(path: SymplecticPath) -> _Scan:
     """
     g = _scan(path)
     if g.angles is None:
-        ts = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
+        ts = np.linspace(0.0, 1.0, _cells(path) + 1)
         mats = path.evaluate_batch(ts)
         bounds = _cell_bounds(mats)
         cells = np.flatnonzero(path.dim * bounds >= np.pi)
@@ -163,8 +183,9 @@ def _grid(path: SymplecticPath) -> _Scan:
             bounds = _cell_bounds(mats)
         if path.dim * bounds.max() >= np.pi:
             raise UnresolvedCrossingError(
-                f"path's eigen-angles may move {path.dim * bounds.max():.3g} >= pi per grid cell;"
-                f" a grid of {DEFAULT_GRID} cells, cut where needed, cannot resolve its crossings")
+                f"path's eigen-angles may move {path.dim * bounds.max():.3g} >= pi per grid cell "
+                f"on {len(ts) - 1} cells, cut where needed; its declared speed {path.speed:.3g} "
+                "understates |Gamma'|")
         angles = _angles(mats)
         near = np.abs(angles) < TOL_KER
         clear = np.flatnonzero(~near.any(axis=1))
@@ -225,10 +246,12 @@ def _cell_passages(path: SymplecticPath, g: _Scan, cells: np.ndarray, k: int) ->
 
 def cz_index(path: SymplecticPath) -> int:
     """Conley-Zehnder index of an identity-based symplectic path;
-    UnresolvedCrossingError when the grid cannot resolve the path."""
+    UnresolvedCrossingError when the grid cannot resolve the path, and
+    ValueError when its speed needs more than MAX_CELLS cells."""
+    winding = _grid(path).winding[-1]
     _, ends, _ = _endpoint_split(path)
     phi = np.where(np.abs(ends) < TOL_KER, TWO_PI, np.mod(ends, TWO_PI))  # F(1)
-    return path.dim // 2 + int(np.rint((_grid(path).winding[-1] - phi.sum()) / TWO_PI))
+    return path.dim // 2 + int(np.rint((winding - phi.sum()) / TWO_PI))
 
 
 def morse_index_from_path(path: SymplecticPath) -> int:
@@ -257,6 +280,11 @@ def morse_index_from_path(path: SymplecticPath) -> int:
     cells = np.flatnonzero(mixed)
     count[cells] = _cell_passages(path, g, cells, _endpoint_split(path)[0])
     return int(count.sum())
+
+
+def grid_cells(path: SymplecticPath) -> int:
+    """Number of grid cells the count scans on the path, cut cells included."""
+    return len(_grid(path).times) - 1
 
 
 def cz_nullity(path: SymplecticPath) -> int:

@@ -121,16 +121,22 @@ def flow_with_monodromy(
     alpha = 2 integrates the Reeb (degree-2) flow over [0, tau]; alpha in
     (1, 2) integrates the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].
     Returns (endpoint, monodromy, path) where path is a SymplecticPath on
-    [0, 1] (None unless dense=True).
+    [0, 1] (None unless dense=True).  The path's speed is span times the
+    largest |J hess H Y|_F = |Y'|_F >= |Y'|_2 over the right-hand side's own
+    evaluations: sampled at the solver's stages, not proved, so the index
+    count's cell bounds stay the guard against an understatement.
     """
     z0 = np.asarray(z0, dtype=float)
     d = body.dim
     span = tau if alpha == 2.0 else 2.0 * tau / alpha
+    peak = [0.0]  # largest |HY|_F^2 seen
 
     def rhs(t, y):
         # [J grad H, J hess H Y] written into one output; J v = (-v_2, v_1) per plane
         grad, hess = body._homogeneous_derivatives(y[:d], alpha)
         HY = hess @ y[d:].reshape(d, d)
+        if dense:
+            peak[0] = max(peak[0], np.vdot(HY, HY))
         out = np.empty_like(y)
         JHY = out[d:].reshape(d, d)
         out[:d:2], out[1:d:2] = -grad[1::2], grad[0::2]
@@ -150,7 +156,7 @@ def flow_with_monodromy(
     def _eval(ts):
         return sol.sol(np.asarray(ts) * span)[d:].T.reshape(len(ts), d, d)
 
-    return z_end, M, SymplecticPath(dim=d, eval_batch=_eval)
+    return z_end, M, SymplecticPath(dim=d, eval_batch=_eval, speed=span * np.sqrt(peak[0]))
 
 
 # -- closed-orbit shooting ---------------------------------------------------

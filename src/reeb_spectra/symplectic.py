@@ -61,19 +61,25 @@ class SymplecticPath:
     """Path Gamma: [0,1] -> Sp(2n) with Gamma(0) = I.
 
     The batch evaluator maps a (T,) array of times to a (T, 2n, 2n) stack;
-    scalar evaluation goes through __call__.  The index count keeps what it
-    decides on the path in _scan: the eigen-angles of the graph's Souriau
-    map at the grid times, their unwrapped sum, the grid's cell bounds and
-    the endpoint kernel, so the grid is evaluated and counted once per path.
+    scalar evaluation goes through __call__.  `speed` is an upper bound on
+    sup_t |Gamma'(t)|_2 over [0, 1]; the index count sizes its grid from it
+    (`conley_zehnder._cells`), and the constructors below propagate it.  The
+    count keeps what it decides on the path in _scan: the eigen-angles of
+    the graph's Souriau map at the grid times, their unwrapped sum, the
+    grid's cell bounds and the endpoint kernel, so the grid is evaluated and
+    counted once per path.
     """
 
     dim: int
     eval_batch: Callable[[np.ndarray], np.ndarray]
+    speed: float
     _scan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2:
             raise ValueError(f"dim must be a positive even integer, got {self.dim}")
+        if not (np.isfinite(self.speed) and self.speed >= 0):
+            raise ValueError(f"speed must be finite and non-negative, got {self.speed}")
         start = self(0.0)
         if np.abs(start - np.eye(self.dim)).max() > 1e-9:
             raise ValueError("path does not start at the identity")
@@ -93,7 +99,8 @@ class SymplecticPath:
 
 
 def rotation_path(rates: Sequence[float]) -> SymplecticPath:
-    """Block-diagonal rotation path Gamma(t) = diag_h exp(2 pi J rate_h t).
+    """Block-diagonal rotation path Gamma(t) = diag_h exp(2 pi J rate_h t),
+    of speed 2 pi max |rate_h| exactly.
 
     Angles are reduced mod one full turn before calling sin/cos, so an
     integer number of turns lands on the identity bitwise.
@@ -119,11 +126,12 @@ def rotation_path(rates: Sequence[float]) -> SymplecticPath:
             out[:, 2 * h + 1, 2 * h + 1] = c[:, h]
         return out
 
-    return SymplecticPath(dim=2 * n, eval_batch=_eval)
+    return SymplecticPath(dim=2 * n, eval_batch=_eval, speed=2.0 * np.pi * np.abs(rates_arr).max())
 
 
 def block_compose(blocks: Sequence[SymplecticPath]) -> SymplecticPath:
-    """Block-diagonal composition; dim is the sum of block dims."""
+    """Block-diagonal composition; dim is the sum of block dims, and the
+    speed the largest of the blocks'."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("block_compose needs at least one path")
@@ -138,22 +146,27 @@ def block_compose(blocks: Sequence[SymplecticPath]) -> SymplecticPath:
             out[:, off : off + b.dim, off : off + b.dim] = b.evaluate_batch(ts)
         return out
 
-    return SymplecticPath(dim=dim, eval_batch=_eval)
+    return SymplecticPath(dim=dim, eval_batch=_eval, speed=max(b.speed for b in blocks))
 
 
 def path_product(p: SymplecticPath, q: SymplecticPath) -> SymplecticPath:
-    """Pointwise product t -> p(t) q(t); used for loop shifts and perturbations."""
+    """Pointwise product t -> p(t) q(t); used for loop shifts and perturbations.
+
+    (pq)' = p'q + pq', and |p(t)|_2 <= 1 + L_p since p(0) = I: the speed is
+    L_p (1 + L_q) + (1 + L_p) L_q.
+    """
     if p.dim != q.dim:
         raise ValueError("paths must share the same dimension")
 
     def _eval(ts):
         return np.matmul(p.evaluate_batch(ts), q.evaluate_batch(ts))
 
-    return SymplecticPath(dim=p.dim, eval_batch=_eval)
+    speed = p.speed * (1.0 + q.speed) + (1.0 + p.speed) * q.speed
+    return SymplecticPath(dim=p.dim, eval_batch=_eval, speed=speed)
 
 
 def conjugate_path(path: SymplecticPath, P: np.ndarray) -> SymplecticPath:
-    """Symplectic conjugation t -> P^{-1} Gamma(t) P."""
+    """Symplectic conjugation t -> P^{-1} Gamma(t) P, of speed cond_2(P) L."""
     P = np.asarray(P, dtype=float)
     assert_symplectic(P, tol=1e-8)
     Pinv = np.linalg.inv(P)
@@ -161,4 +174,4 @@ def conjugate_path(path: SymplecticPath, P: np.ndarray) -> SymplecticPath:
     def _eval(ts):
         return np.matmul(Pinv, np.matmul(path.evaluate_batch(ts), P))
 
-    return SymplecticPath(dim=path.dim, eval_batch=_eval)
+    return SymplecticPath(dim=path.dim, eval_batch=_eval, speed=np.linalg.cond(P, 2) * path.speed)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from reeb_spectra import conley_zehnder as cz
 from reeb_spectra.cli import main
 from reeb_spectra.conley_zehnder import (
-    DEFAULT_GRID,
     UnresolvedCrossingError,
     cz_index,
     cz_nullity,
@@ -49,6 +48,8 @@ def ellipsoid_alpha_path(a, z0, tau, alpha) -> SymplecticPath:
     Independent of the dynamics module: Gamma(t) = R(t) + s(t)(alpha/2 - 1)
     w(t) (x) gradQ with R the per-plane rotations and w the radial twist
     term, derived from dphi^s of the alpha-homogeneous quadric Hamiltonian.
+    With s = k t, |Gamma'| <= k (max omega + |alpha/2 - 1| |gradQ| |w|
+    (1 + k max omega)), as |w| is constant and |w'| <= max omega |w|.
     """
     a = np.asarray(a, float)
     n = len(a)
@@ -75,7 +76,9 @@ def ellipsoid_alpha_path(a, z0, tau, alpha) -> SymplecticPath:
         out += (s * (alpha / 2 - 1.0))[:, None, None] * np.einsum("ti,j->tij", w, gradQ)
         return out
 
-    return SymplecticPath(dim=2 * n, eval_batch=_eval)
+    k, w_norm = 2 * tau / alpha, np.linalg.norm(omega_h * np.hypot(z0[0::2], z0[1::2]))
+    twist = abs(alpha / 2 - 1.0) * np.linalg.norm(gradQ) * w_norm * (1.0 + k * omega_h.max())
+    return SymplecticPath(dim=2 * n, eval_batch=_eval, speed=k * (omega_h.max() + twist))
 
 
 class TestRotationIndices:
@@ -176,7 +179,7 @@ class TestMorseIndexFromPath:
             out[:, 0, 1] = -0.8 * np.asarray(ts)
             return out
 
-        path = SymplecticPath(dim=2, eval_batch=shear)
+        path = SymplecticPath(dim=2, eval_batch=shear, speed=0.8)
         with pytest.raises(UnresolvedCrossingError, match="positive fraction"):
             morse_index_from_path(path)
 
@@ -202,7 +205,7 @@ class TestNullity:
             out[:, 1, 1] /= 1.0 + 5e-8 * np.asarray(ts)
             return out
 
-        path = SymplecticPath(dim=2, eval_batch=near_identity)
+        path = SymplecticPath(dim=2, eval_batch=near_identity, speed=1e-7)
         with pytest.warns(UserWarning, match="kernel dimension may not be converged"):
             cz_nullity(path)
 
@@ -217,9 +220,10 @@ class TestNullity:
         assert cz_index(path) == 6
 
     def test_needs_no_grid(self):
-        # a path too fast for the grid is refused by the index, not the nullity
-        path = rotation_path([1000.0])
-        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+        # a path whose grid would pass MAX_CELLS is refused by the index, not
+        # by the nullity
+        path = rotation_path([1e6])
+        with pytest.raises(ValueError, match="more than the"):
             cz_index(path)
         assert cz_nullity(path) == 2
 
@@ -391,7 +395,7 @@ class TestChartAngles:
 
 
 class TestOneScanPerPath:
-    """The cz command scans every distinct path once on the full grid."""
+    """The cz command scans every distinct path once, on the grid its speed sizes."""
 
     @pytest.mark.parametrize("rates,scans", [("2.3,0.7", 1), ("2,4/3", 1)])
     def test_grid_evaluations(self, rates, scans, monkeypatch, capsys):
@@ -403,7 +407,7 @@ class TestOneScanPerPath:
         def counting(self, ts):
             # a product path evaluates its factors inside its own call;
             # only the outermost call is one evaluation of the path
-            if depth[0] == 0 and len(ts) == DEFAULT_GRID + 1:
+            if depth[0] == 0 and len(ts) == cells + 1:
                 calls[0] += 1
             depth[0] += 1
             try:
@@ -411,9 +415,10 @@ class TestOneScanPerPath:
             finally:
                 depth[0] -= 1
 
+        cells = cz._cells(rotation_path([float(Fraction(r)) for r in rates.split(",")]))
         monkeypatch.setattr(SymplecticPath, "evaluate_batch", counting)
         assert main(["cz", "--rotation", rates]) == 0
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["meta"]["grid"] == cells
         assert calls[0] == scans
 
     @pytest.mark.parametrize("rates", ["2.3,0.7", "2,4/3", "1,3/2,2"])
@@ -496,26 +501,48 @@ class TestLadderRungs:
 
 
 class TestGridRefusal:
-    """A grid cell whose eigen-angles may move pi or more in sum could hide
-    a turn from the unwrap; it is cut, and a path whose cell bound says
-    nothing (saturated at pi) is refused instead of miscounted."""
+    """The grid is sized from the path's speed, so a fast rotation is
+    answered on a grid fine enough for it, and a rate near a multiple of
+    some fixed grid size is not mistaken for a slow one.  A path needing
+    more than MAX_CELLS cells is refused before it is evaluated."""
 
     def test_fastest_resolved_rotation(self):
-        # a rotation cell saturates the bound from 2048 asin(1 / 2 sqrt 2) / pi
-        # = 235.6 turns on; below that, cut cells answer any n
+        # rates the fixed grid of 2048 cells had to cut cells for: the exact
+        # speed of a rotation path sizes a grid that needs no cut
         for rates in ([130.5], [131.5], [164.5], [165.5], [88.5, 88.5], [235.5], [235.5] * 2):
             path = rotation_path(rates)
             assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
-        assert len(path._scan.times) > DEFAULT_GRID + 1
+            assert len(path._scan.times) == cz._cells(path) + 1
 
-    @pytest.mark.parametrize("rates", ["236", "1,236", "1000.5", "1,1e6"])
+    @pytest.mark.parametrize("rates", ["2047", "2049.5", "4095.7", "236", "1,236", "1000.5"])
+    def test_fast_and_aliased_rates(self, rates, capsys):
+        # 2047 and 2049.5 sit next to multiples of 2048, which a fixed grid
+        # of 2048 cells read as nearly still (-3/0 and 3/2, with exit 0);
+        # 236, (1, 236) and 1000.5 were beyond its reach and refused
+        values = [float(r) for r in rates.split(",")]
+        path = rotation_path(values)
+        assert (cz_index(path), morse_index_from_path(path)) == _closed_form(values)
+        assert main(["cz", "--rotation", rates]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["cz_index"], out["morse_index"]) == _closed_form(values)
+
+    @pytest.mark.parametrize("rates", ["1,1e6", "1e6", "3000,1"])
     def test_unresolvable_rates_refused(self, rates, capsys):
-        path = rotation_path([float(r) for r in rates.split(",")])
-        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+        rotation = rotation_path([float(r) for r in rates.split(",")])
+        evaluated = []
+
+        def _eval(ts):
+            evaluated.append(len(ts))
+            return rotation.eval_batch(ts)
+
+        path = SymplecticPath(dim=rotation.dim, eval_batch=_eval, speed=rotation.speed)
+        evaluated.clear()  # the constructor's check of Gamma(0)
+        with pytest.raises(ValueError, match="more than the"):
             cz_index(path)
-        with pytest.raises(UnresolvedCrossingError, match="per grid cell"):
+        with pytest.raises(ValueError, match="more than the"):
             morse_index_from_path(path)
-        assert main(["cz", "--rotation", rates]) == 1
+        assert evaluated == []
+        assert main(["cz", "--rotation", rates]) == 2
         assert capsys.readouterr().out == ""
 
 
@@ -526,15 +553,15 @@ SWEEP_BASES = ([1.0], [2.0], [1.0, 2.0], [-1.0], [1.0, 1.0], [0.5], [1.5, 1.0])
 SWEEP_DELTAS = (1e-2, 4e-3, 1e-3, 4e-4, 1e-4, 4e-5, 1e-5, 1e-6)
 
 
-def _angle_path(f):
-    """The Sp(2) path t -> exp(2 pi f(t) J)."""
+def _angle_path(f, turns):
+    """The Sp(2) path t -> exp(2 pi f(t) J), with |f'| <= turns."""
 
     def _eval(ts):
         th = 2 * np.pi * f(np.asarray(ts, dtype=float))
         c, s = np.cos(th), np.sin(th)
         return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
-    return SymplecticPath(dim=2, eval_batch=_eval)
+    return SymplecticPath(dim=2, eval_batch=_eval, speed=2 * np.pi * turns)
 
 
 class TestRegularCrossingRule:
@@ -588,7 +615,7 @@ class TestRegularCrossingRule:
     def test_degenerate_endpoint_form(self):
         # the second block reaches the full turn with zero speed; the
         # backward rotation removes that crossing, and the index is 1 + 1
-        path = block_compose([rotation_path([1.0]), _angle_path(lambda t: 2 * t - t * t)])
+        path = block_compose([rotation_path([1.0]), _angle_path(lambda t: 2 * t - t * t, 2.0)])
         assert cz_index(path) == cz_index(cz._perturbed(path, 1e-3)) == 2
         assert (morse_index_from_path(path), cz_nullity(path)) == (0, 4)
 
@@ -596,7 +623,7 @@ class TestRegularCrossingRule:
         # both blocks cross at t = 0.625, the second one at an inflection,
         # under the first block's small singular value: 3 + 3
         path = block_compose(
-            [rotation_path([1.6]), _angle_path(lambda t: 1 - (1 - 1.6 * t) ** 3)]
+            [rotation_path([1.6]), _angle_path(lambda t: 1 - (1 - 1.6 * t) ** 3, 4.8)]
         )
         assert (cz_index(path), morse_index_from_path(path)) == (6, 4)
 
@@ -636,11 +663,11 @@ class TestChartPoles:
         # Gamma(1/2) + I is exactly singular, so the chart at that grid
         # point is taken at a turned pole
         def turn(ts):
-            out = _angle_path(lambda t: t).evaluate_batch(ts)
+            out = _angle_path(lambda t: t, 1.0).evaluate_batch(ts)
             out[np.asarray(ts) == 0.5] = -np.eye(2)
             return out
 
-        path = SymplecticPath(dim=2, eval_batch=turn)
+        path = SymplecticPath(dim=2, eval_batch=turn, speed=2 * np.pi)
         assert np.array_equal(path(0.5), -np.eye(2))
         assert (cz_index(path), morse_index_from_path(path), cz_nullity(path)) == (1, 0, 2)
 
@@ -651,21 +678,93 @@ class TestChartPoles:
         assert (cz_index(path), morse_index_from_path(path), cz_nullity(path)) == (4, 2, 2)
 
 
+def _seeded_P(n, seed):
+    from scipy.linalg import expm
+
+    H = np.random.default_rng(seed).normal(size=(2 * n, 2 * n)) * 0.5
+    return expm(standard_J(n) @ (H + H.T))
+
+
+def _understated(path, fraction):
+    """The same path, declaring `fraction` of its speed."""
+    return SymplecticPath(dim=path.dim, eval_batch=path.eval_batch, speed=fraction * path.speed)
+
+
 class TestCutCells:
-    # conjugated rotation paths (cond P of 34-82) whose Gamma moves enough
-    # per grid cell that the bound needs cut cells; the crossing counter
-    # answered all but (2, 1/2), which it refused
+    """A cell the declared speed leaves too coarse is cut, or the path is
+    refused; it is never miscounted."""
+
+    # conjugated rotation paths (cond P of 34-82) that needed cut cells on
+    # the fixed grid of 2048 cells, which the crossing counter answered all
+    # but (2, 1/2) of; cond_2(P) L sizes a grid that needs none
     @pytest.mark.parametrize("rates,seed", [([2.5, -1.5], 6), ([3.2, -0.4], 3),
                                             ([2.0, 0.5], 6), ([2.5, 0.7, -1.5], 5)])
     def test_conjugated_paths(self, rates, seed):
-        from scipy.linalg import expm
-
-        n = len(rates)
-        H = np.random.default_rng(seed).normal(size=(2 * n, 2 * n)) * 0.5
-        path = conjugate_path(rotation_path(rates), expm(standard_J(n) @ (H + H.T)))
+        path = conjugate_path(rotation_path(rates), _seeded_P(len(rates), seed))
         assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
         assert cz_nullity(path) == 2 * sum(float(r).is_integer() for r in rates)
-        assert len(path._scan.times) > DEFAULT_GRID + 1
+        assert len(path._scan.times) == cz._cells(path) + 1
+
+    @pytest.mark.parametrize("rates,fraction", [([2.5, 1.5], 0.3), ([7.3, 0.4], 0.5),
+                                                ([12.3], 0.5)])
+    def test_understated_speed_is_cut(self, rates, fraction):
+        path = _understated(rotation_path(rates), fraction)
+        assert (cz_index(path), morse_index_from_path(path)) == _closed_form(rates)
+        assert len(path._scan.times) > cz._cells(path) + 1
+
+    @pytest.mark.parametrize("rates", [[50.5], [3.5], [12.3, 0.4]])
+    def test_understated_speed_is_refused(self, rates):
+        path = _understated(rotation_path(rates), 0.1)
+        with pytest.raises(UnresolvedCrossingError, match="understates"):
+            cz_index(path)
+        with pytest.raises(UnresolvedCrossingError, match="understates"):
+            morse_index_from_path(path)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3, 0.1, 0.03])
+    @pytest.mark.parametrize("rates", [[50.5], [3.5], [2.5, 1.5], [7.3, 0.4], [2.0, 1.0],
+                                       [-2.5, 1.5], [1.5, 2.5, 0.7]], ids=str)
+    def test_understated_speed_never_miscounts(self, rates, fraction, conjugated):
+        path = rotation_path(rates)
+        if conjugated:
+            path = conjugate_path(path, _seeded_P(len(rates), 6))
+        path = _understated(path, fraction)
+        try:
+            got = (cz_index(path), morse_index_from_path(path))
+        except UnresolvedCrossingError:
+            return
+        assert got == _closed_form(rates)
+
+
+def _max_difference_quotient(path, points=20001):
+    """max |Gamma(t_{i+1}) - Gamma(t_i)|_2 / dt on a uniform grid: at most
+    sup |Gamma'|_2, by the mean value inequality."""
+    mats = path.evaluate_batch(np.linspace(0.0, 1.0, points))
+    return np.linalg.norm(np.diff(mats, axis=0), 2, axis=(1, 2)).max() * (points - 1)
+
+
+class TestDeclaredSpeed:
+    """The speed each constructor declares bounds the path's |Gamma'|_2."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constructors(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        rotation = rotation_path(rng.uniform(-4.0, 4.0, size=n))
+        blocks = block_compose([rotation_path([r]) for r in rng.uniform(-4.0, 4.0, size=n)])
+        conjugated = conjugate_path(rotation, _seeded_P(n, seed))
+        for path in (rotation, blocks, conjugated, path_product(conjugated, blocks)):
+            assert _max_difference_quotient(path) <= path.speed
+
+    def test_rotation_speed_is_exact(self):
+        path = rotation_path([2.5, -3.25])
+        assert path.speed == pytest.approx(2 * np.pi * 3.25)
+        assert _max_difference_quotient(path) == pytest.approx(path.speed, rel=1e-6)
+
+    def test_orbit_alpha_path(self):
+        # sampled at the solver's stages, not proved; the margin is a few percent
+        path = _plane_one_alpha_path()
+        assert 0 < _max_difference_quotient(path) <= path.speed < 1.1 * _max_difference_quotient(path)
 
 
 class TestPositivePaths:

@@ -106,6 +106,7 @@ class TestPathOps:
             SymplecticPath(
                 dim=2,
                 eval_batch=lambda ts: np.broadcast_to(2 * np.eye(2), (len(ts), 2, 2)).copy(),
+                speed=0.0,
             )
 
     def test_product_of_rotations(self):
