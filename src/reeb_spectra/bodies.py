@@ -25,6 +25,14 @@ closed-form for quadrics and by Newton on the tangency system otherwise.
 G is convex in the plane radii, so the pinching radii are exact: max G sits
 on a coordinate circle, and min G is the root of a convex function of one
 variable, solved by Newton.
+
+Strong convexity follows from the parameters: with K = max_h e_h / c_h^2
+and Q* = 2 / (1 + sqrt(1 + 4K)), hess G >= m I on Sigma for the
+`convexity_margin` m = 2 c_min / (2 - Q*).  G(s) is c.s plus the norm of
+the linear map s -> (c.s, 2 sqrt(e_h) s_h), so g_ss >= 0 and
+hess G >= 2 diag(g_s) lifted.  On Sigma, g_h = (c_h + 2 e_h s_h) / r >= c_min / r
+with r = 2 - Q, Q = c.s, and G = 1 reads 1 - Q = sum e_h s_h^2 <= K Q^2, so
+Q >= Q*.  Quadrics have K = 0 and m = 2 pi / a_max, the exact value.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ import numpy as np
 from .symplectic import apply_J
 
 DEFAULT_ALPHA = 1.5
-CONVEXITY_SAMPLES = 1000
 CONVEXITY_MIN_EIG = 1e-8
 SUPPORT_MAX_ITER = 50
 SUPPORT_TOL = 1e-12
@@ -90,13 +97,17 @@ class ConvexBody:
     """
 
     def __init__(self, a: Sequence, epsilon: float = 0.0, quartic: Sequence | None = None,
-                 alpha: float = DEFAULT_ALPHA, validate: bool = True):
+                 alpha: float = DEFAULT_ALPHA):
         self.a = np.array([_parse_number(x) for x in a], dtype=float)
+        if not np.all(np.isfinite(self.a)):
+            raise ValueError("ellipsoid parameters a must be finite")
         if np.any(self.a <= 0):
             raise ValueError("ellipsoid parameters must be positive")
         self.n = len(self.a)
         self.dim = 2 * self.n
         self.epsilon = float(epsilon)
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if quartic is None:
@@ -104,6 +115,8 @@ class ConvexBody:
         self.quartic = np.array([_parse_number(x) for x in quartic], dtype=float)
         if len(self.quartic) != self.n:
             raise ValueError("quartic coefficient list must have one entry per plane")
+        if not np.all(np.isfinite(self.quartic)):
+            raise ValueError("quartic coefficients must be finite")
         if self.epsilon and np.any(self.quartic < 0):
             raise ValueError("quartic coefficients must be non-negative")
         if not (1.0 < alpha < 2.0):
@@ -118,23 +131,20 @@ class ConvexBody:
         # 2 delta_ij as (plane, coordinate, plane, coordinate)
         self._eye2 = 2.0 * np.eye(self.dim).reshape(self.n, 2, self.n, 2)
         self.kind = "quadric" if self.epsilon == 0.0 else "perturbed"
-        self.convexity_margin = None
-        if validate:
-            self._validate_convexity()
+        self._validate_convexity()
 
     @classmethod
-    def from_spec(cls, spec: dict, alpha: float = DEFAULT_ALPHA, validate: bool = True) -> "ConvexBody":
+    def from_spec(cls, spec: dict, alpha: float = DEFAULT_ALPHA) -> "ConvexBody":
         """Body from the JSON schema {"type": "ellipsoid"|"perturbed", ...}."""
         kind = spec.get("type")
         if kind == "ellipsoid":
-            return cls(a=spec["a"], alpha=alpha, validate=validate)
+            return cls(a=spec["a"], alpha=alpha)
         if kind == "perturbed":
             return cls(
                 a=spec["a"],
                 epsilon=_parse_number(spec.get("epsilon", 0.0)),
                 quartic=spec.get("quartic"),
                 alpha=alpha,
-                validate=validate,
             )
         raise ValueError(f"unknown body type {kind!r}")
 
@@ -253,29 +263,14 @@ class ConvexBody:
         return self.project_to_surface(dirs)
 
     def _validate_convexity(self):
-        if self.epsilon == 0.0:
-            # the Hessian is the constant 2 diag(pi / a); its smallest
-            # eigenvalue 2 pi / a_max has the whole plane of a_max as
-            # eigenspace, which meets every tangent hyperplane
-            min_eig, where = 2.0 * self._c.min(), "anywhere"
-        else:
-            pts = self.surface_samples(CONVEXITY_SAMPLES)
-            _, g, hess = self._gauge2_derivatives(pts)
-            # restrict to the tangent space ker(dG): the Householder reflection
-            # taking g to -sign(g_0) e_0 has its other columns orthonormal in g^perp
-            g /= np.linalg.norm(g, axis=-1, keepdims=True)
-            v = g.copy()
-            v[:, 0] += np.where(g[:, 0] >= 0.0, 1.0, -1.0)
-            vv = v[:, :, None] * v[:, None, :] / np.sum(v * v, axis=-1)[:, None, None]
-            basis = (np.eye(self.dim) - 2.0 * vv)[:, :, 1:]
-            restricted = np.swapaxes(basis, -1, -2) @ hess @ basis
-            min_eig, where = np.linalg.eigvalsh(restricted)[:, 0].min(), "at the sampled points"
-        self.convexity_margin = float(min_eig)
-        if min_eig <= CONVEXITY_MIN_EIG:
-            raise ValueError(
-                f"body is not strongly convex {where}: "
-                f"smallest restricted Hessian eigenvalue {min_eig:.3e}"
-            )
+        """Closed-form margin m <= min eig hess G on Sigma (module docstring)."""
+        K = float(np.max(self._e / (self._c * self._c)))
+        q_star = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * K))
+        margin = 2.0 * float(self._c.min()) / (2.0 - q_star)
+        self.convexity_margin = margin
+        # written as "not above" so that a NaN margin is refused
+        if not margin > CONVEXITY_MIN_EIG:
+            raise ValueError(f"body is not strongly convex: convexity margin {margin:.3e}")
 
     # -- support function and Legendre dual ---------------------------------
 
@@ -405,9 +400,7 @@ class ConvexBody:
 
     def homogenize(self, alpha: float) -> "ConvexBody":
         """Same body with homogeneity degree alpha in (1, 2)."""
-        return ConvexBody(
-            a=self.a, epsilon=self.epsilon, quartic=self.quartic, alpha=alpha, validate=False
-        )
+        return ConvexBody(a=self.a, epsilon=self.epsilon, quartic=self.quartic, alpha=alpha)
 
     def __repr__(self):
         if self.kind == "quadric":

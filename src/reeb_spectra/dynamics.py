@@ -128,7 +128,7 @@ def flow_with_monodromy(
     """
     z0 = np.asarray(z0, dtype=float)
     d = body.dim
-    span = tau if alpha == 2.0 else 2.0 * tau / alpha
+    span = 2.0 * tau / alpha
     peak = [0.0]  # largest |HY|_F^2 seen
 
     def rhs(t, y):

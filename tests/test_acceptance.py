@@ -181,7 +181,7 @@ def test_criterion_05_index_triangle():
     entries_checked = 0
     for E in _index_triangle_suite():
         n = E.n
-        body = ConvexBody(a=[float(x) for x in E.a], validate=False)
+        body = ConvexBody(a=[float(x) for x in E.a])
         for entry in action_spectrum(E, 10):
             rates = [float(entry.tau / ah) for ah in E.a]
             path = rotation_path(rates)
@@ -213,10 +213,10 @@ def test_criterion_06_clarke_systole():
     relative at K = 64; gradient matches finite differences to 1e-5 at 50
     random loops; < 60 s per body."""
     bodies = [
-        ("E(1,2)", ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False), 1.0),
-        ("E(1,3/2,2)", ConvexBody(a=[1.0, 1.5, 2.0], alpha=1.5, validate=False), 1.0),
-        ("ball r=1", ConvexBody(a=[np.pi, np.pi], alpha=1.5, validate=False), np.pi),
-        ("ball r=0.8 n=3", ConvexBody(a=[np.pi * 0.64] * 3, alpha=1.5, validate=False), np.pi * 0.64),
+        ("E(1,2)", ConvexBody(a=[1.0, 2.0], alpha=1.5), 1.0),
+        ("E(1,3/2,2)", ConvexBody(a=[1.0, 1.5, 2.0], alpha=1.5), 1.0),
+        ("ball r=1", ConvexBody(a=[np.pi, np.pi], alpha=1.5), np.pi),
+        ("ball r=0.8 n=3", ConvexBody(a=[np.pi * 0.64] * 3, alpha=1.5), np.pi * 0.64),
     ]
     times = []
     for name, body, expected in bodies:
@@ -228,7 +228,7 @@ def test_criterion_06_clarke_systole():
         assert rel < 1e-6, (name, res.systole, expected)
         assert dt < 60.0, (name, dt)
 
-    body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+    body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
     rng = np.random.default_rng(21)
     K, d, M = 16, 4, 128
     worst = 0.0
@@ -260,7 +260,7 @@ def test_criterion_07_orbit_shooting():
 
     t0 = time.perf_counter()
     exact_spectrum = [1.0, 2.0, 3.0]
-    body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+    body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
     orbits = find_closed_orbits(body, t_max=3.0, n_seeds=8, seed=3)
     assert orbits
     for orb in orbits:
@@ -311,7 +311,7 @@ def test_criterion_08_pinching_family():
     for k in range(0, 20):
         x = F(1) + F(k, 20)  # 1, 1.05, ..., 1.95 exactly
         E = ellipsoid([F(1), x])
-        body = ConvexBody(a=[1.0, float(x)], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, float(x)], alpha=1.5)
         delta_sq = (x + 2) / 2  # in (x, 2], rational
         spectrum = [e.tau for e in action_spectrum(E, 2)]
         invariants = spectral_invariants(E, 2)
@@ -338,7 +338,7 @@ def test_criterion_09_numerical_besse():
     """E(1,2) passes at tau = 2 (< 1e-8 over 1e4 samples), fails at tau = 1
     with a witness; E(1, sqrt 2) gets no verdict up to tau = 20."""
     t0 = time.perf_counter()
-    body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+    body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
     res2 = numerical_besse_test(body, 2.0, samples=10**4, seed=0)
     assert res2.verdict and res2.max_displacement < 1e-8
 
@@ -347,7 +347,7 @@ def test_criterion_09_numerical_besse():
     assert res1.max_displacement > 0.1
     assert np.abs(res1.worst_point[2:]).max() > 1e-3  # witness off the z1 plane
 
-    irr = ConvexBody(a=[1.0, float(np.sqrt(2))], alpha=1.5, validate=False)
+    irr = ConvexBody(a=[1.0, float(np.sqrt(2))], alpha=1.5)
     taus = sorted(
         {k * 1.0 for k in range(1, 21)} | {k * math.sqrt(2) for k in range(1, 15)}
     )

@@ -83,14 +83,26 @@ class ImplicitJetOracle:
         return grad, hess
 
 
+def sampled_restricted_min(body: ConvexBody) -> float:
+    """Smallest eigenvalue of hess G restricted to the tangent space, over
+    1000 Sobol surface points, by a per-point loop with a QR tangent basis."""
+    worst = np.inf
+    for z in body.surface_samples(1000):
+        g = body.grad_gauge2(z) / np.linalg.norm(body.grad_gauge2(z))
+        q, r = np.linalg.qr(np.eye(body.dim) - np.outer(g, g))
+        basis = q[:, np.abs(np.diag(r)) > 1e-10][:, : body.dim - 1]
+        worst = min(worst, np.linalg.eigvalsh(basis.T @ body.hess_gauge2(z) @ basis)[0])
+    return worst
+
+
 @pytest.fixture
 def ball():
-    return ConvexBody(a=[np.pi, np.pi], alpha=1.5, validate=False)
+    return ConvexBody(a=[np.pi, np.pi], alpha=1.5)
 
 
 @pytest.fixture
 def e12():
-    return ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+    return ConvexBody(a=[1.0, 2.0], alpha=1.5)
 
 
 @pytest.fixture
@@ -127,34 +139,53 @@ class TestConstruction:
         assert perturbed.convexity_margin > 1e-8
 
     def test_convexity_margin_matches_pointwise_reference(self, perturbed):
-        # per-point loop with a QR tangent basis, as the batched check replaced
-        worst = np.inf
-        for z in perturbed.surface_samples(1000):
-            g = perturbed.grad_gauge2(z) / np.linalg.norm(perturbed.grad_gauge2(z))
-            q, r = np.linalg.qr(np.eye(4) - np.outer(g, g))
-            basis = q[:, np.abs(np.diag(r)) > 1e-10][:, :3]
-            worst = min(worst, np.linalg.eigvalsh(basis.T @ perturbed.hess_gauge2(z) @ basis)[0])
-        assert abs(perturbed.convexity_margin - worst) < 1e-12
+        # the margin is a lower bound on the restricted Hessian minimum at
+        # every point, and close to the sampled minimum for near-round bodies
+        bodies = [perturbed, ConvexBody([1.0, 2.0]), ConvexBody([1.0, 1.2], 1e-3, [1.0, 0.8]),
+                  ConvexBody([1.0, 2.0], 1e-2, [1.0, 1.0]), ConvexBody([1.0, 1.5, 2.0], 5e-3, [2.0, 0.0, 1.0])]
+        for body in bodies:
+            worst = sampled_restricted_min(body)
+            assert body.convexity_margin <= worst + 1e-12, body
+            if body.epsilon * body.quartic.max() <= 1e-2:
+                assert body.convexity_margin >= 0.99 * worst, body
+
+    def test_convexity_margin_bounds_hessian_on_seeded_sweep(self):
+        # 400 seeded bodies (n 1-4, eps 1e-5..1e2, some q_h = 0, so some
+        # quadrics): the smallest eigenvalue of the full Hessian of G at 4000
+        # surface points never drops below the margin
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            a = rng.uniform(0.5, 5.0, n)
+            eps = 10.0 ** rng.uniform(-5.0, 2.0)
+            quartic = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.3)
+            body = ConvexBody(a, epsilon=eps, quartic=quartic)
+            z = body.project_to_surface(rng.normal(size=(4000, 2 * n)))
+            lowest = np.linalg.eigvalsh(body.hess_gauge2(z))[:, 0].min()
+            assert lowest >= body.convexity_margin * (1.0 - 1e-12), body
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["a", "epsilon", "quartic"])
+    def test_non_finite_parameters_refused_by_name(self, name, value):
+        kwargs = {"a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 0.8]}
+        kwargs[name] = value if name == "epsilon" else [1.0, value]
+        with pytest.raises(ValueError, match=rf"\b{name}\b.*must be finite"):
+            ConvexBody(**kwargs)
 
     @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0], [1.0, 1.5, 7 / 3], [3.0, 1.0, 2.0]])
     def test_quadric_margin_closed_form(self, a, monkeypatch):
-        # the sampled restricted-Hessian minimum, on the same Sobol points the
-        # sampling check uses for perturbed bodies
-        reference = ConvexBody(a, validate=False)
-        worst = np.inf
-        for z in reference.surface_samples(1000):
-            g = reference.grad_gauge2(z) / np.linalg.norm(reference.grad_gauge2(z))
-            q, r = np.linalg.qr(np.eye(reference.dim) - np.outer(g, g))
-            basis = q[:, np.abs(np.diag(r)) > 1e-10][:, : reference.dim - 1]
-            worst = min(worst, np.linalg.eigvalsh(basis.T @ reference.hess_gauge2(z) @ basis)[0])
+        worst = sampled_restricted_min(ConvexBody(a))
 
         def no_sampling(*args, **kwargs):
-            raise AssertionError("quadric construction sampled the surface")
+            raise AssertionError("construction sampled the surface")
 
         monkeypatch.setattr(ConvexBody, "surface_samples", no_sampling)
         body = ConvexBody(a)
         assert body.convexity_margin == pytest.approx(2 * np.pi / max(a), rel=1e-15)
         assert abs(body.convexity_margin - worst) < 1e-12
+        # a quartic term lowers the margin below the quadric's, still unsampled
+        perturbed = ConvexBody(a, epsilon=1e-2, quartic=np.linspace(1.0, 2.0, len(a)))
+        assert 0 < perturbed.convexity_margin < body.convexity_margin
 
 
 class TestHomogenization:
@@ -165,7 +196,7 @@ class TestHomogenization:
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
     def test_homogeneity(self, alpha):
-        body = ConvexBody(a=[1.0, 2.0, 3.0], alpha=alpha, validate=False)
+        body = ConvexBody(a=[1.0, 2.0, 3.0], alpha=alpha)
         rng = np.random.default_rng(0)
         for _ in range(10):
             z = rng.normal(size=6)
@@ -248,7 +279,7 @@ class TestPlaneRadiusJet:
         a = rng.uniform(0.3, 5.0, size=n)
         # some or all quartic coefficients vanish
         quartic = rng.uniform(0.0, 2.0, size=n) * (rng.permutation(n) >= min(zero_planes, n))
-        body = ConvexBody(a, epsilon=eps, quartic=quartic, validate=False)
+        body = ConvexBody(a, epsilon=eps, quartic=quartic)
         oracle = ImplicitJetOracle(body)
         Z = rng.normal(size=(7, 2 * n)) * rng.uniform(0.1, 3.0, size=(7, 1))
         # points on which some planes vanish: s_h = 0
@@ -267,7 +298,7 @@ class TestPlaneRadiusJet:
 
     @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0], [3.0, 1.0, 2.0]])
     def test_quadric_at_origin(self, a):
-        body = ConvexBody(a, validate=False)
+        body = ConvexBody(a)
         for z in (np.zeros(body.dim), np.zeros((3, body.dim))):
             G, grad, hess = body._gauge2_derivatives(z)
             assert np.array_equal(G, np.zeros(z.shape[:-1]))
@@ -291,7 +322,7 @@ class TestSupportAndDual:
     def test_dual_round_closed_form(self):
         # H* of the ball of radius r: beta^{-1} (r^alpha/alpha)^{beta-1} |w|^beta
         r = 1.3
-        body = ConvexBody(a=[np.pi * r**2] * 2, alpha=1.5, validate=False)
+        body = ConvexBody(a=[np.pi * r**2] * 2, alpha=1.5)
         beta = 3.0
         w = np.array([0.4, -0.2, 0.7, 0.1])
         expected = (1 / beta) * (r**1.5 / 1.5) ** (beta - 1) * np.linalg.norm(w) ** beta
@@ -371,7 +402,7 @@ class TestSupportAndDual:
 class TestPinchingRadii:
     def test_ball(self):
         rho = 0.9
-        body = ConvexBody(a=[np.pi * rho**2] * 3, alpha=1.5, validate=False)
+        body = ConvexBody(a=[np.pi * rho**2] * 3, alpha=1.5)
         r, R = body.pinching_radii()
         assert abs(r - rho) < 1e-12 and abs(R - rho) < 1e-12
 

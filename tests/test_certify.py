@@ -74,7 +74,7 @@ class TestBesseByInvariants:
 
 class TestZollByPinching:
     def setup_method(self):
-        self.ball = ConvexBody(a=[1.0, 1.0], alpha=1.5, validate=False)
+        self.ball = ConvexBody(a=[1.0, 1.0], alpha=1.5)
         self.c_ball = spectral_invariants(ellipsoid([1, 1]), 2)
 
     def _spectrum(self, a, upper):
@@ -92,7 +92,7 @@ class TestZollByPinching:
         assert res.detail["bound_chain"]["holds"]
 
     def test_besse_not_zoll_refused(self):
-        body = ConvexBody(a=[1.0, 1.5], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 1.5], alpha=1.5)
         res = zoll_by_pinching(
             body,
             self._spectrum([1, "3/2"], 4),
@@ -103,7 +103,7 @@ class TestZollByPinching:
         assert F(3, 2) in res.detail["blocking_values"]
 
     def test_near_round_refused(self):
-        body = ConvexBody(a=[1.0, 1.1], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 1.1], alpha=1.5)
         res = zoll_by_pinching(
             body,
             self._spectrum([1, "11/10"], 3),
@@ -113,7 +113,7 @@ class TestZollByPinching:
         assert res.status == "refusal"
 
     def test_pinching_hypothesis_gate(self):
-        body = ConvexBody(a=[1.0, 3.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 3.0], alpha=1.5)
         res = zoll_by_pinching(
             body, [F(1)], delta_sq=F(2), coverage_attested=True
         )
@@ -173,7 +173,7 @@ class TestZollByPinching:
         # exactly with a rational delta^2: at delta^2 = R^2/r^2 the hypothesis
         # fails, and 1e-17 inside it the chain holds though float(delta^2) = x
         x = 1000000007 / 1000000000
-        body = ConvexBody(a=[1.0, x], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, x], alpha=1.5)
         kwargs = {"coverage_attested": True, "invariants_c": [1.0, x]}
         res = zoll_by_pinching(body, [1.0, x, 2.0], delta_sq=F(x), **kwargs)
         assert res.status == "not-applicable"
@@ -183,7 +183,7 @@ class TestZollByPinching:
 
     def test_family_certifies_only_round(self):
         for x in [F(1), F(11, 10), F(3, 2), F(19, 10)]:
-            body = ConvexBody(a=[1.0, float(x)], alpha=1.5, validate=False)
+            body = ConvexBody(a=[1.0, float(x)], alpha=1.5)
             dsq = (x + 2) / 2  # in (x, 2]
             res = zoll_by_pinching(
                 body,

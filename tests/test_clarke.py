@@ -52,7 +52,7 @@ class TestFourierLoop:
 
 class TestPsi:
     def test_zero_loop(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         lp = FourierLoop(coeffs=np.zeros((8, 4), dtype=complex), grid_size=64)
         assert psi(body, lp) == 0.0
 
@@ -60,7 +60,7 @@ class TestPsi:
     @pytest.mark.parametrize("r", [0.8, 1.0, 1.6])
     def test_ball_circle_critical_value(self, alpha, r):
         # Psi(gamma_1') = -(1 - alpha/2) (2 tau/alpha)^{-alpha/(2-alpha)}, tau = pi r^2
-        body = ConvexBody(a=[np.pi * r**2] * 2, alpha=alpha, validate=False)
+        body = ConvexBody(a=[np.pi * r**2] * 2, alpha=alpha)
         lp = circle_loop(body, 0, 16, 128)
         tau = np.pi * r**2
         expected = -(1 - alpha / 2) * (2 * tau / alpha) ** (-alpha / (2 - alpha))
@@ -75,7 +75,7 @@ class TestPsi:
             assert abs(_quadratic_part(s * lp.coeffs) - s**2 * _quadratic_part(lp.coeffs)) < 1e-12
 
     def test_s1_invariance(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         rng = np.random.default_rng(4)
         lp = random_loop(4, 16, 128, rng, amplitude=0.05)
         v0 = psi(body, lp)
@@ -83,7 +83,7 @@ class TestPsi:
             assert abs(psi(body, lp.time_shift(s)) - v0) < 1e-10 * max(1, abs(v0))
 
     def test_gradient_matches_fd(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         rng = np.random.default_rng(5)
         K, d = 8, 4
         for _ in range(10):
@@ -122,12 +122,12 @@ class TestRenormalizedAction:
 
 class TestMinimize:
     def test_ball(self):
-        body = ConvexBody(a=[np.pi, np.pi], alpha=1.5, validate=False)
+        body = ConvexBody(a=[np.pi, np.pi], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=16, starts=4, seed=0))
         assert abs(res.systole - np.pi) / np.pi < 1e-6
 
     def test_e12(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=16, starts=4, seed=1))
         assert abs(res.systole - 1.0) < 1e-6
         z0 = res.orbit.initial_point
@@ -143,7 +143,7 @@ class TestMinimize:
         assert res.grad_norm < 1e-8
 
     def test_hamiltonian_equation_at_minimizer(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=16, starts=4, seed=3))
         zeta = body.grad_legendre(-apply_J(res.loop.values()))
         rhs = apply_J(body.grad_H(zeta))
@@ -154,7 +154,7 @@ class TestMinimize:
         assert np.abs(dzeta - rhs).max() < 1e-6 * max(1.0, np.abs(rhs).max())
 
     def test_iterate_scaling(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=8, starts=2, seed=4, double_check=False))
         for k in (2, 3):
             lp_k = res.loop.iterate(k, body.alpha)
@@ -162,7 +162,7 @@ class TestMinimize:
             assert abs(val - k * res.systole) < 1e-8 * k
 
     def test_min_modes_enforced(self):
-        body = ConvexBody(a=[1.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0], alpha=1.5)
         with pytest.raises(ValueError):
             minimize(body, MinimizeConfig(modes=4))
 
@@ -175,7 +175,7 @@ class TestMinimize:
         assert exc.value.best_value is not None
 
     def test_reconstructed_orbit_on_surface(self):
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=16, starts=2, seed=5, double_check=False))
         assert abs(body.gauge2(res.orbit.initial_point) - 1.0) < 1e-9
         assert res.orbit.residual < 1e-7
@@ -188,12 +188,12 @@ class TestMinimize:
             raise AssertionError("minimize started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        body = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=8, starts=2, seed=4, double_check=False))
         assert abs(res.systole - 1.0) < 1e-6
 
     def test_reconstruct_orbit_helper(self):
-        body = ConvexBody(a=[np.pi, np.pi], alpha=1.5, validate=False)
+        body = ConvexBody(a=[np.pi, np.pi], alpha=1.5)
         lp = circle_loop(body, 0, 16, 128)
         orb = reconstruct_orbit(body, lp, np.pi)
         assert abs(np.linalg.norm(orb.initial_point) - 1.0) < 1e-10

@@ -126,6 +126,16 @@ class TestPinch:
         assert code == EXIT_OK
         assert json.loads(out)["status"] == "refusal"
 
+    def test_non_finite_body_is_input_error(self, capsys, tmp_path):
+        # json reads NaN; the body is refused before any radius is computed
+        body = tmp_path / "body.json"
+        body.write_text('{"type": "perturbed", "a": [NaN, 1.2], "epsilon": 1e-3, "quartic": [1.0, 0.8]}')
+        code, out, err = run_cli(capsys, "pinch", "--body", str(body), "--spectrum", "1.0,1.2,2.0",
+                                 "--attest-coverage", "--delta-sq", "1.5")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestCz:
     def test_rotation_value(self, capsys):
@@ -243,7 +253,8 @@ class TestColdStart:
         ["bott", "--model", "S^n", "--dim", "2", "--mmax", "3"],
     ]
 
-    def test_exact_subcommands_load_no_scipy(self):
+    @staticmethod
+    def _scipy_modules_after(runs):
         script = (
             "import contextlib, io, json, sys\n"
             "from reeb_spectra import cli\n"
@@ -253,10 +264,24 @@ class TestColdStart:
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         run = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(self.EXACT_RUNS)],
+            [sys.executable, "-c", script, json.dumps(runs)],
             capture_output=True, text=True, env=_fresh_env(), check=True,
         )
-        assert json.loads(run.stdout) == []
+        return json.loads(run.stdout)
+
+    def test_exact_subcommands_load_no_scipy(self):
+        assert self._scipy_modules_after(self.EXACT_RUNS) == []
+
+    def test_pinch_on_a_body_loads_no_scipy(self, tmp_path):
+        # the certificate reads the pinching radii and the convexity margin
+        # in closed form, so building the body samples nothing
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps(
+            {"type": "perturbed", "a": [1.0, 1.2], "epsilon": 1e-3, "quartic": [1.0, 0.8]}
+        ))
+        run = ["pinch", "--body", str(body), "--spectrum", "1.0,1.2,2.0",
+               "--attest-coverage", "--delta-sq", "1.5"]
+        assert self._scipy_modules_after([run]) == []
 
 
 class TestParserReuse:

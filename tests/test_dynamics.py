@@ -18,7 +18,7 @@ from reeb_spectra.dynamics import (
 from reeb_spectra.ellipsoid import ellipsoid, reeb_flow
 from reeb_spectra.symplectic import standard_J, symplectic_defect
 
-E12 = ConvexBody(a=[1.0, 2.0], alpha=1.5, validate=False)
+E12 = ConvexBody(a=[1.0, 2.0], alpha=1.5)
 E12_EXACT = ellipsoid([1, 2])
 PERTURBED = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
 
@@ -86,7 +86,7 @@ class TestFindClosedOrbits:
 
     def test_ball_continuum_representatives(self):
         r = 0.8
-        ball = ConvexBody(a=[np.pi * r**2] * 2, alpha=1.5, validate=False)
+        ball = ConvexBody(a=[np.pi * r**2] * 2, alpha=1.5)
         orbits = find_closed_orbits(ball, t_max=2.5, n_seeds=6, seed=1)
         assert orbits
         for o in orbits:
@@ -218,7 +218,7 @@ class TestMonodromy:
         assert np.abs(S.T @ standard_J(2) @ S - J2).max() < 1e-10
 
     def test_round_orbit_block_identity(self):
-        ball = ConvexBody(a=[1.0, 1.0], alpha=1.5, validate=False)
+        ball = ConvexBody(a=[1.0, 1.0], alpha=1.5)
         z = surface_point(ball, [1.0, 0.0, 0.0, 0.0])
         _, M, _ = flow_with_monodromy(ball, z, 1.0, alpha=2.0)
         N, _, _ = return_block(ball, z, M)
@@ -255,7 +255,7 @@ class TestMonodromy:
         # nullity = 1 + dim ker(N - I) on the degree-alpha model
         from reeb_spectra.dynamics import ClosedOrbit
 
-        ball = ConvexBody(a=[1.0, 1.0], alpha=1.5, validate=False)
+        ball = ConvexBody(a=[1.0, 1.0], alpha=1.5)
         z = surface_point(ball, [1.0, 0.0, 0.0, 0.0])
         orbit = ClosedOrbit(initial_point=z, period=1.0, residual=0.0)
         monodromy_and_index(ball, orbit, alpha=1.5)
@@ -266,7 +266,7 @@ class TestMonodromy:
         # mu = 2(3 + 2) - 2 = 8, morse 6, nullity 2n - 1 = 3
         from reeb_spectra.dynamics import ClosedOrbit
 
-        body = ConvexBody(a=[1.0, 1.5], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 1.5], alpha=1.5)
         z = surface_point(body, [0.4, 0.1, 0.3, -0.2])
         orbit = ClosedOrbit(initial_point=z, period=3.0, residual=0.0)
         monodromy_and_index(body, orbit, alpha=1.5)
@@ -318,7 +318,7 @@ class TestMonodromy:
         # the kernel test, which counted 5 when it did
         from reeb_spectra.dynamics import ClosedOrbit
 
-        body = ConvexBody(a=[1.0, 1 + 1e-9, 1 + 5e-9], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, 1 + 1e-9, 1 + 5e-9], alpha=1.5)
         orbit = ClosedOrbit(initial_point=surface_point(body, [1.0, 0, 0, 0, 0, 0]),
                             period=1.0, residual=0.0)
         with pytest.warns(UserWarning, match="unstable"):
@@ -371,7 +371,7 @@ COMPLEMENT_BODIES = {
     "perturbed-n4": ConvexBody(a=[1.0, 1.3, 1.7, 2.5], epsilon=1e-3,
                                quartic=[1.0, 2.0, 0.5, 1.0]),
     # iA has one eigenvalue of multiplicity 2
-    "round-E111": ConvexBody(a=[1.0, 1.0, 1.0], validate=False),
+    "round-E111": ConvexBody(a=[1.0, 1.0, 1.0]),
 }
 
 
@@ -406,7 +406,7 @@ class TestBesseTest:
         assert np.abs(res.worst_point[2:]).max() > 0.01
 
     def test_irrational_never_closes(self):
-        body = ConvexBody(a=[1.0, float(np.sqrt(2))], alpha=1.5, validate=False)
+        body = ConvexBody(a=[1.0, float(np.sqrt(2))], alpha=1.5)
         for tau in (1.0, float(np.sqrt(2)), 5.0, 20.0):
             res = numerical_besse_test(body, tau, samples=200, seed=1)
             assert not res.verdict
