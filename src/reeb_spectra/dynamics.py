@@ -1,10 +1,21 @@
 """Reeb flow integration, closed-orbit shooting, monodromy and indices.
 
-The flow integrated is z' = J grad G(z) with G the degree-2 homogenization
-of the body (this IS the Reeb flow on Sigma = G^{-1}(1)); the degree-alpha
-Hamiltonian orbit is its reparametrization phi_H^s = phi_R^{(alpha/2) s}.
-Linearized flows are integrated jointly with the base point and exposed as
-SymplecticPath objects for the index machinery.
+The Reeb flow on Sigma = G^{-1}(1) is z' = J grad G(z), with G the degree-2
+homogenization of the body.  The degree-alpha Hamiltonian H = G^{alpha/2}
+has X_H = theta X_G with theta = (alpha/2) G^{alpha/2 - 1}, a function of G
+and so constant along both flows: phi_H^s(z) = phi_G^{theta(z) s}(z), and
+on Sigma the Reeb state is phi_R^t = phi_H^{2t/alpha}.  Differentiating in
+z at a start on Sigma, where grad theta = (alpha/2)(alpha/2 - 1) grad G,
+relates the two linearized flows over one period tau (span 2 tau/alpha):
+
+    M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z)^T.
+
+So each closed orbit is solved once, as the body's own degree-alpha flow
+with its linearization, dense (`PeriodFlow`): that one solve gives the
+Newton polish its residual and Jacobian, the minimal-period screen and the
+deduplication their Reeb trajectory, the index count its SymplecticPath,
+and the Reeb monodromy by the identity above.  The seed scan and the
+sampling Besse test integrate the Reeb flow itself (`integrate_reeb`).
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +41,10 @@ TOL_SUBPERIOD = 1e-5
 # time samples of the seed scan over (0, t_max]
 SCAN_POINTS = 4000
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
-# the shooting's dense trajectories: seed scan, minimal period, deduplication
+# the seed scan's dense trajectory of all seeds together
 TRAJECTORY_TOLS = {"rtol": 1e-10, "atol": 1e-11, "dense": True}
+# a closed orbit's solves: the Newton polish and the index path
+ORBIT_TOLS = {"rtol": 1e-12, "atol": 1e-13}
 
 
 def solve_ivp(fun, t_span, y0, **kwargs):
@@ -41,9 +55,37 @@ def solve_ivp(fun, t_span, y0, **kwargs):
     return scipy_solve_ivp(fun, t_span, y0, **kwargs)
 
 
+@dataclass(frozen=True)
+class PeriodFlow:
+    """One solve of the degree-alpha flow and its linearization from a point
+    on Sigma over one Reeb period tau, i.e. over s in [0, 2 tau/alpha].
+
+    `end` and `monodromy` are z and Gamma_alpha at the end of the span.  A
+    dense solve also keeps `path`, Gamma_alpha on [0, 1] with its sampled
+    speed, and `states`, the solver's interpolant s -> flattened (z, Y).
+    """
+
+    alpha: float
+    end: np.ndarray
+    monodromy: np.ndarray
+    path: SymplecticPath | None = None
+    states: Callable | None = None
+
+    def reeb(self, t):
+        """phi_R^t of the start for Reeb times t in [0, tau], read off the
+        dense solve at s = 2t/alpha: shape (2n,) for a scalar t, (2n, T)
+        for T times."""
+        return self.states(np.asarray(t) * (2.0 / self.alpha))[: self.path.dim]
+
+
 @dataclass
 class ClosedOrbit:
-    """A (numerically) closed Reeb orbit with its linearized-flow data."""
+    """A (numerically) closed Reeb orbit with its linearized-flow data.
+
+    `flow` is the dense degree-alpha solve over one period that the search
+    (or `monodromy_and_index`) last made on it, None on an orbit built by
+    hand or by the Clarke reconstruction.
+    """
 
     initial_point: np.ndarray
     period: float
@@ -54,6 +96,7 @@ class ClosedOrbit:
     morse_index: int | None = None
     nullity: int | None = None
     meta: dict = field(default_factory=dict)
+    flow: PeriodFlow | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         out = {
@@ -124,8 +167,17 @@ def flow_with_monodromy(
     [0, 1] (None unless dense=True).  The path's speed is span times the
     largest |J hess H Y|_F = |Y'|_F >= |Y'|_2 over the right-hand side's own
     evaluations: sampled at the solver's stages, not proved, so the index
-    count's cell bounds stay the guard against an understatement.
+    count's cell bounds stay the guard against an understatement.  The
+    orbit search needs no alpha = 2 solve: `_period_flow` solves its orbits
+    at the body's alpha, and `_reeb_monodromy` gives M_2 from that.
     """
+    flow = _period_flow(body, z0, tau, alpha, rtol=rtol, atol=atol, dense=dense)
+    return flow.end, flow.monodromy, flow.path
+
+
+def _period_flow(body: ConvexBody, z0: np.ndarray, tau: float, alpha: float,
+                 rtol: float, atol: float, dense: bool) -> PeriodFlow:
+    """The solve behind `flow_with_monodromy`, as a PeriodFlow."""
     z0 = np.asarray(z0, dtype=float)
     d = body.dim
     span = 2.0 * tau / alpha
@@ -151,12 +203,20 @@ def flow_with_monodromy(
     z_end = sol.y[:d, -1]
     M = sol.y[d:, -1].reshape(d, d)
     if not dense:
-        return z_end, M, None
+        return PeriodFlow(alpha=alpha, end=z_end, monodromy=M)
 
     def _eval(ts):
         return sol.sol(np.asarray(ts) * span)[d:].T.reshape(len(ts), d, d)
 
-    return z_end, M, SymplecticPath(dim=d, eval_batch=_eval, speed=span * np.sqrt(peak[0]))
+    path = SymplecticPath(dim=d, eval_batch=_eval, speed=span * np.sqrt(peak[0]))
+    return PeriodFlow(alpha=alpha, end=z_end, monodromy=M, path=path, states=sol.sol)
+
+
+def _reeb_monodromy(body: ConvexBody, z0: np.ndarray, tau: float, flow: PeriodFlow):
+    """M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z0)^T (module
+    docstring) from a solve started at z0 on Sigma."""
+    shift = tau * (flow.alpha / 2.0 - 1.0)
+    return flow.monodromy - shift * np.outer(body.reeb_field(flow.end), body.grad_gauge2(z0))
 
 
 # -- closed-orbit shooting ---------------------------------------------------
@@ -174,27 +234,37 @@ def _default_seeds(body: ConvexBody, extra: int, seed: int) -> list[np.ndarray]:
 
 
 def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max: float):
+    """Damped least-squares Newton on (z, tau) for phi_R^tau(z) = z on Sigma,
+    with a phase condition along the Reeb field at the seed; the closed orbit
+    or None.
+
+    The residual is solved as the body's degree-alpha flow: on Sigma it is
+    phi_H^{2 tau/alpha}(z) - z, with z-Jacobian M_alpha - I and tau-column
+    X_G(z_end).  Every trial solve is dense, so the accepted one becomes the
+    orbit's `flow`; the seed's own residual is solved without the
+    interpolant and again with it only when the seed already closes.
+    """
     d = body.dim
     z = np.asarray(z_seed, float).copy()
     tau = float(tau_guess)
     phase_dir = body.reeb_field(z_seed)
 
-    def residual(z, tau):
-        z_end, M, _ = flow_with_monodromy(body, z, tau, alpha=2.0, rtol=1e-12, atol=1e-13)
+    def residual(z, tau, dense=True):
+        flow = _period_flow(body, z, tau, body.alpha, dense=dense, **ORBIT_TOLS)
         r = np.empty(d + 2)
-        r[:d] = z_end - z
+        r[:d] = flow.end - z
         r[d] = body.gauge2(z) - 1.0
         r[d + 1] = phase_dir @ (z - z_seed)
-        return r, z_end, M
+        return r, flow
 
-    r, z_end, M = residual(z, tau)
+    r, flow = residual(z, tau, dense=False)
     rnorm = np.linalg.norm(r)
     for _ in range(30):
         if rnorm < TOL_ORBIT:
             break
         jac = np.zeros((d + 2, d + 1))
-        jac[:d, :d] = M - np.eye(d)
-        jac[:d, d] = apply_J(body.grad_gauge2(z_end))
+        jac[:d, :d] = flow.monodromy - np.eye(d)
+        jac[:d, d] = body.reeb_field(flow.end)
         jac[d, :d] = body.grad_gauge2(z)
         jac[d + 1, :d] = phase_dir
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -205,9 +275,9 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             if not (0.0 < tau_try <= 1.5 * t_max):
                 lam *= 0.5
                 continue
-            r_try, z_end_try, M_try = residual(z_try, tau_try)
+            r_try, flow_try = residual(z_try, tau_try)
             if np.linalg.norm(r_try) < rnorm:
-                z, tau, r, z_end, M = z_try, tau_try, r_try, z_end_try, M_try
+                z, tau, r, flow = z_try, tau_try, r_try, flow_try
                 rnorm = np.linalg.norm(r)
                 break
             lam *= 0.5
@@ -215,31 +285,39 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             return None
     if rnorm >= TOL_ORBIT:
         return None
-    return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm), monodromy=M)
+    if flow.path is None:  # the seed closed: solve it once more, dense
+        flow = residual(z, tau)[1]
+    return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm),
+                       monodromy=_reeb_monodromy(body, z, tau, flow), flow=flow)
 
 
-def _minimal_period(body: ConvexBody, orbit: ClosedOrbit):
-    """(orbit at its minimal period, dense trajectory over that period).
+def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
+    """The orbit at its minimal period.
 
-    One dense trajectory over the period screens the returns at period/k,
-    k = 8..2.  An orbit polished at k times its period closes to TOL_ORBIT
-    only over the whole multiple (the double cover on perturbed E(1, 2)
-    returns within 3e-7 at half its period), so the return is a loose
-    pre-screen at TOL_SUBPERIOD and the Newton polish at period/k decides.
-    The trajectory is integrated again only when that polish replaces the
-    orbit.
+    Every closed orbit of a convex body containing B(r) has action at least
+    pi r^2 (its action is at least the systole c_EHZ, which is monotone, and
+    c_EHZ(B(r)) = pi r^2), so an orbit polished at tau covers a primitive one
+    at most K = floor(tau / (pi r^2)) times, r the inradius from
+    `pinching_radii`.  The orbit's own Reeb trajectory (`orbit.flow`) screens
+    the returns at tau/k for k = K..2, largest first, so the first k that
+    closes is the cover's whole multiple.  An orbit polished at k times its
+    period closes to TOL_ORBIT only over the whole multiple (the double
+    cover on perturbed E(1, 2) returns within 3e-7 at half its period), so
+    the return is a loose pre-screen at TOL_SUBPERIOD and the Newton polish
+    at tau/k decides; the polish brings its own trajectory.
     """
-    interp = integrate_reeb(body, orbit.initial_point, orbit.period, **TRAJECTORY_TOLS)
-    ks = np.arange(8, 1, -1)
-    ends = interp(orbit.period / ks).T
-    for k, z_end in zip(ks, ends):
+    r, _ = body.pinching_radii()
+    # pi r^2 is the action of a plane orbit of perturbed E(1, 2) to 1e-13,
+    # so a cover's tau / (pi r^2) may fall just short of its multiple
+    top = int(orbit.period / (np.pi * r * r) * (1.0 + 1e-6))
+    for k in range(top, 1, -1):
+        z_end = orbit.flow.reeb(orbit.period / k)
         if np.linalg.norm(z_end - orbit.initial_point) < TOL_SUBPERIOD:
             polished = _newton_polish(body, orbit.initial_point, orbit.period / k,
                                       t_max=orbit.period)
             if polished is not None:
-                return polished, integrate_reeb(body, polished.initial_point,
-                                                polished.period, **TRAJECTORY_TOLS)
-    return orbit, interp
+                return polished
+    return orbit
 
 
 def _orbit_distance(body: ConvexBody, z: np.ndarray, other: ClosedOrbit, interp) -> float:
@@ -273,8 +351,9 @@ def find_closed_orbits(
     near-returns (local minima of its displacement below half the
     circumradius) are polished by a damped least-squares Newton on (z, tau)
     with a phase condition killing the time-shift.  Each candidate is
-    reduced to its minimal period, and its trajectory over that period is
-    used to deduplicate the candidates after it by trajectory distance.
+    reduced to its minimal period, and its Reeb trajectory over that period,
+    read off the polish's dense solve, is used to deduplicate the candidates
+    after it by trajectory distance.
     Integer multiples within the window are listed in meta["multiples"].
     """
     if t_max <= 0:
@@ -298,13 +377,12 @@ def find_closed_orbits(
             candidates.append(orb)
 
     unique: list[ClosedOrbit] = []
-    interps: list = []
     for orb in sorted(candidates, key=lambda o: o.period):
-        orb, orb_interp = _minimal_period(body, orb)
+        orb = _minimal_period(body, orb)
         dup = False
-        for prev, prev_interp in zip(unique, interps):
+        for prev in unique:
             if abs(prev.period - orb.period) < 1e-6 * max(1.0, prev.period):
-                if _orbit_distance(body, orb.initial_point, prev, prev_interp) < TOL_DEDUP:
+                if _orbit_distance(body, orb.initial_point, prev, prev.flow.reeb) < TOL_DEDUP:
                     dup = True
                     break
         if not dup:
@@ -312,7 +390,6 @@ def find_closed_orbits(
                 float(k * orb.period) for k in range(1, int(t_max / orb.period) + 1)
             ]
             unique.append(orb)
-            interps.append(orb_interp)
     return unique
 
 
@@ -369,8 +446,11 @@ def monodromy_and_index(
     E^omega, and the shear block adds exactly one kernel direction, so the
     nullity is 1 + dim ker(N - I).  A residual of that reconstruction of the
     endpoint is recorded; above 1e-6 the raw monodromy is kept and flagged.
-    The Reeb monodromy is taken from orbit.monodromy and integrated only
-    when the orbit carries none.
+    One dense degree-alpha solve gives the path, Gamma_alpha(1) and the
+    Reeb monodromy M_2 (module docstring).  It is the orbit's own `flow`
+    when that was solved at this alpha, as the search's orbits are at the
+    body's; otherwise it is solved at ORBIT_TOLS and kept as the orbit's
+    flow.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -379,16 +459,16 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    M2 = orbit.monodromy  # the Newton polish stores it, at rtol 1e-12
-    if M2 is None:
-        _, M2, _ = flow_with_monodromy(body, z0, tau, alpha=2.0)
+    flow = orbit.flow
+    if flow is None or flow.alpha != alpha:
+        flow = _period_flow(body, z0, tau, alpha, dense=True, **ORBIT_TOLS)
+    M2 = _reeb_monodromy(body, z0, tau, flow)
     sdef = symplectic_defect(M2)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")
 
     N, S, resid_inv = return_block(body, z0, M2)
-
-    _, M_alpha_full, path_alpha = flow_with_monodromy(body, z0, tau, alpha=alpha, dense=True)
+    M_alpha_full, path_alpha = flow.monodromy, flow.path
 
     # assemble Gamma_alpha(1) from the closed-form shear and N, then compare
     u1 = body.reeb_field(z0)
@@ -401,6 +481,7 @@ def monodromy_and_index(
     block_resid = float(np.abs(M_assembled - M_alpha_full).max())
 
     index = cz.cz_index(path_alpha)
+    orbit.flow = flow
     orbit.monodromy = M2
     orbit.return_block = N
     orbit.cz_index = int(index)

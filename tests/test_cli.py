@@ -185,6 +185,17 @@ class TestSystoleAndOrbits:
         assert periods == [1.0, 2.0]
         assert all("monodromy_eigenvalues" in o for o in data["orbits"])
 
+    def test_orbits_e12_long_window_lists_primitive_orbits(self, capsys):
+        # the 9- and 10-fold covers a window of 10 picks up reduce to their
+        # primitive orbits; a screen of k = 8..2 left a third orbit at 3.0
+        code, out, _ = run_cli(
+            capsys, "orbits", "--ellipsoid", "1,2", "--tmax", "10", "--seeds", "2"
+        )
+        assert code == EXIT_OK
+        orbits = json.loads(out)["orbits"]
+        assert [round(o["period"], 6) for o in orbits] == [1.0, 2.0]
+        assert [(o["cz"], o["morse"], o["nullity"]) for o in orbits] == [(2, 0, 1), (4, 2, 3)]
+
 
 class TestExitCodes:
     def test_input_error(self, capsys):

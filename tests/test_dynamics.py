@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -132,11 +135,35 @@ class TestFindClosedOrbits:
         z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
         cover = _newton_polish(PERTURBED, z, 2.0 * T, t_max=3.0)
         assert cover is not None and abs(cover.period - 2.0 * T) < 1e-9
-        orbit, trajectory = _minimal_period(PERTURBED, cover)
+        orbit = _minimal_period(PERTURBED, cover)
         assert abs(orbit.period - T) < 1e-9
-        # the trajectory is that of the replacing orbit, over its own period
-        assert (trajectory.t_min, trajectory.t_max) == (0.0, orbit.period)
-        assert np.linalg.norm(trajectory(orbit.period) - orbit.initial_point) < 1e-8
+        # the trajectory is that of the replacing orbit's own degree-alpha
+        # solve, over its own period
+        states = orbit.flow.states
+        assert (states.t_min, states.t_max) == (0.0, 2.0 * orbit.period / PERTURBED.alpha)
+        assert np.linalg.norm(orbit.flow.reeb(orbit.period) - orbit.initial_point) < 1e-8
+
+    def test_minimal_period_of_a_cover_a_hair_short(self):
+        # pi r^2 equals T here to 1e-13, so a cover's period just below 3 T
+        # must still screen k = 3
+        from test_clarke import planar_period_oracle
+
+        T = planar_period_oracle(1.0, 1e-3, 1.0)
+        z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
+        cover = _newton_polish(PERTURBED, z, 3.0 * T, t_max=3.0 * T)
+        short = dataclasses.replace(cover, period=cover.period * (1.0 - 1e-9))
+        assert abs(_minimal_period(PERTURBED, short).period - T) < 1e-9
+
+    @pytest.mark.parametrize("m", [9, 10, 11, 12])
+    def test_minimal_period_of_covers_beyond_eight(self, m):
+        # the screen runs k from floor(tau / (pi r^2)) down, not from 8
+        from test_clarke import planar_period_oracle
+
+        T = planar_period_oracle(1.0, 1e-3, 1.0)
+        z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
+        cover = _newton_polish(PERTURBED, z, m * T, t_max=m * T)
+        assert cover is not None and abs(cover.period - m * T) < 1e-8
+        assert abs(_minimal_period(PERTURBED, cover).period - T) < 1e-9
 
 
 class TestWorkCounts:
@@ -177,8 +204,85 @@ class TestWorkCounts:
         assert len(sweeps) == 1
         assert sweeps[0][1] == n_seeds * E12.dim
 
+    @pytest.fixture
+    def tagged_solves(self, monkeypatch):
+        """(innermost of the tagged dynamics functions, dense_output) per solve."""
+        calls, stack = [], []
+        solve = dynamics.solve_ivp
+
+        def counted(fun, t_span, y0, **kwargs):
+            calls.append((stack[-1] if stack else None, kwargs.get("dense_output")))
+            return solve(fun, t_span, y0, **kwargs)
+
+        def tag(name):
+            fn = getattr(dynamics, name)
+
+            def tagged(*args, **kwargs):
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            monkeypatch.setattr(dynamics, name, tagged)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        for name in ("find_closed_orbits", "_newton_polish", "_minimal_period",
+                     "monodromy_and_index"):
+            tag(name)
+        return calls
+
+    def test_orbits_job_solves_only_the_scan_and_newton(self, tagged_solves, tmp_path, capsys):
+        # perturbed E(1,2), tmax 1.1, 2 seeds: the minimal-period screen, the
+        # deduplication and the index read the last Newton solve
+        from reeb_spectra import cli
+
+        spec = tmp_path / "body.json"
+        spec.write_text('{"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, '
+                        '"quartic": [1.0, 1.0]}')
+        assert cli.main(["orbits", "--body", str(spec), "--tmax", "1.1", "--seeds", "2"]) == 0
+        orbits = json.loads(capsys.readouterr().out)["orbits"]
+        assert [(o["cz"], o["morse"], o["nullity"]) for o in orbits] == [(2, 0, 1)]
+        tags = [tag for tag, _ in tagged_solves]
+        assert tags[0] == "find_closed_orbits" and tags.count("find_closed_orbits") == 1
+        assert set(tags[1:]) == {"_newton_polish"}
+        # each polish solves its seed without the interpolant and every
+        # trial with it
+        assert [dense for _, dense in tagged_solves[1:]] == [False] + [True] * (len(tags) - 2)
+
+    def test_index_at_another_alpha_solves_once(self, tagged_solves):
+        from test_clarke import planar_period_oracle
+
+        T = planar_period_oracle(2.0, 1e-3, 1.0)
+        z = surface_point(PERTURBED, [0.0, 0.0, 1.0, 0.0])
+        orbit = _newton_polish(PERTURBED, z, T, t_max=T)
+        monodromy_and_index(PERTURBED, orbit, alpha=PERTURBED.alpha)
+        want = (orbit.cz_index, orbit.morse_index, orbit.nullity)
+        for alpha in (1.3, 1.7):
+            del tagged_solves[:]
+            dynamics.monodromy_and_index(PERTURBED, orbit, alpha=alpha)
+            assert tagged_solves == [("monodromy_and_index", True)]
+            assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == want
+            assert orbit.flow.alpha == alpha
+
 
 class TestMonodromy:
+    @pytest.mark.parametrize("body", [E12, PERTURBED], ids=["e12", "perturbed"])
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
+    def test_reeb_monodromy_from_the_alpha_solve(self, body, alpha):
+        # M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z)^T against an
+        # independent Reeb solve, on the polished plane-1 orbit and on an
+        # orbit segment that does not close
+        body = body.homogenize(alpha)
+        orbit = _newton_polish(body, surface_point(body, [1.0, 0.0, 0.0, 0.0]), 1.0, t_max=1.5)
+        assert orbit is not None
+        z = surface_point(body, [0.4, 0.1, 0.3, -0.2])
+        flow = dynamics._period_flow(body, z, 1.3, alpha, dense=False, **dynamics.ORBIT_TOLS)
+        for z0, tau, got in [(orbit.initial_point, orbit.period, orbit.monodromy),
+                             (z, 1.3, dynamics._reeb_monodromy(body, z, 1.3, flow))]:
+            _, want, _ = flow_with_monodromy(body, z0, tau, alpha=2.0, rtol=1e-12, atol=1e-13)
+            assert np.abs(got - want).max() < 1e-9
+
     @pytest.mark.parametrize("alpha", [1.5, 1.2])
     def test_degree_alpha_flow_matches_reference(self, alpha):
         # reference: the variational system assembled from grad_H / hess_H
@@ -333,19 +437,19 @@ class TestMonodromy:
         M = polished.monodromy
         bare = ClosedOrbit(initial_point=polished.initial_point, period=polished.period,
                            residual=polished.residual)
-        monodromy_and_index(PERTURBED, bare, alpha=1.5)  # integrates its own monodromy
+        monodromy_and_index(PERTURBED, bare, alpha=1.5)  # solves its own degree-alpha flow
 
-        alphas = []
-        flow = dynamics.flow_with_monodromy
+        spans = []
+        solve = dynamics.solve_ivp
 
-        def spy(*args, **kwargs):
-            alphas.append(kwargs.get("alpha"))
-            return flow(*args, **kwargs)
+        def spy(fun, t_span, y0, **kwargs):
+            spans.append(t_span)
+            return solve(fun, t_span, y0, **kwargs)
 
-        monkeypatch.setattr(dynamics, "flow_with_monodromy", spy)
-        monodromy_and_index(PERTURBED, polished, alpha=1.5)
-        assert alphas == [1.5]  # only the degree-alpha path is integrated
-        assert polished.monodromy is M
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        monodromy_and_index(PERTURBED, polished, alpha=PERTURBED.alpha)
+        assert spans == []  # the polish's last solve is the index path
+        assert np.array_equal(polished.monodromy, M)
         got, want = polished.as_dict(), bare.as_dict()
         for key in ("cz", "morse", "nullity", "period"):
             assert got[key] == want[key]
