@@ -324,10 +324,12 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_cz(args) -> int:
-    from .conley_zehnder import cz_index, cz_nullity, grid_cells, morse_index_from_path
+    from .conley_zehnder import (cz_index, cz_nullity, grid_cells, morse_index_from_path,
+                                 warn_unresolved_rates)
     from .symplectic import rotation_path
 
     rates = [float(_parse_value(t)) for t in args.rotation.split(",") if t.strip()]
+    warn_unresolved_rates(rates)
     path = rotation_path(rates)
     index = cz_index(path)
     payload = {

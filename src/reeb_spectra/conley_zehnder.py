@@ -299,6 +299,17 @@ def cz_nullity(path: SymplecticPath) -> int:
     return k
 
 
+def warn_unresolved_rates(rates) -> None:
+    """Warn for each non-integer rotation rate r within the endpoint kernel's
+    resolution of an integer m, 2 pi |r - m| < TOL_KER: the angle 2 pi r of
+    `rotation_path(rates)` at t = 1 is then counted as 0, so r as m."""
+    for r in rates:
+        m = round(r)
+        if r != m and TWO_PI * abs(r - m) < TOL_KER:
+            warnings.warn(f"rate {r!r} lies within the endpoint kernel's resolution "
+                          f"(2 pi |r - m| < {TOL_KER:g}) of {m} and is counted as {m}")
+
+
 def _perturbed(path: SymplecticPath, eps: float) -> SymplecticPath:
     """The backward-rotated path R(-eps t) Gamma(t); for small eps > 0 its
     index is the lower semicontinuous index of Gamma.  `perfbench/tracing.py`

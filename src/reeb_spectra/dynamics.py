@@ -10,12 +10,16 @@ relates the two linearized flows over one period tau (span 2 tau/alpha):
 
     M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z)^T.
 
-So each closed orbit is solved once, as the body's own degree-alpha flow
-with its linearization, dense (`PeriodFlow`): that one solve gives the
-Newton polish its residual and Jacobian, the minimal-period screen and the
-deduplication their Reeb trajectory, the index count its SymplecticPath,
-and the Reeb monodromy by the identity above.  The seed scan and the
-sampling Besse test integrate the Reeb flow itself (`integrate_reeb`).
+So the orbit search integrates only the body's own degree-alpha flow with
+its linearization, all through one right-hand side (`_variational_rhs`).
+The seed scan is one dense solve of it from all seeds at once: its z rows
+screen the seeds' returns, and its state at a near-return is the Newton
+polish's first residual and Jacobian.  Each closed orbit is then solved by
+its polish alone, dense (`PeriodFlow`): that last solve gives the
+minimal-period screen and the deduplication their Reeb trajectory, the
+index count its SymplecticPath, and the Reeb monodromy by the identity
+above.  The sampling Besse test integrates the Reeb flow itself
+(`integrate_reeb`).
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ TOL_DEDUP = 1e-6
 TOL_SUBPERIOD = 1e-5
 # time samples of the seed scan over (0, t_max]
 SCAN_POINTS = 4000
+# scan times per evaluation of the seed scan's interpolant
+SCAN_BLOCK = 500
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
-# the seed scan's dense trajectory of all seeds together
-TRAJECTORY_TOLS = {"rtol": 1e-10, "atol": 1e-11, "dense": True}
+# the seed scan's dense solve of all seeds together
+TRAJECTORY_TOLS = {"rtol": 1e-10, "atol": 1e-11}
 # a closed orbit's solves: the Newton polish and the index path
 ORBIT_TOLS = {"rtol": 1e-12, "atol": 1e-13}
 
@@ -175,29 +181,52 @@ def flow_with_monodromy(
     return flow.end, flow.monodromy, flow.path
 
 
+def _variational_rhs(body: ConvexBody, alpha: float, starts: int, peak: list | None = None):
+    """Right-hand side of the degree-alpha flow and its linearization from
+    `starts` points side by side: the state is (starts, d + d^2) flattened,
+    each row (z, Y) with derivative (J grad H(z), J hess H(z) Y).  `peak`, if
+    given, keeps the largest |hess H Y|_F^2 (summed over the starts)."""
+    d = body.dim
+
+    def rhs(_, y):
+        y = y.reshape(starts, d + d * d)
+        grad, hess = body._homogeneous_derivatives(y[:, :d], alpha)
+        HY = hess @ y[:, d:].reshape(starts, d, d)
+        if peak is not None:
+            peak[0] = max(peak[0], np.vdot(HY, HY))
+        # both blocks written into one output; J v = (-v_2, v_1) per plane
+        out = np.empty_like(y)
+        JHY = out[:, d:].reshape(starts, d, d)
+        out[:, :d:2], out[:, 1:d:2] = -grad[:, 1::2], grad[:, 0::2]
+        JHY[:, 0::2], JHY[:, 1::2] = -HY[:, 1::2], HY[:, 0::2]
+        return out.reshape(-1)
+
+    return rhs
+
+
+def _variational_start(z0: np.ndarray) -> np.ndarray:
+    """The flattened initial state (z0, I) of `_variational_rhs` for starts
+    z0 of shape (2n,) or (N, 2n)."""
+    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
+    eye = np.broadcast_to(np.eye(z0.shape[1]).reshape(-1), (len(z0), z0.shape[1] ** 2))
+    return np.hstack([z0, eye]).reshape(-1)
+
+
+def _flow_at(states: Callable, alpha: float, t: float, d: int, start: int = 0) -> PeriodFlow:
+    """The (end, monodromy) of one start over Reeb time t, read off a dense
+    solve of `_variational_rhs` at s = 2t/alpha."""
+    y = states(2.0 * t / alpha).reshape(-1, d + d * d)[start]
+    return PeriodFlow(alpha=alpha, end=y[:d], monodromy=y[d:].reshape(d, d))
+
+
 def _period_flow(body: ConvexBody, z0: np.ndarray, tau: float, alpha: float,
                  rtol: float, atol: float, dense: bool) -> PeriodFlow:
     """The solve behind `flow_with_monodromy`, as a PeriodFlow."""
-    z0 = np.asarray(z0, dtype=float)
     d = body.dim
     span = 2.0 * tau / alpha
-    peak = [0.0]  # largest |HY|_F^2 seen
-
-    def rhs(t, y):
-        # [J grad H, J hess H Y] written into one output; J v = (-v_2, v_1) per plane
-        grad, hess = body._homogeneous_derivatives(y[:d], alpha)
-        HY = hess @ y[d:].reshape(d, d)
-        if dense:
-            peak[0] = max(peak[0], np.vdot(HY, HY))
-        out = np.empty_like(y)
-        JHY = out[d:].reshape(d, d)
-        out[:d:2], out[1:d:2] = -grad[1::2], grad[0::2]
-        JHY[0::2], JHY[1::2] = -HY[1::2], HY[0::2]
-        return out
-
-    y0 = np.concatenate([z0, np.eye(d).reshape(-1)])
-    sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense)
+    peak = [0.0] if dense else None
+    sol = solve_ivp(_variational_rhs(body, alpha, 1, peak), (0.0, span), _variational_start(z0),
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=dense)
     if not sol.success:
         raise RuntimeError(f"variational integration failed: {sol.message}")
     z_end = sol.y[:d, -1]
@@ -233,35 +262,52 @@ def _default_seeds(body: ConvexBody, extra: int, seed: int) -> list[np.ndarray]:
     return pts
 
 
-def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max: float):
+def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max: float,
+                   start: PeriodFlow | None = None):
     """Damped least-squares Newton on (z, tau) for phi_R^tau(z) = z on Sigma,
     with a phase condition along the Reeb field at the seed; the closed orbit
     or None.
 
     The residual is solved as the body's degree-alpha flow: on Sigma it is
     phi_H^{2 tau/alpha}(z) - z, with z-Jacobian M_alpha - I and tau-column
-    X_G(z_end).  Every trial solve is dense, so the accepted one becomes the
-    orbit's `flow`; the seed's own residual is solved without the
-    interpolant and again with it only when the seed already closes.
+    X_G(z_end).  `start`, the seed's (end, monodromy) over tau_guess read off
+    a dense solve that was made anyway (the seed scan, or the orbit's own
+    flow), gives the first residual and Jacobian; without it (a direct
+    call) the seed is solved once, without the interpolant.  Any alpha serves there: the
+    M_alpha agree on the tangent space of Sigma (module docstring), and the
+    row grad G(z) fixes the normal part of the step.  Every trial solve is
+    dense at ORBIT_TOLS, so the accepted one becomes the orbit's `flow`; a
+    seed that already closes is solved once more, dense, and that solve
+    decides.
     """
     d = body.dim
     z = np.asarray(z_seed, float).copy()
     tau = float(tau_guess)
     phase_dir = body.reeb_field(z_seed)
 
-    def residual(z, tau, dense=True):
-        flow = _period_flow(body, z, tau, body.alpha, dense=dense, **ORBIT_TOLS)
+    def residual(z, flow):
         r = np.empty(d + 2)
         r[:d] = flow.end - z
         r[d] = body.gauge2(z) - 1.0
         r[d + 1] = phase_dir @ (z - z_seed)
-        return r, flow
+        return r
 
-    r, flow = residual(z, tau, dense=False)
+    def solved(z, tau, dense=True):
+        flow = _period_flow(body, z, tau, body.alpha, dense=dense, **ORBIT_TOLS)
+        return residual(z, flow), flow
+
+    if start is None:
+        r, flow = solved(z, tau, dense=False)
+    else:
+        r, flow = residual(z, start), start
     rnorm = np.linalg.norm(r)
     for _ in range(30):
         if rnorm < TOL_ORBIT:
-            break
+            if flow.path is not None:
+                break
+            r, flow = solved(z, tau)  # the seed closes: solve it dense
+            rnorm = np.linalg.norm(r)
+            continue
         jac = np.zeros((d + 2, d + 1))
         jac[:d, :d] = flow.monodromy - np.eye(d)
         jac[:d, d] = body.reeb_field(flow.end)
@@ -275,7 +321,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             if not (0.0 < tau_try <= 1.5 * t_max):
                 lam *= 0.5
                 continue
-            r_try, flow_try = residual(z_try, tau_try)
+            r_try, flow_try = solved(z_try, tau_try)
             if np.linalg.norm(r_try) < rnorm:
                 z, tau, r, flow = z_try, tau_try, r_try, flow_try
                 rnorm = np.linalg.norm(r)
@@ -285,8 +331,6 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             return None
     if rnorm >= TOL_ORBIT:
         return None
-    if flow.path is None:  # the seed closed: solve it once more, dense
-        flow = residual(z, tau)[1]
     return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm),
                        monodromy=_reeb_monodromy(body, z, tau, flow), flow=flow)
 
@@ -304,17 +348,18 @@ def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
     period closes to TOL_ORBIT only over the whole multiple (the double
     cover on perturbed E(1, 2) returns within 3e-7 at half its period), so
     the return is a loose pre-screen at TOL_SUBPERIOD and the Newton polish
-    at tau/k decides; the polish brings its own trajectory.
+    at tau/k decides, started from the same trajectory's state there; the
+    polish brings its own trajectory.
     """
     r, _ = body.pinching_radii()
     # pi r^2 is the action of a plane orbit of perturbed E(1, 2) to 1e-13,
     # so a cover's tau / (pi r^2) may fall just short of its multiple
     top = int(orbit.period / (np.pi * r * r) * (1.0 + 1e-6))
     for k in range(top, 1, -1):
-        z_end = orbit.flow.reeb(orbit.period / k)
-        if np.linalg.norm(z_end - orbit.initial_point) < TOL_SUBPERIOD:
+        start = _flow_at(orbit.flow.states, orbit.flow.alpha, orbit.period / k, body.dim)
+        if np.linalg.norm(start.end - orbit.initial_point) < TOL_SUBPERIOD:
             polished = _newton_polish(body, orbit.initial_point, orbit.period / k,
-                                      t_max=orbit.period)
+                                      t_max=orbit.period, start=start)
             if polished is not None:
                 return polished
     return orbit
@@ -347,12 +392,19 @@ def find_closed_orbits(
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
     Seeds are the coordinate-plane circles plus low-discrepancy surface
-    samples.  All seeds are flowed together in one dense solve; each seed's
-    near-returns (local minima of its displacement below half the
-    circumradius) are polished by a damped least-squares Newton on (z, tau)
-    with a phase condition killing the time-shift.  Each candidate is
-    reduced to its minimal period, and its Reeb trajectory over that period,
-    read off the polish's dense solve, is used to deduplicate the candidates
+    samples.  All seeds are flowed together in one dense solve of the
+    body's degree-alpha flow and its linearization, over s in
+    [0, 2 t_max/alpha].  Its z rows give each seed's displacement at
+    SCAN_POINTS Reeb times; each near-return (a local minimum of the
+    displacement below half the circumradius) is polished by a damped
+    least-squares Newton on (z, tau) with a phase condition killing the
+    time-shift, started from the scan's state there.  A seed that lies on
+    the orbit its polish found (within TOL_SUBPERIOD of its initial point)
+    closes at its period p, and its near-returns within two scan steps of
+    k p, k >= 2, are covers of that orbit and are not polished; a polish
+    that moved away from the seed skips nothing.  Each candidate is reduced
+    to its minimal period, and its Reeb trajectory over that period, read
+    off the polish's dense solve, is used to deduplicate the candidates
     after it by trajectory distance.
     Integer multiples within the window are listed in meta["multiples"].
     """
@@ -360,20 +412,37 @@ def find_closed_orbits(
         raise ValueError("t_max must be positive")
     _, R = body.pinching_radii()
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
-    interp = integrate_reeb(body, seeds, t_max, **TRAJECTORY_TOLS)
-    ts = np.linspace(0.0, t_max, SCAN_POINTS + 1)
-    disp = np.linalg.norm(interp(ts).T.reshape(len(ts), *seeds.shape) - seeds, axis=-1)
+    N, d = seeds.shape
+    alpha = body.alpha
+    sol = solve_ivp(_variational_rhs(body, alpha, N), (0.0, 2.0 * t_max / alpha),
+                    _variational_start(seeds), method="DOP853", dense_output=True,
+                    **TRAJECTORY_TOLS)
+    if not sol.success:
+        raise RuntimeError(f"seed scan failed: {sol.message}")
+    z_rows = (np.arange(N)[:, None] * (d + d * d) + np.arange(d)).ravel()
+    ts, step = np.linspace(0.0, t_max, SCAN_POINTS + 1, retstep=True)
+    disp = np.concatenate([
+        np.linalg.norm(sol.sol(block * (2.0 / alpha))[z_rows].T.reshape(len(block), N, d) - seeds,
+                       axis=-1)
+        for block in np.split(ts, range(SCAN_BLOCK, len(ts), SCAN_BLOCK))])
     inner = disp[1:-1]
     near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
 
     candidates: list[ClosedOrbit] = []
+    closed: dict[int, list[float]] = {}  # seed -> periods it closed at
     for j, i in zip(*np.nonzero(near.T)):
         t = ts[i + 1]
-        orb = _newton_polish(body, seeds[j], t, t_max)
+        if any(round(t / p) >= 2 and abs(t - round(t / p) * p) <= 2 * step
+               for p in closed.get(j, ())):
+            continue
+        orb = _newton_polish(body, seeds[j], t, t_max, start=_flow_at(sol.sol, alpha, t, d, j))
         if orb is None:
             log.debug("Newton diverged from seed near t = %.6f (displacement %.3e)",
                       t, disp[i + 1, j])
-        elif orb.period <= t_max * (1 + 1e-9):
+            continue
+        if np.linalg.norm(orb.initial_point - seeds[j]) < TOL_SUBPERIOD:  # on the orbit
+            closed.setdefault(j, []).append(orb.period)
+        if orb.period <= t_max * (1 + 1e-9):
             candidates.append(orb)
 
     unique: list[ClosedOrbit] = []

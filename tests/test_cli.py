@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +147,21 @@ class TestCz:
     def test_block_rates(self, capsys):
         code, out, _ = run_cli(capsys, "cz", "--rotation", "1.5,2.0")
         assert json.loads(out)["cz_index"] == 6
+
+    @pytest.mark.parametrize("rates", ["1.000000001", "2.000000001", "1.5,2.000000001"])
+    def test_rate_within_kernel_resolution_warns(self, capsys, rates):
+        # 2 pi 1e-9 < TOL_KER: counted as the integer, which the warning says
+        with pytest.warns(UserWarning, match="counted as"):
+            code, out, _ = run_cli(capsys, "cz", "--rotation", rates)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("rates", ["1", "3/2,2", "1,2.0001", "1.5,1.50000001", "1,2",
+                                       "3.7,0.003", "131.5", "2049.5"])
+    def test_resolved_rates_do_not_warn(self, capsys, rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(capsys, "cz", "--rotation", rates)
+        assert code == EXIT_OK
 
 
 class TestBott:

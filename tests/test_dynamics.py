@@ -30,6 +30,20 @@ def surface_point(body, raw):
     return body.project_to_surface(np.asarray(raw, dtype=float))
 
 
+@pytest.fixture
+def polishes(monkeypatch):
+    """(seed, tau guess, start) of every Newton polish."""
+    calls = []
+    polish = dynamics._newton_polish
+
+    def spy(body, z_seed, tau_guess, t_max, start=None):
+        calls.append((z_seed, tau_guess, start))
+        return polish(body, z_seed, tau_guess, t_max, start=start)
+
+    monkeypatch.setattr(dynamics, "_newton_polish", spy)
+    return calls
+
+
 class TestIntegrateReeb:
     def test_zero_time(self):
         z = surface_point(E12, [0.3, -0.2, 0.5, 0.1])
@@ -109,8 +123,9 @@ class TestFindClosedOrbits:
             assert best < 1e-8 or min(abs(o.period - v) for v in (1.0, 2.0, 3.0)) < 10 * eps
 
     def test_double_cover_folded_into_multiples(self):
-        # seeds 3, seed 0 find the 2 x 0.9998987 orbit, which returns only
-        # within 3e-7 at half its period after polishing
+        # seeds 3, seed 0: the plane-1 seeds return again near 2 x 0.9998987,
+        # where a polished double cover returns only within 3e-7 at half its
+        # period; no cover may be listed beside its orbit
         body = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
         orbits = find_closed_orbits(body, t_max=3.0, n_seeds=3, seed=0)
 
@@ -198,11 +213,14 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n_seeds", [2, 5])
     def test_one_solve_for_the_seed_sweep(self, n_seeds, solves):
+        # the degree-alpha flow with its linearization, all seeds in one solve
         t_max = 2.5
+        d = E12.dim
         find_closed_orbits(E12, t_max=t_max, n_seeds=n_seeds, seed=0)
-        sweeps = [c for c in solves if c[0] == (0.0, t_max)]
+        sweeps = [c for c in solves if c[0] == (0.0, 2.0 * t_max / E12.alpha)]
         assert len(sweeps) == 1
-        assert sweeps[0][1] == n_seeds * E12.dim
+        assert sweeps[0][1] == n_seeds * (d + d * d)
+        assert solves[0] == sweeps[0]
 
     @pytest.fixture
     def tagged_solves(self, monkeypatch):
@@ -243,12 +261,9 @@ class TestWorkCounts:
         assert cli.main(["orbits", "--body", str(spec), "--tmax", "1.1", "--seeds", "2"]) == 0
         orbits = json.loads(capsys.readouterr().out)["orbits"]
         assert [(o["cz"], o["morse"], o["nullity"]) for o in orbits] == [(2, 0, 1)]
-        tags = [tag for tag, _ in tagged_solves]
-        assert tags[0] == "find_closed_orbits" and tags.count("find_closed_orbits") == 1
-        assert set(tags[1:]) == {"_newton_polish"}
-        # each polish solves its seed without the interpolant and every
-        # trial with it
-        assert [dense for _, dense in tagged_solves[1:]] == [False] + [True] * (len(tags) - 2)
+        # the scan, then one dense trial; the polish reads the seed's
+        # residual and Jacobian off the scan and does not solve the seed
+        assert tagged_solves == [("find_closed_orbits", True), ("_newton_polish", True)]
 
     def test_index_at_another_alpha_solves_once(self, tagged_solves):
         from test_clarke import planar_period_oracle
@@ -264,6 +279,45 @@ class TestWorkCounts:
             assert tagged_solves == [("monodromy_and_index", True)]
             assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == want
             assert orbit.flow.alpha == alpha
+
+    def test_no_polish_at_multiples(self, polishes):
+        # each plane seed returns at every multiple of its period up to 10;
+        # only its first return is polished, and the covers' reductions
+        # need none
+        orbits = find_closed_orbits(E12, t_max=10.0, n_seeds=2)
+        assert [round(o.period, 9) for o in orbits] == [1.0, 2.0]
+        assert [round(t, 6) for _, t, _ in polishes] == [1.0, 2.0]
+
+    def test_return_after_a_polish_off_the_seed_is_polished(self, monkeypatch, polishes):
+        # a seed near the plane-1 circle returns near t = 1, and its polish
+        # moves onto the circle; the seed itself closes at t = 2 on another
+        # orbit, which is no cover of the circle and must still be polished
+        seed = E12.project_to_surface(np.array([0.5, 0.1, 0.05, -0.025]))
+        monkeypatch.setattr(dynamics, "_default_seeds", lambda body, extra, s: [seed])
+        orbits = find_closed_orbits(E12, t_max=3.0, n_seeds=1)
+        assert [round(o.period, 9) for o in orbits] == [1.0, 2.0]
+        assert np.linalg.norm(orbits[0].initial_point - seed) > 1e-2
+        assert [round(t, 2) for _, t, _ in polishes] == [1.0, 2.0]
+
+
+class TestSeedScan:
+    """The seed scan's state at a near-return is the Newton polish's first
+    residual and Jacobian."""
+
+    @pytest.mark.parametrize("body, t_max, n_seeds", [
+        (PERTURBED, 3.0, 3),
+        (ConvexBody(a=[1.0, 1.5, 7 / 3], epsilon=1e-3, quartic=[1.0, 0.5, 1.0], alpha=1.5),
+         2.5, 4),
+    ], ids=["perturbed", "three-planes"])
+    def test_scan_start_matches_a_fresh_solve(self, body, t_max, n_seeds, polishes):
+        find_closed_orbits(body, t_max=t_max, n_seeds=n_seeds, seed=0)
+        assert len(polishes) >= 3
+        for z, t, start in polishes:
+            fresh = dynamics._period_flow(body, z, t, body.alpha, dense=False,
+                                          **dynamics.ORBIT_TOLS)
+            assert start.alpha == body.alpha
+            assert np.abs(start.end - fresh.end).max() < 1e-8
+            assert np.abs(start.monodromy - fresh.monodromy).max() < 1e-8
 
 
 class TestMonodromy:
