@@ -280,21 +280,43 @@ class TestColdStart:
         ["bott", "--model", "S^n", "--dim", "2", "--mmax", "3"],
     ]
 
+    # in the fresh process: count every start of a solve_ivp solver and every
+    # odeint call, whatever module makes it
+    ODE_COUNTER = (
+        "import scipy.integrate\n"
+        "from scipy.integrate._ivp.base import OdeSolver\n"
+        "ode_starts = []\n"
+        "def counting(fn, name):\n"
+        "    def counted(*args, **kwargs):\n"
+        "        ode_starts.append(name)\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return counted\n"
+        "OdeSolver.__init__ = counting(OdeSolver.__init__, 'solve_ivp')\n"
+        "scipy.integrate.odeint = counting(scipy.integrate.odeint, 'odeint')\n"
+    )
+
     @staticmethod
-    def _scipy_modules_after(runs):
+    def _fresh_run(runs, prelude="", report="sorted(m for m in sys.modules "
+                                             "if m.split('.')[0] == 'scipy')"):
+        """`report`, evaluated after the CLI runs `runs` in one fresh process
+        that first executes `prelude`."""
         script = (
             "import contextlib, io, json, sys\n"
-            "from reeb_spectra import cli\n"
+            + prelude
+            + "from reeb_spectra import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            f"print(json.dumps({report}))\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", script, json.dumps(runs)],
             capture_output=True, text=True, env=_fresh_env(), check=True,
         )
         return json.loads(run.stdout)
+
+    def _scipy_modules_after(self, runs):
+        return self._fresh_run(runs)
 
     def test_exact_subcommands_load_no_scipy(self):
         assert self._scipy_modules_after(self.EXACT_RUNS) == []
@@ -309,6 +331,20 @@ class TestColdStart:
         run = ["pinch", "--body", str(body), "--spectrum", "1.0,1.2,2.0",
                "--attest-coverage", "--delta-sq", "1.5"]
         assert self._scipy_modules_after([run]) == []
+
+    def test_besse_test_on_a_body_solves_no_ode(self, tmp_path):
+        # the sampling Besse test flows its samples in closed form.  Its
+        # Sobol sampler imports scipy.stats, which loads scipy.integrate
+        # itself, so the guard counts ODE solves, not modules
+        body = tmp_path / "e12.json"
+        body.write_text(json.dumps(
+            {"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]}
+        ))
+        besse = ["classify", "--body", str(body), "--tau", "2", "--samples", "200"]
+        assert self._fresh_run([besse], self.ODE_COUNTER, "ode_starts") == []
+        # the counter sees the orbit search's solves
+        orbits = ["orbits", "--body", str(body), "--tmax", "1.1", "--seeds", "2"]
+        assert self._fresh_run([orbits], self.ODE_COUNTER, "ode_starts") == ["solve_ivp"] * 2
 
 
 class TestParserReuse:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,7 +68,7 @@ class TestIntegrateReeb:
         assert abs(E12.gauge2(zt) - 1.0) < 1e-9
 
     def test_long_solve_stays_on_surface(self):
-        # one solve, no re-projection
+        # the closed form keeps every plane radius
         z = surface_point(PERTURBED, [0.25, 0.15, 0.35, -0.45])
         assert abs(PERTURBED.gauge2(integrate_reeb(PERTURBED, z, 50.0)) - 1.0) < 1e-9
 
@@ -90,6 +92,51 @@ class TestIntegrateReeb:
         out = integrate_reeb(E12, Z, 0.8)
         for i in range(2):
             assert np.abs(out[i] - integrate_reeb(E12, Z[i], 0.8)).max() < 1e-9
+
+    def test_dense_shapes(self):
+        Z = PERTURBED.surface_samples(3, seed=2)
+        states = integrate_reeb(PERTURBED, Z, 1.0, dense=True)
+        ts = np.array([0.0, 0.4, 1.0])
+        assert states(0.4).shape == (Z.size,)
+        assert states(ts).shape == (Z.size, len(ts))
+        assert np.array_equal(states(ts)[:, 1], states(0.4))
+        single = integrate_reeb(PERTURBED, Z[0], 1.0, dense=True)
+        assert single(ts).shape == (PERTURBED.dim, len(ts))
+        assert np.array_equal(single(ts).T, states(ts).T[:, :PERTURBED.dim])
+
+
+CROSS_CHECK_BODIES = {
+    "perturbed-E12": PERTURBED,
+    "three-planes": ConvexBody(a=[1.0, 1.5, 7 / 3], epsilon=0.3, quartic=[1.0, 0.2, 2.0]),
+    "one-flat-plane": ConvexBody(a=[1.0, 2.0], epsilon=0.3, quartic=[0.0, 1.0]),
+    "quadric": E12,
+}
+
+
+class TestReebCrossCheck:
+    """The closed-form Reeb flow against an ODE solve of z' = J grad G(z)."""
+
+    @pytest.mark.parametrize("t", [0.7, 2.0, 50.0, -1.3])
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_BODIES))
+    def test_matches_an_ode_solve(self, name, t):
+        body = CROSS_CHECK_BODIES[name]
+        Z = body.surface_samples(6, seed=4)
+        J = standard_J(body.n)
+
+        def rhs(_, y):
+            return (body.grad_gauge2(y.reshape(Z.shape)) @ J.T).reshape(-1)
+
+        ts = np.linspace(0.0, t, 9)
+        sol = solve_ivp(rhs, (0.0, t), Z.reshape(-1), method="DOP853", t_eval=ts,
+                        rtol=1e-12, atol=1e-13)
+        assert sol.success
+        path = sol.y.T.reshape(len(ts), *Z.shape)
+        # the premise of the closed form: the plane radii are conserved
+        radii = path[..., 0::2] ** 2 + path[..., 1::2] ** 2
+        assert np.abs(radii - radii[0]).max() < 1e-10
+        assert np.abs(integrate_reeb(body, Z, t) - path[-1]).max() < 1e-9
+        states = integrate_reeb(body, Z, t, dense=True)
+        assert np.abs(states(ts).T.reshape(path.shape) - path).max() < 1e-9
 
 
 class TestFindClosedOrbits:
@@ -572,3 +619,34 @@ class TestBesseTest:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             numerical_besse_test(E12, 0.0)
+
+    @pytest.mark.parametrize("case", range(100))
+    def test_perturbed_bodies_are_not_besse(self, case):
+        # a body with eps q != 0 turns its planes at rates that vary over
+        # Sigma, so no tau closes every sample: not at a period a_h of a
+        # plane orbit of E(a), not at 2 a_n, and not at the common period of
+        # E(a), where every point of the quadric closes
+        a, eps, q = _perturbed_case(case)
+        body = ConvexBody(a=[str(x) for x in a], epsilon=eps, quartic=q)
+        for tau in sorted({*a, 2 * a[-1], _common_period(a)}):
+            res = numerical_besse_test(body, float(tau), samples=256, seed=case)
+            assert not res.verdict, (tau, res.max_displacement)
+
+
+def _perturbed_case(case: int):
+    """Seeded (a, eps, q) with n = 2 or 3, a_h small rationals in increasing
+    order, eps in [1e-3, 1] (log-uniform) and some q_h = 0, never all."""
+    rng = np.random.default_rng([22, case])
+    n = 2 + case % 2
+    a = sorted(Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4))) for _ in range(n))
+    eps = float(10.0 ** rng.uniform(-3.0, 0.0))
+    q = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], size=n)
+    if not q.any():
+        q[rng.integers(n)] = 1.0
+    return a, eps, q.tolist()
+
+
+def _common_period(a):
+    """The least tau with tau / a_h an integer for every h: the period at
+    which every Reeb orbit of the quadric E(a) closes."""
+    return Fraction(math.lcm(*(x.numerator for x in a)), math.gcd(*(x.denominator for x in a)))
