@@ -206,12 +206,12 @@ class ConvexBody:
         g, g_s, g_ss = self._gauge2_jet(z)
         return (g[..., 0], *self._lift(z, g_s, g_ss))
 
-    def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
-        """(grad, hess) of G^{alpha/2} at points (..., 2n) from one jet of G,
-        by the chain rule in plane radii before the lift (a = alpha/2):
-        d/ds G^a = a G^{a-1} g_s, d2/ds2 G^a = a G^{a-1} (g_ss + (a-1) G^{-1} g_s g_s^T).
+    def _homogeneous_jet(self, z: np.ndarray, alpha: float):
+        """(f_s, f_ss): the gradient and Hessian of f = G^{alpha/2} in the
+        plane radii at points (..., 2n), from one jet of G by the chain rule
+        (a = alpha/2): f_s = a G^{a-1} g_s, f_ss = a G^{a-1} (g_ss + (a-1) G^{-1} g_s g_s^T).
+        At alpha = 2 they are the jet's own g_s and g_ss.
         """
-        z = np.asarray(z, dtype=float)
         g, g_s, g_ss = self._gauge2_jet(z)
         if alpha != 2.0:
             a2 = alpha / 2.0
@@ -219,7 +219,13 @@ class ConvexBody:
             g_ss = p[..., None] * (g_ss + ((a2 - 1.0) / g)[..., None]
                                    * g_s[..., :, None] * g_s[..., None, :])
             g_s = p * g_s
-        return self._lift(z, g_s, g_ss)
+        return g_s, g_ss
+
+    def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
+        """(grad, hess) of G^{alpha/2} at points (..., 2n), the lift of
+        `_homogeneous_jet`."""
+        z = np.asarray(z, dtype=float)
+        return self._lift(z, *self._homogeneous_jet(z, alpha))
 
     # -- alpha-degree Hamiltonian ------------------------------------------
 

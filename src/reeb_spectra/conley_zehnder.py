@@ -34,8 +34,8 @@ move by at most |dM| (Bhatia-Davis, 1984): each angle moves at most
 |Gamma'|_2, so N = ceil(sqrt(2) L / sin(pi / 4 dim)) equal cells hold the
 sum over the dim angles to pi / 2, half the limit (`_cells`; at least
 MIN_CELLS, and a path needing more than MAX_CELLS is refused with
-ValueError before it is evaluated).  A declared speed may be sampled, not
-proved, so every cell is still checked with b = sqrt(|dGamma^T dGamma|_1),
+ValueError before it is evaluated).  A declared speed is the path's own
+claim, so every cell is still checked with b = sqrt(|dGamma^T dGamma|_1),
 exact on rotation blocks (|dGamma|_2 itself where 2n times that reaches
 pi).  A cell where it still does is cut; a path with a cell where the bound
 says nothing (sqrt(2) b >= 1), or a cut cell where it still reaches pi, is

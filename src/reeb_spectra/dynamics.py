@@ -1,29 +1,33 @@
-"""Reeb flow integration, closed-orbit shooting, monodromy and indices.
+"""Reeb flow, closed-orbit shooting, monodromy and indices, in closed form.
 
 The Reeb flow on Sigma = G^{-1}(1) is z' = J grad G(z), with G the degree-2
 homogenization of the body.  The degree-alpha Hamiltonian H = G^{alpha/2}
 has X_H = theta X_G with theta = (alpha/2) G^{alpha/2 - 1}, a function of G
-and so constant along both flows: phi_H^s(z) = phi_G^{theta(z) s}(z), and
-on Sigma the Reeb state is phi_R^t = phi_H^{2t/alpha}.  Differentiating in
-z at a start on Sigma, where grad theta = (alpha/2)(alpha/2 - 1) grad G,
-relates the two linearized flows over one period tau (span 2 tau/alpha):
+and so constant along both flows: on Sigma the Reeb state is
+phi_R^t = phi_H^{2t/alpha}.
 
-    M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z)^T.
+H depends on z only through the plane radii s_h = |z_h|^2 (`bodies`), so
+grad H on plane h is 2 f_h(s) z_h with f = G^{alpha/2}: every plane radius
+is conserved, and phi_H^sigma turns plane h counter-clockwise at the fixed
+rate omega_h = 2 f_h(s).  Differentiating z(sigma) = Rot(sigma omega(z0)) z0
+in z0 gives the linearized flow
 
-So the orbit search integrates only the body's own degree-alpha flow with
-its linearization, all through one right-hand side (`_variational_rhs`).
-The seed scan is one dense solve of it from all seeds at once: its z rows
-screen the seeds' returns, and its state at a near-return is the Newton
-polish's first residual and Jacobian.  Each closed orbit is then solved by
-its polish alone, dense (`PeriodFlow`): that last solve gives the
-minimal-period screen and the deduplication their Reeb trajectory, the
-index count its SymplecticPath, and the Reeb monodromy by the identity
-above.
+    Y(sigma) = Rot(sigma omega) (I + sigma K),   K = sum_h (J z0_h) grad omega_h^T,
 
-The sampling Besse test needs no solve.  G depends on z only through the
-plane radii s_h = |z_h|^2, so grad G on plane h is 2 g_h(s) z_h and the Reeb
-field there is 2 g_h(s) J z_h: every plane radius is conserved, with it g_s,
-and phi_R^t turns plane h at the fixed rate 2 g_h(s) (`integrate_reeb`).
+where z0_h is z0 on plane h, grad omega_h = 2 sum_k W_hk z0_k and
+W = d omega/ds = 2 f_ss.  Since grad omega_h^T J z0_k = 2 W_hk z0_k^T J z0_k
+= 0, K^2 = 0, and J K = -sum_h z0_h grad omega_h^T is symmetric, so Y is
+exactly symplectic.
+Its derivative is Rot(sigma omega)(A + sigma B) with A = Omega J + K and
+B = Omega J K, Omega the rates lifted to R^{2n}.
+
+`_alpha_flow` builds this flow from one jet of G per start, and every
+caller reads it: `integrate_reeb` (the sampling Besse test's flow) is its z
+part at alpha = 2; the seed scan is its z part from all seeds at once;
+each Newton trial, the minimal-period screen, the deduplication's Reeb
+trajectory and the index path read its (z, Y) at the body's alpha
+(`PeriodFlow`); and the Reeb monodromy M_2 is the same closed form at
+alpha = 2.  No ODE is solved.
 """
 
 from __future__ import annotations
@@ -31,70 +35,155 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from . import conley_zehnder as cz
 from .bodies import ConvexBody
-from .symplectic import SymplecticPath, standard_J, symplectic_defect
+from .symplectic import SymplecticPath, apply_J, standard_J, symplectic_defect
 
 log = logging.getLogger(__name__)
 
-RTOL = 1e-11
-ATOL = 1e-13
 TOL_ORBIT = 1e-9
 TOL_DEDUP = 1e-6
 TOL_SUBPERIOD = 1e-5
 # time samples of the seed scan over (0, t_max]
 SCAN_POINTS = 4000
-# scan times per evaluation of the seed scan's interpolant
-SCAN_BLOCK = 500
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
-# the seed scan's dense solve of all seeds together
-TRAJECTORY_TOLS = {"rtol": 1e-10, "atol": 1e-11}
-# a closed orbit's solves: the Newton polish and the index path
-ORBIT_TOLS = {"rtol": 1e-12, "atol": 1e-13}
 
 
 def solve_ivp(fun, t_span, y0, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use so that importing the
-    package loads no scipy; every integration in this module goes through it."""
+    """scipy.integrate.solve_ivp, imported on first use.  This module solves
+    no ODE; the name stays because the benchmark's tracer patches it to count
+    right-hand-side evaluations."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(fun, t_span, y0, **kwargs)
 
 
-@dataclass(frozen=True)
-class PeriodFlow:
-    """One solve of the degree-alpha flow and its linearization from a point
-    on Sigma over one Reeb period tau, i.e. over s in [0, 2 tau/alpha].
+def _turn(cos, sin, x):
+    """Each plane of x, shape (..., n, 2, m), turned counter-clockwise by the
+    angles whose cosines and sines are cos and sin, shape (..., n)."""
+    c, s = cos[..., None], sin[..., None]
+    x0, x1 = x[..., 0, :], x[..., 1, :]
+    return np.stack([c * x0 - s * x1, s * x0 + c * x1], axis=-2)
 
-    `end` and `monodromy` are z and Gamma_alpha at the end of the span.  A
-    dense solve also keeps `path`, Gamma_alpha on [0, 1] with its sampled
-    speed, and `states`, the solver's interpolant s -> flattened (z, Y).
+
+@dataclass(frozen=True)
+class AlphaFlow:
+    """sigma -> (z, Y), the degree-alpha flow and its linearization from
+    starts z0 of shape (2n,) or (N, 2n), in closed form (module docstring).
+    `rates` is omega, shape (..., n), and `curvature` is W = d omega/ds,
+    shape (..., n, n).  Times sigma may have any shape S; z has shape
+    S + z0.shape and Y shape S + K.shape.
     """
 
     alpha: float
-    end: np.ndarray
-    monodromy: np.ndarray
-    path: SymplecticPath | None = None
-    states: Callable | None = None
+    z0: np.ndarray
+    rates: np.ndarray
+    curvature: np.ndarray
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """sum_h (J z0_h) grad omega_h^T, with grad omega_h = 2 sum_k W_hk z0_k."""
+        planes = self.z0.reshape(self.rates.shape + (2,))
+        Jz = apply_J(self.z0).reshape(planes.shape)
+        K = (2.0 * self.curvature[..., :, None, :, None] * Jz[..., :, :, None, None]
+             * planes[..., None, None, :, :])
+        return K.reshape(self.z0.shape + self.z0.shape[-1:])
+
+    def _rotations(self, sigma):
+        """(cos, sin) of the plane angles sigma omega, each reduced as
+        2 pi frac(sigma omega / 2 pi) so that a long span stays accurate."""
+        turns = np.multiply.outer(np.asarray(sigma, dtype=float), self.rates) / (2.0 * np.pi)
+        angle = 2.0 * np.pi * (turns - np.floor(turns))
+        return np.cos(angle), np.sin(angle)
+
+    def z(self, sigma) -> np.ndarray:
+        cos, sin = self._rotations(sigma)
+        planes = self.z0.reshape(self.rates.shape + (2, 1))
+        return _turn(cos, sin, planes).reshape(cos.shape[:-1] + self.z0.shape[-1:])
+
+    def Y(self, sigma) -> np.ndarray:
+        cos, sin = self._rotations(sigma)
+        d = self.z0.shape[-1]
+        rows = np.eye(d) + np.multiply.outer(np.asarray(sigma, dtype=float), self.K)
+        return _turn(cos, sin, rows.reshape(cos.shape + (2, d))).reshape(rows.shape)
+
+    def start(self, j: int) -> "AlphaFlow":
+        """The flow from the j-th start alone."""
+        return AlphaFlow(self.alpha, self.z0[j], self.rates[j], self.curvature[j])
+
+    def peak_speed(self, span: float) -> float:
+        """max |Y'(sigma)|_2 over [0, span] from one start: Y' is
+        Rot(sigma omega)(A + sigma B), and |A + sigma B|_2 is convex in
+        sigma, so the maximum sits at an end of the span."""
+        OJ = np.repeat(self.rates, 2)[:, None] * standard_J(len(self.rates))
+        A = self.K + OJ
+        return float(max(np.linalg.norm(A, 2), np.linalg.norm(A + span * (OJ @ self.K), 2)))
+
+
+def _alpha_flow(body: ConvexBody, z0: np.ndarray, alpha: float) -> AlphaFlow:
+    """The closed-form degree-alpha flow from starts z0, shape (2n,) or
+    (N, 2n), built from one jet of G: omega = 2 f_s and W = 2 f_ss."""
+    z0 = np.asarray(z0, dtype=float)
+    f_s, f_ss = body._homogeneous_jet(z0, alpha)
+    shape = z0.shape[:-1] + (body.n,)
+    # g_s and g_ss are unbroadcast on a quadric
+    return AlphaFlow(alpha, z0, np.broadcast_to(2.0 * f_s, shape),
+                     np.broadcast_to(2.0 * f_ss, shape + (body.n,)))
+
+
+@dataclass(frozen=True)
+class PeriodFlow:
+    """The closed-form flow from one point on Sigma over one Reeb period
+    tau, i.e. over sigma in [0, 2 tau/alpha].
+
+    `end` and `monodromy` are z and Gamma_alpha at the end of the span,
+    `path` is Gamma_alpha on [0, 1] with its exact speed, and `reeb` the
+    Reeb trajectory.
+    """
+
+    flow: AlphaFlow
+    tau: float
+
+    @property
+    def alpha(self) -> float:
+        return self.flow.alpha
+
+    @property
+    def span(self) -> float:
+        return 2.0 * self.tau / self.flow.alpha
+
+    @cached_property
+    def end(self) -> np.ndarray:
+        return self.flow.z(self.span)
+
+    @cached_property
+    def monodromy(self) -> np.ndarray:
+        return self.flow.Y(self.span)
+
+    @cached_property
+    def path(self) -> SymplecticPath:
+        """t -> Y(t span), of speed span max(|A|_2, |A + span B|_2)."""
+        flow, span = self.flow, self.span
+        return SymplecticPath(dim=flow.z0.shape[-1], eval_batch=lambda ts: flow.Y(ts * span),
+                              speed=span * flow.peak_speed(span))
 
     def reeb(self, t):
-        """phi_R^t of the start for Reeb times t in [0, tau], read off the
-        dense solve at s = 2t/alpha: shape (2n,) for a scalar t, (2n, T)
-        for T times."""
-        return self.states(np.asarray(t) * (2.0 / self.alpha))[: self.path.dim]
+        """phi_R^t of the start for Reeb times t, z at sigma = 2t/alpha:
+        shape (2n,) for a scalar t, (2n, T) for T times."""
+        return self.flow.z(np.asarray(t, dtype=float) * (2.0 / self.alpha)).T
 
 
 @dataclass
 class ClosedOrbit:
     """A (numerically) closed Reeb orbit with its linearized-flow data.
 
-    `flow` is the dense degree-alpha solve over one period that the search
-    (or `monodromy_and_index`) last made on it, None on an orbit built by
-    hand or by the Clarke reconstruction.
+    `flow` is the degree-alpha flow over one period that the search (or
+    `monodromy_and_index`) last read on it, None on an orbit built by hand
+    or by the Clarke reconstruction.
     """
 
     initial_point: np.ndarray
@@ -130,35 +219,26 @@ def _jsonable(v):
 
 
 def integrate_reeb(body: ConvexBody, z: np.ndarray, t: float, dense: bool = False):
-    """phi_R^t of a point (2n,) or a batch (N, 2n), in closed form.
+    """phi_R^t of a point (2n,) or a batch (N, 2n): the z part of the
+    closed-form flow at alpha = 2.
 
-    The Reeb field on plane h is z_h' = 2 g_h(s) J z_h, so d|z_h|^2/dt = 0:
-    the plane radii s, and with them the rates g_s, stay fixed along the
-    orbit, and phi_R^t turns plane h counter-clockwise (J v = (-v_2, v_1))
-    by the angle 2 g_h(s) t, reduced as 2 pi frac(g_h t / pi) so that a
-    large t stays accurate.  Every accepted body has this conservation law
-    (`bodies` module docstring).
+    Plane h turns counter-clockwise (J v = (-v_2, v_1)) by the angle
+    2 g_h(s) t, with the plane radii s and the rates g_s fixed along the
+    orbit (module docstring), reduced as 2 pi frac(g_h t / pi) so that a
+    large t stays accurate.
 
     Returns the endpoints in the shape of z or, with dense=True, the flow
     s -> flattened states: shape (N*2n,) for a scalar s and (N*2n, T) for T
-    times, as a solver's interpolant would give.  Every start must lie on
-    Sigma to 1e-10.
+    times.  Every start must lie on Sigma to 1e-10.
     """
     z = np.asarray(z, dtype=float)
     if not body.on_surface(z):
         raise ValueError("starting point is off the surface beyond 1e-10")
-    planes = z.reshape(-1, body.n, 2)
-    # g_s is the unbroadcast c on a quadric
-    rates = np.broadcast_to(body._plane_gradient(z)[1], planes.shape[:-1])
+    flow = _alpha_flow(body, z, 2.0)
 
     def states(ts):
         ts = np.asarray(ts, dtype=float)
-        turns = rates * ts[..., None, None] / np.pi
-        angle = 2.0 * np.pi * (turns - np.floor(turns))
-        cos, sin = np.cos(angle), np.sin(angle)
-        x, y = planes[..., 0], planes[..., 1]
-        out = np.stack([cos * x - sin * y, sin * x + cos * y], axis=-1)
-        return out.reshape(ts.shape + (-1,)).T
+        return flow.z(ts).reshape(ts.shape + (-1,)).T
 
     return states if dense else states(t).reshape(z.shape)
 
@@ -168,91 +248,23 @@ def flow_with_monodromy(
     z0: np.ndarray,
     tau: float,
     alpha: float = 2.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
     dense: bool = False,
 ):
-    """Flow and linearized flow over one period.
+    """Flow and linearized flow over one period, in closed form.
 
-    alpha = 2 integrates the Reeb (degree-2) flow over [0, tau]; alpha in
-    (1, 2) integrates the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].
-    Returns (endpoint, monodromy, path) where path is a SymplecticPath on
-    [0, 1] (None unless dense=True).  The path's speed is span times the
-    largest |J hess H Y|_F = |Y'|_F >= |Y'|_2 over the right-hand side's own
-    evaluations: sampled at the solver's stages, not proved, so the index
-    count's cell bounds stay the guard against an understatement.  The
-    orbit search needs no alpha = 2 solve: `_period_flow` solves its orbits
-    at the body's alpha, and `_reeb_monodromy` gives M_2 from that.
+    alpha = 2 gives the Reeb (degree-2) flow over [0, tau]; alpha in (1, 2)
+    the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].  Returns
+    (endpoint, monodromy, path) where path is a SymplecticPath on [0, 1]
+    (None unless dense=True) whose speed is exact: span times the larger of
+    |A|_2 and |A + span B|_2 (module docstring).
     """
-    flow = _period_flow(body, z0, tau, alpha, rtol=rtol, atol=atol, dense=dense)
-    return flow.end, flow.monodromy, flow.path
+    flow = _period_flow(body, z0, tau, alpha)
+    return flow.end, flow.monodromy, flow.path if dense else None
 
 
-def _variational_rhs(body: ConvexBody, alpha: float, starts: int, peak: list | None = None):
-    """Right-hand side of the degree-alpha flow and its linearization from
-    `starts` points side by side: the state is (starts, d + d^2) flattened,
-    each row (z, Y) with derivative (J grad H(z), J hess H(z) Y).  `peak`, if
-    given, keeps the largest |hess H Y|_F^2 (summed over the starts)."""
-    d = body.dim
-
-    def rhs(_, y):
-        y = y.reshape(starts, d + d * d)
-        grad, hess = body._homogeneous_derivatives(y[:, :d], alpha)
-        HY = hess @ y[:, d:].reshape(starts, d, d)
-        if peak is not None:
-            peak[0] = max(peak[0], np.vdot(HY, HY))
-        # both blocks written into one output; J v = (-v_2, v_1) per plane
-        out = np.empty_like(y)
-        JHY = out[:, d:].reshape(starts, d, d)
-        out[:, :d:2], out[:, 1:d:2] = -grad[:, 1::2], grad[:, 0::2]
-        JHY[:, 0::2], JHY[:, 1::2] = -HY[:, 1::2], HY[:, 0::2]
-        return out.reshape(-1)
-
-    return rhs
-
-
-def _variational_start(z0: np.ndarray) -> np.ndarray:
-    """The flattened initial state (z0, I) of `_variational_rhs` for starts
-    z0 of shape (2n,) or (N, 2n)."""
-    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    eye = np.broadcast_to(np.eye(z0.shape[1]).reshape(-1), (len(z0), z0.shape[1] ** 2))
-    return np.hstack([z0, eye]).reshape(-1)
-
-
-def _flow_at(states: Callable, alpha: float, t: float, d: int, start: int = 0) -> PeriodFlow:
-    """The (end, monodromy) of one start over Reeb time t, read off a dense
-    solve of `_variational_rhs` at s = 2t/alpha."""
-    y = states(2.0 * t / alpha).reshape(-1, d + d * d)[start]
-    return PeriodFlow(alpha=alpha, end=y[:d], monodromy=y[d:].reshape(d, d))
-
-
-def _period_flow(body: ConvexBody, z0: np.ndarray, tau: float, alpha: float,
-                 rtol: float, atol: float, dense: bool) -> PeriodFlow:
-    """The solve behind `flow_with_monodromy`, as a PeriodFlow."""
-    d = body.dim
-    span = 2.0 * tau / alpha
-    peak = [0.0] if dense else None
-    sol = solve_ivp(_variational_rhs(body, alpha, 1, peak), (0.0, span), _variational_start(z0),
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=dense)
-    if not sol.success:
-        raise RuntimeError(f"variational integration failed: {sol.message}")
-    z_end = sol.y[:d, -1]
-    M = sol.y[d:, -1].reshape(d, d)
-    if not dense:
-        return PeriodFlow(alpha=alpha, end=z_end, monodromy=M)
-
-    def _eval(ts):
-        return sol.sol(np.asarray(ts) * span)[d:].T.reshape(len(ts), d, d)
-
-    path = SymplecticPath(dim=d, eval_batch=_eval, speed=span * np.sqrt(peak[0]))
-    return PeriodFlow(alpha=alpha, end=z_end, monodromy=M, path=path, states=sol.sol)
-
-
-def _reeb_monodromy(body: ConvexBody, z0: np.ndarray, tau: float, flow: PeriodFlow):
-    """M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z0)^T (module
-    docstring) from a solve started at z0 on Sigma."""
-    shift = tau * (flow.alpha / 2.0 - 1.0)
-    return flow.monodromy - shift * np.outer(body.reeb_field(flow.end), body.grad_gauge2(z0))
+def _period_flow(body: ConvexBody, z0: np.ndarray, tau: float, alpha: float) -> PeriodFlow:
+    """The flow behind `flow_with_monodromy`, as a PeriodFlow."""
+    return PeriodFlow(_alpha_flow(body, z0, alpha), float(tau))
 
 
 # -- closed-orbit shooting ---------------------------------------------------
@@ -275,17 +287,15 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
     with a phase condition along the Reeb field at the seed; the closed orbit
     or None.
 
-    The residual is solved as the body's degree-alpha flow: on Sigma it is
+    The residual is read off the body's degree-alpha flow: on Sigma it is
     phi_H^{2 tau/alpha}(z) - z, with z-Jacobian M_alpha - I and tau-column
-    X_G(z_end).  `start`, the seed's (end, monodromy) over tau_guess read off
-    a dense solve that was made anyway (the seed scan, or the orbit's own
-    flow), gives the first residual and Jacobian; without it (a direct
-    call) the seed is solved once, without the interpolant.  Any alpha serves there: the
-    M_alpha agree on the tangent space of Sigma (module docstring), and the
-    row grad G(z) fixes the normal part of the step.  Every trial solve is
-    dense at ORBIT_TOLS, so the accepted one becomes the orbit's `flow`; a
-    seed that already closes is solved once more, dense, and that solve
-    decides.
+    X_G(z_end).  `start`, the seed's flow over tau_guess that the caller
+    built anyway (the seed scan's, or the orbit's own), gives the first
+    residual and Jacobian; without it the seed's flow is built here.  Any
+    alpha serves there: the M_alpha agree on the tangent space of Sigma
+    (module docstring), and the row grad G(z) fixes the normal part of the
+    step.  The accepted trial's flow becomes the orbit's `flow`, and its
+    monodromy is the Reeb M_2, the closed form at alpha = 2.
     """
     d = body.dim
     z = np.asarray(z_seed, float).copy()
@@ -299,22 +309,12 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
         r[d + 1] = phase_dir @ (z - z_seed)
         return r
 
-    def solved(z, tau, dense=True):
-        flow = _period_flow(body, z, tau, body.alpha, dense=dense, **ORBIT_TOLS)
-        return residual(z, flow), flow
-
-    if start is None:
-        r, flow = solved(z, tau, dense=False)
-    else:
-        r, flow = residual(z, start), start
+    flow = start if start is not None else _period_flow(body, z, tau, body.alpha)
+    r = residual(z, flow)
     rnorm = np.linalg.norm(r)
     for _ in range(30):
         if rnorm < TOL_ORBIT:
-            if flow.path is not None:
-                break
-            r, flow = solved(z, tau)  # the seed closes: solve it dense
-            rnorm = np.linalg.norm(r)
-            continue
+            break
         jac = np.zeros((d + 2, d + 1))
         jac[:d, :d] = flow.monodromy - np.eye(d)
         jac[:d, d] = body.reeb_field(flow.end)
@@ -328,7 +328,8 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             if not (0.0 < tau_try <= 1.5 * t_max):
                 lam *= 0.5
                 continue
-            r_try, flow_try = solved(z_try, tau_try)
+            flow_try = _period_flow(body, z_try, tau_try, body.alpha)
+            r_try = residual(z_try, flow_try)
             if np.linalg.norm(r_try) < rnorm:
                 z, tau, r, flow = z_try, tau_try, r_try, flow_try
                 rnorm = np.linalg.norm(r)
@@ -339,7 +340,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
     if rnorm >= TOL_ORBIT:
         return None
     return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm),
-                       monodromy=_reeb_monodromy(body, z, tau, flow), flow=flow)
+                       monodromy=_period_flow(body, z, tau, 2.0).monodromy, flow=flow)
 
 
 def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
@@ -349,21 +350,21 @@ def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
     pi r^2 (its action is at least the systole c_EHZ, which is monotone, and
     c_EHZ(B(r)) = pi r^2), so an orbit polished at tau covers a primitive one
     at most K = floor(tau / (pi r^2)) times, r the inradius from
-    `pinching_radii`.  The orbit's own Reeb trajectory (`orbit.flow`) screens
-    the returns at tau/k for k = K..2, largest first, so the first k that
-    closes is the cover's whole multiple.  An orbit polished at k times its
-    period closes to TOL_ORBIT only over the whole multiple (the double
-    cover on perturbed E(1, 2) returns within 3e-7 at half its period), so
-    the return is a loose pre-screen at TOL_SUBPERIOD and the Newton polish
-    at tau/k decides, started from the same trajectory's state there; the
-    polish brings its own trajectory.
+    `pinching_radii`.  The orbit's own flow (`orbit.flow`) screens the
+    returns at tau/k for k = K..2, largest first, so the first k that closes
+    is the cover's whole multiple.  An orbit polished at k times its period
+    closes to TOL_ORBIT only over the whole multiple (the double cover on
+    perturbed E(1, 2) returns within 3e-7 at half its period), so the
+    return is a loose pre-screen at TOL_SUBPERIOD and the Newton polish at
+    tau/k decides, started from the same flow over tau/k; the polish brings
+    its own flow.
     """
     r, _ = body.pinching_radii()
     # pi r^2 is the action of a plane orbit of perturbed E(1, 2) to 1e-13,
     # so a cover's tau / (pi r^2) may fall just short of its multiple
     top = int(orbit.period / (np.pi * r * r) * (1.0 + 1e-6))
     for k in range(top, 1, -1):
-        start = _flow_at(orbit.flow.states, orbit.flow.alpha, orbit.period / k, body.dim)
+        start = PeriodFlow(orbit.flow.flow, orbit.period / k)
         if np.linalg.norm(start.end - orbit.initial_point) < TOL_SUBPERIOD:
             polished = _newton_polish(body, orbit.initial_point, orbit.period / k,
                                       t_max=orbit.period, start=start)
@@ -399,39 +400,27 @@ def find_closed_orbits(
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
     Seeds are the coordinate-plane circles plus low-discrepancy surface
-    samples.  All seeds are flowed together in one dense solve of the
-    body's degree-alpha flow and its linearization, over s in
-    [0, 2 t_max/alpha].  Its z rows give each seed's displacement at
-    SCAN_POINTS Reeb times; each near-return (a local minimum of the
-    displacement below half the circumradius) is polished by a damped
-    least-squares Newton on (z, tau) with a phase condition killing the
-    time-shift, started from the scan's state there.  A seed that lies on
-    the orbit its polish found (within TOL_SUBPERIOD of its initial point)
-    closes at its period p, and its near-returns within two scan steps of
-    k p, k >= 2, are covers of that orbit and are not polished; a polish
-    that moved away from the seed skips nothing.  Each candidate is reduced
-    to its minimal period, and its Reeb trajectory over that period, read
-    off the polish's dense solve, is used to deduplicate the candidates
-    after it by trajectory distance.
+    samples.  The closed-form degree-alpha flow from all seeds at once gives
+    each seed's displacement at SCAN_POINTS Reeb times in (0, t_max]; each
+    near-return (a local minimum of the displacement below half the
+    circumradius) is polished by a damped least-squares Newton on (z, tau)
+    with a phase condition killing the time-shift, started from the seed's
+    flow over that time.  A seed that lies on the orbit its polish found
+    (within TOL_SUBPERIOD of its initial point) closes at its period p, and
+    its near-returns within two scan steps of k p, k >= 2, are covers of
+    that orbit and are not polished; a polish that moved away from the seed
+    skips nothing.  Each candidate is reduced to its minimal period, and its
+    Reeb trajectory over that period, read off its flow, is used to
+    deduplicate the candidates after it by trajectory distance.
     Integer multiples within the window are listed in meta["multiples"].
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     _, R = body.pinching_radii()
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
-    N, d = seeds.shape
-    alpha = body.alpha
-    sol = solve_ivp(_variational_rhs(body, alpha, N), (0.0, 2.0 * t_max / alpha),
-                    _variational_start(seeds), method="DOP853", dense_output=True,
-                    **TRAJECTORY_TOLS)
-    if not sol.success:
-        raise RuntimeError(f"seed scan failed: {sol.message}")
-    z_rows = (np.arange(N)[:, None] * (d + d * d) + np.arange(d)).ravel()
+    flow = _alpha_flow(body, seeds, body.alpha)
     ts, step = np.linspace(0.0, t_max, SCAN_POINTS + 1, retstep=True)
-    disp = np.concatenate([
-        np.linalg.norm(sol.sol(block * (2.0 / alpha))[z_rows].T.reshape(len(block), N, d) - seeds,
-                       axis=-1)
-        for block in np.split(ts, range(SCAN_BLOCK, len(ts), SCAN_BLOCK))])
+    disp = np.linalg.norm(flow.z(ts * (2.0 / body.alpha)) - seeds, axis=-1)
     inner = disp[1:-1]
     near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
 
@@ -442,7 +431,7 @@ def find_closed_orbits(
         if any(round(t / p) >= 2 and abs(t - round(t / p) * p) <= 2 * step
                for p in closed.get(j, ())):
             continue
-        orb = _newton_polish(body, seeds[j], t, t_max, start=_flow_at(sol.sol, alpha, t, d, j))
+        orb = _newton_polish(body, seeds[j], t, t_max, start=PeriodFlow(flow.start(j), t))
         if orb is None:
             log.debug("Newton diverged from seed near t = %.6f (displacement %.3e)",
                       t, disp[i + 1, j])
@@ -522,11 +511,9 @@ def monodromy_and_index(
     E^omega, and the shear block adds exactly one kernel direction, so the
     nullity is 1 + dim ker(N - I).  A residual of that reconstruction of the
     endpoint is recorded; above 1e-6 the raw monodromy is kept and flagged.
-    One dense degree-alpha solve gives the path, Gamma_alpha(1) and the
-    Reeb monodromy M_2 (module docstring).  It is the orbit's own `flow`
-    when that was solved at this alpha, as the search's orbits are at the
-    body's; otherwise it is solved at ORBIT_TOLS and kept as the orbit's
-    flow.
+    The path and Gamma_alpha(1) are the closed-form flow at alpha, which
+    becomes the orbit's flow, and the Reeb monodromy M_2 the same closed
+    form at alpha = 2.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -535,10 +522,8 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    flow = orbit.flow
-    if flow is None or flow.alpha != alpha:
-        flow = _period_flow(body, z0, tau, alpha, dense=True, **ORBIT_TOLS)
-    M2 = _reeb_monodromy(body, z0, tau, flow)
+    flow = _period_flow(body, z0, tau, alpha)
+    M2 = _period_flow(body, z0, tau, 2.0).monodromy
     sdef = symplectic_defect(M2)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")

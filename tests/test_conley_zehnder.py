@@ -762,9 +762,10 @@ class TestDeclaredSpeed:
         assert _max_difference_quotient(path) == pytest.approx(path.speed, rel=1e-6)
 
     def test_orbit_alpha_path(self):
-        # sampled at the solver's stages, not proved; the margin is a few percent
+        # exact: the largest of |A + sigma B|_2 over the span, at one of its
+        # ends; the difference quotient falls short of it by O(dt)
         path = _plane_one_alpha_path()
-        assert 0 < _max_difference_quotient(path) <= path.speed < 1.1 * _max_difference_quotient(path)
+        assert 0 < _max_difference_quotient(path) <= path.speed < 1.001 * _max_difference_quotient(path)
 
 
 class TestPositivePaths:

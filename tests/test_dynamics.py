@@ -32,6 +32,83 @@ def surface_point(body, raw):
     return body.project_to_surface(np.asarray(raw, dtype=float))
 
 
+def variational_reference(body, alpha, z, span, dense=False):
+    """The test's own DOP853 solve of the degree-alpha flow and its
+    linearization, (z, Y)' = (J grad H(z), J hess H(z) Y), over
+    sigma in [0, span], with H = G at alpha = 2."""
+    d = body.dim
+    J = standard_J(body.n)
+    if alpha == 2.0:
+        grad, hess = body.grad_gauge2, body.hess_gauge2
+    else:
+        homogenized = body.homogenize(alpha)
+        grad, hess = homogenized.grad_H, homogenized.hess_H
+
+    def rhs(_, y):
+        return np.concatenate([J @ grad(y[:d]), (J @ hess(y[:d]) @ y[d:].reshape(d, d)).ravel()])
+
+    sol = solve_ivp(rhs, (0.0, span), np.concatenate([z, np.eye(d).ravel()]), method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=dense)
+    assert sol.success
+    return sol
+
+
+@pytest.fixture
+def ode_starts(monkeypatch):
+    """Every start of a solve_ivp solver and every odeint call, whatever
+    module makes it."""
+    import scipy.integrate
+    from scipy.integrate._ivp.base import OdeSolver
+
+    starts = []
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            starts.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(OdeSolver, "__init__", counting(OdeSolver.__init__, "solve_ivp"))
+    monkeypatch.setattr(scipy.integrate, "odeint", counting(scipy.integrate.odeint, "odeint"))
+    return starts
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """(innermost tagged dynamics function, start shape, alpha) per closed-form
+    flow built, and the number of jets of G taken."""
+    built, jets, stack = [], [], []
+    build, jet = dynamics._alpha_flow, ConvexBody._gauge2_jet
+
+    def counted_build(body, z0, alpha):
+        built.append((stack[-1] if stack else None, np.shape(z0), alpha))
+        return build(body, z0, alpha)
+
+    def counted_jet(self, z):
+        jets.append(1)
+        return jet(self, z)
+
+    def tag(name):
+        fn = getattr(dynamics, name)
+
+        def tagged(*args, **kwargs):
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(dynamics, name, tagged)
+
+    monkeypatch.setattr(dynamics, "_alpha_flow", counted_build)
+    monkeypatch.setattr(ConvexBody, "_gauge2_jet", counted_jet)
+    for name in ("find_closed_orbits", "_newton_polish", "_minimal_period",
+                 "monodromy_and_index"):
+        tag(name)
+    return built, jets
+
+
 @pytest.fixture
 def polishes(monkeypatch):
     """(seed, tau guess, start) of every Newton polish."""
@@ -139,6 +216,42 @@ class TestReebCrossCheck:
         assert np.abs(states(ts).T.reshape(path.shape) - path).max() < 1e-9
 
 
+SWEEP_BODIES = {
+    "perturbed-E12": PERTURBED,
+    "three-planes-one-flat": ConvexBody(a=[1.0, 1.5, 7 / 3], epsilon=0.3, quartic=[1.0, 0.0, 2.0]),
+    "one-flat-plane": ConvexBody(a=[1.0, 2.0], epsilon=0.3, quartic=[0.0, 1.0]),
+    "quadric": E12,
+}
+# every body and alpha on short spans, and one alpha per body on a long one
+SWEEP_CASES = [(name, alpha, span) for name in sorted(SWEEP_BODIES)
+               for alpha in (1.2, 1.5, 2.0) for span in (0.9, 7.0)] + [
+    ("perturbed-E12", 1.2, 50.0), ("three-planes-one-flat", 1.5, 50.0),
+    ("one-flat-plane", 2.0, 50.0), ("quadric", 1.2, 50.0)]
+
+
+class TestClosedFormSweep:
+    """The closed-form degree-alpha flow and its linearization against the
+    test's own ODE solve of the variational system."""
+
+    @pytest.mark.parametrize("name, alpha, span", SWEEP_CASES)
+    def test_matches_the_variational_ode(self, name, alpha, span):
+        body = SWEEP_BODIES[name]
+        d = body.dim
+        z = body.surface_samples(4, seed=7)[3]
+        ref = variational_reference(body, alpha, z, span, dense=True)
+        z_end, M, path = flow_with_monodromy(body, z, span * alpha / 2.0, alpha=alpha, dense=True)
+        ts = np.linspace(0.0, 1.0, 11)[1:-1]
+        mats = path.evaluate_batch(ts)
+        scale = max(1.0, np.abs(M).max())
+        # the reference's own error grows with the span and the size of Y
+        tol = 2e-12 * (1.0 + span) * scale
+        assert np.abs(z_end - ref.y[:d, -1]).max() < tol
+        assert np.abs(M - ref.y[d:, -1].reshape(d, d)).max() < tol
+        assert np.abs(mats - ref.sol(ts * span)[d:].T.reshape(-1, d, d)).max() < tol
+        # Y^T J Y - J rounds at the size of Y squared
+        assert max(symplectic_defect(M), path.symplectic_defect(ts)) < 1e-12 * scale ** 2
+
+
 class TestFindClosedOrbits:
     def test_e12_periods(self):
         orbits = find_closed_orbits(E12, t_max=3.0, n_seeds=6, seed=0)
@@ -199,10 +312,11 @@ class TestFindClosedOrbits:
         assert cover is not None and abs(cover.period - 2.0 * T) < 1e-9
         orbit = _minimal_period(PERTURBED, cover)
         assert abs(orbit.period - T) < 1e-9
-        # the trajectory is that of the replacing orbit's own degree-alpha
-        # solve, over its own period
-        states = orbit.flow.states
-        assert (states.t_min, states.t_max) == (0.0, 2.0 * orbit.period / PERTURBED.alpha)
+        # the trajectory is the replacing orbit's own flow, from its initial
+        # point over its own period, and it closes there
+        assert np.array_equal(orbit.flow.flow.z0, orbit.initial_point)
+        assert orbit.flow.tau == orbit.period
+        assert np.linalg.norm(orbit.flow.end - orbit.initial_point) < 1e-8
         assert np.linalg.norm(orbit.flow.reeb(orbit.period) - orbit.initial_point) < 1e-8
 
     def test_minimal_period_of_a_cover_a_hair_short(self):
@@ -229,103 +343,71 @@ class TestFindClosedOrbits:
 
 
 class TestWorkCounts:
-    """Deterministic guards on the work the orbit search does per step."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-
-        def counted(fun, t_span, y0, **kwargs):
-            sol = solve_ivp(fun, t_span, y0, **kwargs)
-            calls.append((tuple(t_span), len(y0), sol.nfev))
-            return sol
-
-        monkeypatch.setattr(dynamics, "solve_ivp", counted)
-        return calls
+    """Deterministic guards on the work the orbit search does per step: no
+    ODE is solved, and each closed-form flow takes one jet of G."""
 
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
-    def test_one_jet_per_variational_rhs(self, alpha, solves, monkeypatch):
-        jets = []
-        jet = ConvexBody._gauge2_jet
-
-        def counted_jet(self, z):
-            jets.append(1)
-            return jet(self, z)
-
-        monkeypatch.setattr(ConvexBody, "_gauge2_jet", counted_jet)
+    def test_one_jet_per_flow(self, alpha, flows, ode_starts):
+        built, jets = flows
         z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
-        flow_with_monodromy(PERTURBED, z, 1.3, alpha=alpha, dense=True)
-        assert len(solves) == 1
-        assert len(jets) == solves[0][2] > 0
+        _, _, path = flow_with_monodromy(PERTURBED, z, 1.3, alpha=alpha, dense=True)
+        cz.cz_index(path)  # the index count reads the path and takes no jet
+        assert [b[1:] for b in built] == [((4,), alpha)]
+        assert len(jets) == 1
+        assert ode_starts == []
 
     @pytest.mark.parametrize("n_seeds", [2, 5])
-    def test_one_solve_for_the_seed_sweep(self, n_seeds, solves):
-        # the degree-alpha flow with its linearization, all seeds in one solve
-        t_max = 2.5
-        d = E12.dim
-        find_closed_orbits(E12, t_max=t_max, n_seeds=n_seeds, seed=0)
-        sweeps = [c for c in solves if c[0] == (0.0, 2.0 * t_max / E12.alpha)]
-        assert len(sweeps) == 1
-        assert sweeps[0][1] == n_seeds * (d + d * d)
-        assert solves[0] == sweeps[0]
+    def test_one_solve_for_the_seed_sweep(self, n_seeds, flows, ode_starts):
+        # the scan is one flow from all seeds at once, built before any polish
+        built, jets = flows
+        dynamics.find_closed_orbits(E12, t_max=2.5, n_seeds=n_seeds, seed=0)
+        scans = [b for b in built if b[0] == "find_closed_orbits"]
+        assert scans == [("find_closed_orbits", (n_seeds, E12.dim), E12.alpha)]
+        assert built[0] == scans[0]
+        assert len(jets) == len(built)
+        assert ode_starts == []
 
-    @pytest.fixture
-    def tagged_solves(self, monkeypatch):
-        """(innermost of the tagged dynamics functions, dense_output) per solve."""
-        calls, stack = [], []
-        solve = dynamics.solve_ivp
-
-        def counted(fun, t_span, y0, **kwargs):
-            calls.append((stack[-1] if stack else None, kwargs.get("dense_output")))
-            return solve(fun, t_span, y0, **kwargs)
-
-        def tag(name):
-            fn = getattr(dynamics, name)
-
-            def tagged(*args, **kwargs):
-                stack.append(name)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    stack.pop()
-
-            monkeypatch.setattr(dynamics, name, tagged)
-
-        monkeypatch.setattr(dynamics, "solve_ivp", counted)
-        for name in ("find_closed_orbits", "_newton_polish", "_minimal_period",
-                     "monodromy_and_index"):
-            tag(name)
-        return calls
-
-    def test_orbits_job_solves_only_the_scan_and_newton(self, tagged_solves, tmp_path, capsys):
-        # perturbed E(1,2), tmax 1.1, 2 seeds: the minimal-period screen, the
-        # deduplication and the index read the last Newton solve
+    def test_orbits_job_solves_only_the_scan_and_newton(self, flows, ode_starts, tmp_path,
+                                                        capsys):
+        # perturbed E(1,2), tmax 1.1, 2 seeds: the scan, the Newton trials
+        # and the index build closed-form flows, and nothing solves an ODE
         from reeb_spectra import cli
 
+        built, jets = flows
         spec = tmp_path / "body.json"
         spec.write_text('{"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, '
                         '"quartic": [1.0, 1.0]}')
         assert cli.main(["orbits", "--body", str(spec), "--tmax", "1.1", "--seeds", "2"]) == 0
         orbits = json.loads(capsys.readouterr().out)["orbits"]
         assert [(o["cz"], o["morse"], o["nullity"]) for o in orbits] == [(2, 0, 1)]
-        # the scan, then one dense trial; the polish reads the seed's
-        # residual and Jacobian off the scan and does not solve the seed
-        assert tagged_solves == [("find_closed_orbits", True), ("_newton_polish", True)]
+        assert ode_starts == []
+        assert len(jets) == len(built)
+        assert {b[0] for b in built} == {"find_closed_orbits", "_newton_polish",
+                                         "monodromy_and_index"}
+        # the polish reads the seed's residual and Jacobian off the scan's
+        # flow, and the index reads its path at alpha and M_2 at alpha = 2
+        assert built[0] == ("find_closed_orbits", (2, 4), 1.5)
+        assert [b[2] for b in built if b[0] == "monodromy_and_index"] == [1.5, 2.0]
 
-    def test_index_at_another_alpha_solves_once(self, tagged_solves):
+    def test_index_at_another_alpha_solves_once(self, flows, ode_starts):
         from test_clarke import planar_period_oracle
 
+        built, jets = flows
         T = planar_period_oracle(2.0, 1e-3, 1.0)
         z = surface_point(PERTURBED, [0.0, 0.0, 1.0, 0.0])
         orbit = _newton_polish(PERTURBED, z, T, t_max=T)
         monodromy_and_index(PERTURBED, orbit, alpha=PERTURBED.alpha)
         want = (orbit.cz_index, orbit.morse_index, orbit.nullity)
         for alpha in (1.3, 1.7):
-            del tagged_solves[:]
+            del built[:], jets[:]
             dynamics.monodromy_and_index(PERTURBED, orbit, alpha=alpha)
-            assert tagged_solves == [("monodromy_and_index", True)]
+            # the path at alpha, and M_2 at alpha = 2
+            assert built == [("monodromy_and_index", (4,), alpha),
+                             ("monodromy_and_index", (4,), 2.0)]
+            assert len(jets) == 2
             assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == want
             assert orbit.flow.alpha == alpha
+        assert ode_starts == []
 
     def test_no_polish_at_multiples(self, polishes):
         # each plane seed returns at every multiple of its period up to 10;
@@ -359,47 +441,50 @@ class TestSeedScan:
     def test_scan_start_matches_a_fresh_solve(self, body, t_max, n_seeds, polishes):
         find_closed_orbits(body, t_max=t_max, n_seeds=n_seeds, seed=0)
         assert len(polishes) >= 3
+        d = body.dim
         for z, t, start in polishes:
-            fresh = dynamics._period_flow(body, z, t, body.alpha, dense=False,
-                                          **dynamics.ORBIT_TOLS)
+            fresh = variational_reference(body, body.alpha, z, 2.0 * t / body.alpha)
             assert start.alpha == body.alpha
-            assert np.abs(start.end - fresh.end).max() < 1e-8
-            assert np.abs(start.monodromy - fresh.monodromy).max() < 1e-8
+            assert np.abs(start.end - fresh.y[:d, -1]).max() < 1e-8
+            assert np.abs(start.monodromy - fresh.y[d:, -1].reshape(d, d)).max() < 1e-8
 
 
 class TestMonodromy:
     @pytest.mark.parametrize("body", [E12, PERTURBED], ids=["e12", "perturbed"])
     @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
     def test_reeb_monodromy_from_the_alpha_solve(self, body, alpha):
-        # M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z)^T against an
-        # independent Reeb solve, on the polished plane-1 orbit and on an
-        # orbit segment that does not close
+        # the Reeb monodromy of an orbit polished at the body's alpha, and of
+        # an orbit segment that does not close, against the test's own Reeb
+        # variational solve
         body = body.homogenize(alpha)
         orbit = _newton_polish(body, surface_point(body, [1.0, 0.0, 0.0, 0.0]), 1.0, t_max=1.5)
         assert orbit is not None
         z = surface_point(body, [0.4, 0.1, 0.3, -0.2])
-        flow = dynamics._period_flow(body, z, 1.3, alpha, dense=False, **dynamics.ORBIT_TOLS)
         for z0, tau, got in [(orbit.initial_point, orbit.period, orbit.monodromy),
-                             (z, 1.3, dynamics._reeb_monodromy(body, z, 1.3, flow))]:
-            _, want, _ = flow_with_monodromy(body, z0, tau, alpha=2.0, rtol=1e-12, atol=1e-13)
+                             (z, 1.3, flow_with_monodromy(body, z, 1.3, alpha=2.0)[1])]:
+            want = variational_reference(body, 2.0, z0, tau).y[4:, -1].reshape(4, 4)
             assert np.abs(got - want).max() < 1e-9
+
+    @pytest.mark.parametrize("alphas", [(1.3, 1.7), (1.2, 1.5)])
+    def test_reeb_monodromy_identity(self, alphas):
+        # H = G^{alpha/2} has X_H = theta X_G with theta constant on Sigma,
+        # so M_2 = M_alpha - tau (alpha/2 - 1) X_G(z_end) grad G(z0)^T holds
+        # at every alpha: two alphas give the same M_2 as the Reeb flow's own
+        tau = 1.3
+        z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
+        z_end, M2, _ = flow_with_monodromy(PERTURBED, z, tau, alpha=2.0)
+        shear = np.outer(PERTURBED.reeb_field(z_end), PERTURBED.grad_gauge2(z))
+        for alpha in alphas:
+            _, M, _ = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha)
+            assert np.abs(M - tau * (alpha / 2.0 - 1.0) * shear - M2).max() < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.5, 1.2])
     def test_degree_alpha_flow_matches_reference(self, alpha):
         # reference: the variational system assembled from grad_H / hess_H
-        ref_body = PERTURBED.homogenize(alpha)
         z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
         tau = 1.3
         span = 2.0 * tau / alpha
-
-        def rhs(t, y):
-            A = standard_J(2) @ ref_body.hess_H(y[:4])
-            return np.concatenate([standard_J(2) @ ref_body.grad_H(y[:4]),
-                                   (A @ y[4:].reshape(4, 4)).reshape(-1)])
-
-        ref = solve_ivp(rhs, (0.0, span), np.concatenate([z, np.eye(4).reshape(-1)]),
-                        method="DOP853", rtol=dynamics.RTOL, atol=dynamics.ATOL,
-                        dense_output=True)
+        ref = variational_reference(PERTURBED, alpha, z, span, dense=True)
         z_end, M, path = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha, dense=True)
         assert np.abs(z_end - ref.y[:4, -1]).max() < 1e-12
         assert np.abs(M - ref.y[4:, -1].reshape(4, 4)).max() < 1e-12
@@ -530,7 +615,7 @@ class TestMonodromy:
             monodromy_and_index(body, orbit, alpha=1.5)
         assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == (3, 0, 3)
 
-    def test_reuses_the_polished_monodromy(self, monkeypatch):
+    def test_reuses_the_polished_monodromy(self, ode_starts):
         from reeb_spectra.dynamics import ClosedOrbit
 
         z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
@@ -538,18 +623,10 @@ class TestMonodromy:
         M = polished.monodromy
         bare = ClosedOrbit(initial_point=polished.initial_point, period=polished.period,
                            residual=polished.residual)
-        monodromy_and_index(PERTURBED, bare, alpha=1.5)  # solves its own degree-alpha flow
+        monodromy_and_index(PERTURBED, bare, alpha=1.5)
 
-        spans = []
-        solve = dynamics.solve_ivp
-
-        def spy(fun, t_span, y0, **kwargs):
-            spans.append(t_span)
-            return solve(fun, t_span, y0, **kwargs)
-
-        monkeypatch.setattr(dynamics, "solve_ivp", spy)
         monodromy_and_index(PERTURBED, polished, alpha=PERTURBED.alpha)
-        assert spans == []  # the polish's last solve is the index path
+        assert ode_starts == []  # the index path is the closed form
         assert np.array_equal(polished.monodromy, M)
         got, want = polished.as_dict(), bare.as_dict()
         for key in ("cz", "morse", "nullity", "period"):
