@@ -12,6 +12,7 @@ but not simply connected, so its initial index is caller-supplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MODELS = ("S^n", "RP^n", "CP^{n/2}", "HP^{n/4}", "CaP^2")
@@ -96,8 +97,8 @@ def class_degrees(model: CrossModel, m: int) -> tuple[int, int]:
 
 def zoll_spectral_values(model: CrossModel, ell: float, m_max: int) -> list[tuple[float, float]]:
     """(c(alpha_m), c(beta_m)) = (m ell, m ell) for m = 1..m_max."""
-    if ell <= 0:
-        raise ValueError("minimal period ell must be positive")
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"minimal period ell must be positive and finite, got {ell}")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     return [(m * ell, m * ell) for m in range(1, m_max + 1)]

@@ -223,6 +223,10 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     cfg = config or MinimizeConfig()
     if cfg.modes < 8:
         raise ValueError("need at least K = 8 Fourier modes")
+    if cfg.starts < 0:
+        raise ValueError(f"starts must be >= 0, got {cfg.starts}")
+    if cfg.maxiter < 0:
+        raise ValueError(f"maxiter must be >= 0, got {cfg.maxiter}")
     K = cfg.modes
     d = body.dim
     M = 2 * K * OVERSAMPLE

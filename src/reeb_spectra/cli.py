@@ -344,11 +344,11 @@ def cmd_cz(args) -> int:
 
 
 def cmd_bott(args) -> int:
-    from .bott import bott_indices, class_degrees, cross_model
+    from .bott import bott_indices, class_degrees, cross_model, zoll_spectral_values
 
     model = cross_model(args.model, args.dim, args.initial_index)
     rows = []
-    for m in range(1, args.mmax + 1):
+    for m, (value, _) in enumerate(zoll_spectral_values(model, args.ell, args.mmax), start=1):
         ind, nul = bott_indices(model, m)
         da, db = class_degrees(model, m)
         rows.append(
@@ -358,7 +358,7 @@ def cmd_bott(args) -> int:
                 "nul": nul,
                 "deg_alpha": da,
                 "deg_beta": db,
-                "spectral_value": m * args.ell,
+                "spectral_value": value,
             }
         )
     payload = {

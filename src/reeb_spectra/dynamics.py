@@ -24,15 +24,16 @@ B = Omega J K, Omega the rates lifted to R^{2n}.
 `_alpha_flow` builds this flow from one jet of G per start, and every
 caller reads it: `integrate_reeb` (the sampling Besse test's flow) is its z
 part at alpha = 2; the seed scan is its z part from all seeds at once;
-each Newton trial, the minimal-period screen, the deduplication's Reeb
-trajectory and the index path read its (z, Y) at the body's alpha
-(`PeriodFlow`); and the Reeb monodromy M_2 is the same closed form at
-alpha = 2.  No ODE is solved.
+each Newton trial, the minimal period's winding numbers, the
+deduplication's Reeb trajectory and the index path read its (z, Y) over
+one period (`flow_with_monodromy`, a `PeriodFlow`); and the Reeb monodromy
+M_2 is the same closed form at alpha = 2.  No ODE is solved.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -173,8 +174,8 @@ class PeriodFlow:
 
     def reeb(self, t):
         """phi_R^t of the start for Reeb times t, z at sigma = 2t/alpha:
-        shape (2n,) for a scalar t, (2n, T) for T times."""
-        return self.flow.z(np.asarray(t, dtype=float) * (2.0 / self.alpha)).T
+        shape (2n,) for a scalar t, (T, 2n) for T times."""
+        return self.flow.z(np.asarray(t, dtype=float) * (2.0 / self.alpha))
 
 
 @dataclass
@@ -190,7 +191,6 @@ class ClosedOrbit:
     period: float
     residual: float
     monodromy: np.ndarray | None = None
-    return_block: np.ndarray | None = None
     cz_index: int | None = None
     morse_index: int | None = None
     nullity: int | None = None
@@ -218,52 +218,31 @@ def _jsonable(v):
     return isinstance(v, (int, float, str, bool, list, dict, type(None)))
 
 
-def integrate_reeb(body: ConvexBody, z: np.ndarray, t: float, dense: bool = False):
+def integrate_reeb(body: ConvexBody, z: np.ndarray, t: float) -> np.ndarray:
     """phi_R^t of a point (2n,) or a batch (N, 2n): the z part of the
-    closed-form flow at alpha = 2.
+    closed-form flow at alpha = 2, in the shape of z.
 
     Plane h turns counter-clockwise (J v = (-v_2, v_1)) by the angle
     2 g_h(s) t, with the plane radii s and the rates g_s fixed along the
     orbit (module docstring), reduced as 2 pi frac(g_h t / pi) so that a
-    large t stays accurate.
-
-    Returns the endpoints in the shape of z or, with dense=True, the flow
-    s -> flattened states: shape (N*2n,) for a scalar s and (N*2n, T) for T
-    times.  Every start must lie on Sigma to 1e-10.
+    large t stays accurate.  Every start must lie on Sigma to 1e-10.
     """
     z = np.asarray(z, dtype=float)
     if not body.on_surface(z):
         raise ValueError("starting point is off the surface beyond 1e-10")
-    flow = _alpha_flow(body, z, 2.0)
-
-    def states(ts):
-        ts = np.asarray(ts, dtype=float)
-        return flow.z(ts).reshape(ts.shape + (-1,)).T
-
-    return states if dense else states(t).reshape(z.shape)
+    return _alpha_flow(body, z, 2.0).z(t)
 
 
-def flow_with_monodromy(
-    body: ConvexBody,
-    z0: np.ndarray,
-    tau: float,
-    alpha: float = 2.0,
-    dense: bool = False,
-):
-    """Flow and linearized flow over one period, in closed form.
+def flow_with_monodromy(body: ConvexBody, z0: np.ndarray, tau: float,
+                        alpha: float = 2.0) -> PeriodFlow:
+    """Flow and linearized flow from z0 over one period, in closed form.
 
     alpha = 2 gives the Reeb (degree-2) flow over [0, tau]; alpha in (1, 2)
-    the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].  Returns
-    (endpoint, monodromy, path) where path is a SymplecticPath on [0, 1]
-    (None unless dense=True) whose speed is exact: span times the larger of
-    |A|_2 and |A + span B|_2 (module docstring).
+    the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].  The PeriodFlow
+    carries the endpoint, the monodromy, the path on [0, 1] with its exact
+    speed (span times the larger of |A|_2 and |A + span B|_2, module
+    docstring) and the Reeb trajectory.
     """
-    flow = _period_flow(body, z0, tau, alpha)
-    return flow.end, flow.monodromy, flow.path if dense else None
-
-
-def _period_flow(body: ConvexBody, z0: np.ndarray, tau: float, alpha: float) -> PeriodFlow:
-    """The flow behind `flow_with_monodromy`, as a PeriodFlow."""
     return PeriodFlow(_alpha_flow(body, z0, alpha), float(tau))
 
 
@@ -309,7 +288,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
         r[d + 1] = phase_dir @ (z - z_seed)
         return r
 
-    flow = start if start is not None else _period_flow(body, z, tau, body.alpha)
+    flow = start if start is not None else flow_with_monodromy(body, z, tau, body.alpha)
     r = residual(z, flow)
     rnorm = np.linalg.norm(r)
     for _ in range(30):
@@ -328,7 +307,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             if not (0.0 < tau_try <= 1.5 * t_max):
                 lam *= 0.5
                 continue
-            flow_try = _period_flow(body, z_try, tau_try, body.alpha)
+            flow_try = flow_with_monodromy(body, z_try, tau_try, body.alpha)
             r_try = residual(z_try, flow_try)
             if np.linalg.norm(r_try) < rnorm:
                 z, tau, r, flow = z_try, tau_try, r_try, flow_try
@@ -340,50 +319,46 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
     if rnorm >= TOL_ORBIT:
         return None
     return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm),
-                       monodromy=_period_flow(body, z, tau, 2.0).monodromy, flow=flow)
+                       monodromy=flow_with_monodromy(body, z, tau).monodromy, flow=flow)
 
 
 def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
     """The orbit at its minimal period.
 
-    Every closed orbit of a convex body containing B(r) has action at least
-    pi r^2 (its action is at least the systole c_EHZ, which is monotone, and
-    c_EHZ(B(r)) = pi r^2), so an orbit polished at tau covers a primitive one
-    at most K = floor(tau / (pi r^2)) times, r the inradius from
-    `pinching_radii`.  The orbit's own flow (`orbit.flow`) screens the
-    returns at tau/k for k = K..2, largest first, so the first k that closes
-    is the cover's whole multiple.  An orbit polished at k times its period
-    closes to TOL_ORBIT only over the whole multiple (the double cover on
-    perturbed E(1, 2) returns within 3e-7 at half its period), so the
-    return is a loose pre-screen at TOL_SUBPERIOD and the Newton polish at
-    tau/k decides, started from the same flow over tau/k; the polish brings
-    its own flow.
+    The flow turns plane h at the fixed rate omega_h, so over its period an
+    orbit winds round(span omega_h / 2 pi) times round each plane it
+    occupies (|z_h| >= TOL_SUBPERIOD / 2; the residual below TOL_ORBIT puts
+    these counts within 1e-4 of integers), and it covers a primitive orbit k
+    times, k the gcd of those turn counts.  For k >= 2 the Newton polish at
+    tau/k, started from the orbit's own flow (`orbit.flow`) over tau/k,
+    gives the primitive orbit with its own flow; a polish that fails keeps
+    the orbit.
     """
-    r, _ = body.pinching_radii()
-    # pi r^2 is the action of a plane orbit of perturbed E(1, 2) to 1e-13,
-    # so a cover's tau / (pi r^2) may fall just short of its multiple
-    top = int(orbit.period / (np.pi * r * r) * (1.0 + 1e-6))
-    for k in range(top, 1, -1):
-        start = PeriodFlow(orbit.flow.flow, orbit.period / k)
-        if np.linalg.norm(start.end - orbit.initial_point) < TOL_SUBPERIOD:
-            polished = _newton_polish(body, orbit.initial_point, orbit.period / k,
-                                      t_max=orbit.period, start=start)
-            if polished is not None:
-                return polished
-    return orbit
+    flow = orbit.flow
+    turns = flow.span * flow.flow.rates / (2.0 * np.pi)
+    occupied = np.linalg.norm(orbit.initial_point.reshape(-1, 2), axis=1) >= 0.5 * TOL_SUBPERIOD
+    k = math.gcd(*(round(x) for x in turns[occupied]))
+    if k < 2:
+        return orbit
+    tau = orbit.period / k
+    polished = _newton_polish(body, orbit.initial_point, tau, t_max=orbit.period,
+                              start=PeriodFlow(flow.flow, tau))
+    return orbit if polished is None else polished
 
 
-def _orbit_distance(body: ConvexBody, z: np.ndarray, other: ClosedOrbit, interp) -> float:
-    """min over time shift of |phi^t(other) - z|, refined continuously."""
+def _orbit_distance(z: np.ndarray, other: ClosedOrbit) -> float:
+    """min over time shift of |phi^t(other) - z|, refined continuously, with
+    phi^t read off the other orbit's flow."""
     from scipy.optimize import minimize_scalar
 
+    reeb = other.flow.reeb
     ts = np.linspace(0.0, other.period, 257)
-    d = np.linalg.norm(interp(ts).T - z, axis=1)
+    d = np.linalg.norm(reeb(ts) - z, axis=1)
     i = int(np.argmin(d))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     res = minimize_scalar(
-        lambda t: float(np.linalg.norm(interp(t) - z)),
+        lambda t: float(np.linalg.norm(reeb(t) - z)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-12},
@@ -409,14 +384,26 @@ def find_closed_orbits(
     (within TOL_SUBPERIOD of its initial point) closes at its period p, and
     its near-returns within two scan steps of k p, k >= 2, are covers of
     that orbit and are not polished; a polish that moved away from the seed
-    skips nothing.  Each candidate is reduced to its minimal period, and its
-    Reeb trajectory over that period, read off its flow, is used to
-    deduplicate the candidates after it by trajectory distance.
-    Integer multiples within the window are listed in meta["multiples"].
+    skips nothing.  Each candidate is reduced to its minimal period (the gcd
+    of its winding numbers, `_minimal_period`), and its Reeb trajectory over
+    that period, read off its flow, is used to deduplicate the candidates
+    after it by trajectory distance.  The orbits are listed by period, and
+    integer multiples within the window are listed in meta["multiples"].
+
+    Every closed orbit of a body containing B(r) has action at least pi r^2
+    (`pinching_radii`), so the scan resolves the shortest ones only while
+    its step t_max / SCAN_POINTS stays below pi r^2 / 4; a longer window is
+    refused, as are a t_max that is not positive and finite and n_seeds < 1.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    _, R = body.pinching_radii()
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    r, R = body.pinching_radii()
+    if t_max / SCAN_POINTS > np.pi * r * r / 4.0:
+        raise ValueError(f"t_max {t_max:g} exceeds SCAN_POINTS pi r^2 / 4 = "
+                         f"{SCAN_POINTS * np.pi * r * r / 4.0:g} (r = {r:g}, the inradius): "
+                         "the seed scan's step would alias the shortest periods")
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
     flow = _alpha_flow(body, seeds, body.alpha)
     ts, step = np.linspace(0.0, t_max, SCAN_POINTS + 1, retstep=True)
@@ -444,18 +431,13 @@ def find_closed_orbits(
     unique: list[ClosedOrbit] = []
     for orb in sorted(candidates, key=lambda o: o.period):
         orb = _minimal_period(body, orb)
-        dup = False
-        for prev in unique:
-            if abs(prev.period - orb.period) < 1e-6 * max(1.0, prev.period):
-                if _orbit_distance(body, orb.initial_point, prev, prev.flow.reeb) < TOL_DEDUP:
-                    dup = True
-                    break
-        if not dup:
+        if not any(abs(prev.period - orb.period) < 1e-6 * max(1.0, prev.period)
+                   and _orbit_distance(orb.initial_point, prev) < TOL_DEDUP for prev in unique):
             orb.meta["multiples"] = [
                 float(k * orb.period) for k in range(1, int(t_max / orb.period) + 1)
             ]
             unique.append(orb)
-    return unique
+    return sorted(unique, key=lambda o: o.period)
 
 
 # -- monodromy, block decomposition and indices ------------------------------
@@ -501,7 +483,7 @@ def monodromy_and_index(
     orbit: ClosedOrbit,
     alpha: float = 1.5,
 ) -> ClosedOrbit:
-    """Fill monodromy, return block and (cz, morse, nullity) on a found orbit.
+    """Fill the Reeb monodromy and (cz, morse, nullity) on a found orbit.
 
     The CZ index is computed on the full linearized degree-alpha flow path
     (alpha in (1,2); the value is alpha-independent).  The nullity is
@@ -509,11 +491,11 @@ def monodromy_and_index(
     (`cz.cz_nullity`).  Over E + E^omega the endpoint is blockdiag(shear, N),
     with N the alpha-independent restriction of the Reeb monodromy to
     E^omega, and the shear block adds exactly one kernel direction, so the
-    nullity is 1 + dim ker(N - I).  A residual of that reconstruction of the
-    endpoint is recorded; above 1e-6 the raw monodromy is kept and flagged.
+    nullity is 1 + dim ker(N - I).  The residual of that reconstruction of
+    the endpoint is recorded in meta and flagged with a warning above 1e-6.
     The path and Gamma_alpha(1) are the closed-form flow at alpha, which
-    becomes the orbit's flow, and the Reeb monodromy M_2 the same closed
-    form at alpha = 2.
+    becomes the orbit's flow; the Reeb monodromy M_2, the same closed form
+    at alpha = 2, becomes `orbit.monodromy`.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -522,8 +504,8 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    flow = _period_flow(body, z0, tau, alpha)
-    M2 = _period_flow(body, z0, tau, 2.0).monodromy
+    flow = flow_with_monodromy(body, z0, tau, alpha)
+    M2 = flow_with_monodromy(body, z0, tau).monodromy
     sdef = symplectic_defect(M2)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")
@@ -544,7 +526,6 @@ def monodromy_and_index(
     index = cz.cz_index(path_alpha)
     orbit.flow = flow
     orbit.monodromy = M2
-    orbit.return_block = N
     orbit.cz_index = int(index)
     orbit.morse_index = int(index) - n
     orbit.nullity = cz.cz_nullity(path_alpha)
@@ -590,8 +571,10 @@ def numerical_besse_test(
     The verdict is numerical evidence at the stated tolerance and sample
     density, never a proof: Besse at tau requires fix(phi_R^tau) = Sigma.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     Z = body.surface_samples(samples, seed=seed)
     Z_end = integrate_reeb(body, Z, tau)
     disp = np.linalg.norm(Z_end - Z, axis=1)

@@ -249,6 +249,31 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "multiples" in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["classify", "--body", "{body}", "--tau", "nan"], "tau"),
+        (["classify", "--body", "{body}", "--tau", "inf"], "tau"),
+        (["classify", "--body", "{body}", "--tau", "2", "--samples", "-5"], "samples"),
+        (["classify", "--body", "{body}", "--tau", "2", "--samples", "0"], "samples"),
+        (["systole", "--body", "{body}", "--starts", "-2"], "starts"),
+        (["systole", "--body", "{body}", "--maxiter", "-1"], "maxiter"),
+        (["bott", "--model", "S^n", "--dim", "2", "--ell", "-1"], "ell"),
+        (["bott", "--model", "S^n", "--dim", "2", "--ell", "nan"], "ell"),
+        (["bott", "--model", "S^n", "--dim", "2", "--ell", "inf"], "ell"),
+        (["bott", "--model", "S^n", "--dim", "2", "--mmax", "0"], "m_max"),
+        (["orbits", "--body", "{body}", "--tmax", "nan"], "t_max"),
+        (["orbits", "--body", "{body}", "--tmax", "inf"], "t_max"),
+        (["orbits", "--body", "{body}", "--tmax", "4000"], "t_max"),
+        (["orbits", "--body", "{body}", "--tmax", "3", "--seeds", "0"], "n_seeds"),
+    ])
+    def test_bad_numeric_input_is_refused_by_name(self, argv, name, capsys, tmp_path):
+        body = tmp_path / "body.json"
+        body.write_text('{"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, '
+                        '"quartic": [1.0, 1.0]}')
+        code, out, err = run_cli(capsys, *(a.format(body=body) for a in argv))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert name in err
+
     def test_pinch_without_delta_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "pinch", "--ellipsoid", "1,1")
         assert code == EXIT_INPUT

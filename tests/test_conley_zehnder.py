@@ -450,7 +450,7 @@ def _plane_one_alpha_path():
     body = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
     z = body.project_to_surface(np.array([1.0, 0.0, 0.0, 0.0]))
     tau = planar_period_oracle(1.0, 1e-3, 1.0)
-    return flow_with_monodromy(body, z, tau, alpha=1.5, dense=True)[2]
+    return flow_with_monodromy(body, z, tau, alpha=1.5).path
 
 
 LADDER_PATHS = {

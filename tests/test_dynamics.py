@@ -150,18 +150,20 @@ class TestIntegrateReeb:
         assert abs(PERTURBED.gauge2(integrate_reeb(PERTURBED, z, 50.0)) - 1.0) < 1e-9
 
     def test_dense_interpolant_matches_endpoints(self):
+        # the Reeb trajectory of the degree-alpha period flow ends where
+        # integrate_reeb does
         Z = PERTURBED.surface_samples(3, seed=2)
-        interp = integrate_reeb(PERTURBED, Z, 1.7, dense=True)
+        reeb = flow_with_monodromy(PERTURBED, Z, 1.7, alpha=PERTURBED.alpha).reeb
         ends = integrate_reeb(PERTURBED, Z, 1.7)
-        assert np.abs(interp(1.7).reshape(Z.shape) - ends).max() < 1e-12
-        assert np.array_equal(interp(0.0).reshape(Z.shape), Z)
+        assert np.abs(reeb(1.7) - ends).max() < 1e-12
+        assert np.array_equal(reeb(0.0), Z)
 
     def test_off_surface_rejected(self):
         with pytest.raises(ValueError):
             integrate_reeb(E12, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
         Z = np.stack([surface_point(E12, [0.3, -0.2, 0.5, 0.1]), [1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            integrate_reeb(E12, Z, 1.0, dense=True)
+            integrate_reeb(E12, Z, 1.0)
 
     def test_batch_matches_single(self):
         Z = np.stack([surface_point(E12, [0.3, -0.2, 0.5, 0.1]),
@@ -171,15 +173,16 @@ class TestIntegrateReeb:
             assert np.abs(out[i] - integrate_reeb(E12, Z[i], 0.8)).max() < 1e-9
 
     def test_dense_shapes(self):
+        # PeriodFlow.reeb: times first, then the shape of the starts
         Z = PERTURBED.surface_samples(3, seed=2)
-        states = integrate_reeb(PERTURBED, Z, 1.0, dense=True)
+        reeb = flow_with_monodromy(PERTURBED, Z, 1.0, alpha=PERTURBED.alpha).reeb
         ts = np.array([0.0, 0.4, 1.0])
-        assert states(0.4).shape == (Z.size,)
-        assert states(ts).shape == (Z.size, len(ts))
-        assert np.array_equal(states(ts)[:, 1], states(0.4))
-        single = integrate_reeb(PERTURBED, Z[0], 1.0, dense=True)
-        assert single(ts).shape == (PERTURBED.dim, len(ts))
-        assert np.array_equal(single(ts).T, states(ts).T[:, :PERTURBED.dim])
+        assert reeb(0.4).shape == Z.shape
+        assert reeb(ts).shape == (len(ts),) + Z.shape
+        assert np.array_equal(reeb(ts)[1], reeb(0.4))
+        single = flow_with_monodromy(PERTURBED, Z[0], 1.0, alpha=PERTURBED.alpha).reeb
+        assert single(ts).shape == (len(ts), PERTURBED.dim)
+        assert np.array_equal(single(ts), reeb(ts)[:, 0])
 
 
 CROSS_CHECK_BODIES = {
@@ -212,8 +215,7 @@ class TestReebCrossCheck:
         radii = path[..., 0::2] ** 2 + path[..., 1::2] ** 2
         assert np.abs(radii - radii[0]).max() < 1e-10
         assert np.abs(integrate_reeb(body, Z, t) - path[-1]).max() < 1e-9
-        states = integrate_reeb(body, Z, t, dense=True)
-        assert np.abs(states(ts).T.reshape(path.shape) - path).max() < 1e-9
+        assert np.abs(flow_with_monodromy(body, Z, t).reeb(ts) - path).max() < 1e-9
 
 
 SWEEP_BODIES = {
@@ -239,7 +241,8 @@ class TestClosedFormSweep:
         d = body.dim
         z = body.surface_samples(4, seed=7)[3]
         ref = variational_reference(body, alpha, z, span, dense=True)
-        z_end, M, path = flow_with_monodromy(body, z, span * alpha / 2.0, alpha=alpha, dense=True)
+        flow = flow_with_monodromy(body, z, span * alpha / 2.0, alpha=alpha)
+        z_end, M, path = flow.end, flow.monodromy, flow.path
         ts = np.linspace(0.0, 1.0, 11)[1:-1]
         mats = path.evaluate_batch(ts)
         scale = max(1.0, np.abs(M).max())
@@ -303,6 +306,21 @@ class TestFindClosedOrbits:
         assert len(plane1) == 1
         assert plane1[0].meta["multiples"][1] == pytest.approx(2 * plane1[0].period, abs=1e-12)
 
+    def test_orbits_listed_by_period(self):
+        # the 3-fold cover at 9 reduces to 3 after the orbit at 7 is listed
+        body = ConvexBody(a=[1.0, 1.5, 7 / 3], alpha=1.5)
+        periods = [o.period for o in find_closed_orbits(body, t_max=10.0, n_seeds=4)]
+        assert periods == sorted(periods)
+        assert [round(p, 6) for p in periods] == [1.0, 1.5, 2.333333, 3.0, 7.0]
+
+    def test_window_the_scan_cannot_resolve_is_refused(self):
+        # pi r^2 = 0.9999 here: a scan step above pi r^2 / 4 aliases the
+        # plane-1 orbit, which t_max 4000 missed
+        with pytest.raises(ValueError, match="alias"):
+            find_closed_orbits(PERTURBED, t_max=4000.0, n_seeds=2)
+        orbits = find_closed_orbits(PERTURBED, t_max=900.0, n_seeds=2)
+        assert [round(o.period, 6) for o in orbits] == [0.999899, 1.99919]
+
     def test_minimal_period_of_a_double_cover(self):
         from test_clarke import planar_period_oracle
 
@@ -320,8 +338,7 @@ class TestFindClosedOrbits:
         assert np.linalg.norm(orbit.flow.reeb(orbit.period) - orbit.initial_point) < 1e-8
 
     def test_minimal_period_of_a_cover_a_hair_short(self):
-        # pi r^2 equals T here to 1e-13, so a cover's period just below 3 T
-        # must still screen k = 3
+        # a cover's period just below 3 T still winds 3 times round plane 1
         from test_clarke import planar_period_oracle
 
         T = planar_period_oracle(1.0, 1e-3, 1.0)
@@ -332,7 +349,7 @@ class TestFindClosedOrbits:
 
     @pytest.mark.parametrize("m", [9, 10, 11, 12])
     def test_minimal_period_of_covers_beyond_eight(self, m):
-        # the screen runs k from floor(tau / (pi r^2)) down, not from 8
+        # k is the winding number of the cover, whatever its size
         from test_clarke import planar_period_oracle
 
         T = planar_period_oracle(1.0, 1e-3, 1.0)
@@ -350,7 +367,7 @@ class TestWorkCounts:
     def test_one_jet_per_flow(self, alpha, flows, ode_starts):
         built, jets = flows
         z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
-        _, _, path = flow_with_monodromy(PERTURBED, z, 1.3, alpha=alpha, dense=True)
+        path = flow_with_monodromy(PERTURBED, z, 1.3, alpha=alpha).path
         cz.cz_index(path)  # the index count reads the path and takes no jet
         assert [b[1:] for b in built] == [((4,), alpha)]
         assert len(jets) == 1
@@ -409,6 +426,22 @@ class TestWorkCounts:
             assert orbit.flow.alpha == alpha
         assert ode_starts == []
 
+    def test_minimal_period_polishes_once(self, monkeypatch, polishes):
+        # the cover's winding number gives k: one polish at tau / k from the
+        # cover's own flow, and no inradius is read
+        from test_clarke import planar_period_oracle
+
+        T = planar_period_oracle(1.0, 1e-3, 1.0)
+        z = surface_point(PERTURBED, [1.0, 0.0, 0.0, 0.0])
+        cover = _newton_polish(PERTURBED, z, 12 * T, t_max=12 * T)
+        del polishes[:]
+        monkeypatch.setattr(ConvexBody, "pinching_radii", None)
+        orbit = _minimal_period(PERTURBED, cover)
+        assert abs(orbit.period - T) < 1e-9
+        assert len(polishes) == 1
+        _, tau, start = polishes[0]
+        assert tau == cover.period / 12 and start.flow is cover.flow.flow
+
     def test_no_polish_at_multiples(self, polishes):
         # each plane seed returns at every multiple of its period up to 10;
         # only its first return is polished, and the covers' reductions
@@ -461,7 +494,7 @@ class TestMonodromy:
         assert orbit is not None
         z = surface_point(body, [0.4, 0.1, 0.3, -0.2])
         for z0, tau, got in [(orbit.initial_point, orbit.period, orbit.monodromy),
-                             (z, 1.3, flow_with_monodromy(body, z, 1.3, alpha=2.0)[1])]:
+                             (z, 1.3, flow_with_monodromy(body, z, 1.3, alpha=2.0).monodromy)]:
             want = variational_reference(body, 2.0, z0, tau).y[4:, -1].reshape(4, 4)
             assert np.abs(got - want).max() < 1e-9
 
@@ -472,10 +505,11 @@ class TestMonodromy:
         # at every alpha: two alphas give the same M_2 as the Reeb flow's own
         tau = 1.3
         z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
-        z_end, M2, _ = flow_with_monodromy(PERTURBED, z, tau, alpha=2.0)
-        shear = np.outer(PERTURBED.reeb_field(z_end), PERTURBED.grad_gauge2(z))
+        reeb = flow_with_monodromy(PERTURBED, z, tau, alpha=2.0)
+        M2 = reeb.monodromy
+        shear = np.outer(PERTURBED.reeb_field(reeb.end), PERTURBED.grad_gauge2(z))
         for alpha in alphas:
-            _, M, _ = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha)
+            M = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha).monodromy
             assert np.abs(M - tau * (alpha / 2.0 - 1.0) * shear - M2).max() < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.5, 1.2])
@@ -485,7 +519,8 @@ class TestMonodromy:
         tau = 1.3
         span = 2.0 * tau / alpha
         ref = variational_reference(PERTURBED, alpha, z, span, dense=True)
-        z_end, M, path = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha, dense=True)
+        flow = flow_with_monodromy(PERTURBED, z, tau, alpha=alpha)
+        z_end, M, path = flow.end, flow.monodromy, flow.path
         assert np.abs(z_end - ref.y[:4, -1]).max() < 1e-12
         assert np.abs(M - ref.y[4:, -1].reshape(4, 4)).max() < 1e-12
         ts = np.linspace(0.0, 1.0, 9)
@@ -494,13 +529,13 @@ class TestMonodromy:
 
     def test_symplecticity(self):
         z = surface_point(E12, [1.0, 0.0, 0.0, 0.0])
-        _, M, _ = flow_with_monodromy(E12, z, 1.0, alpha=2.0)
+        M = flow_with_monodromy(E12, z, 1.0).monodromy
         assert symplectic_defect(M) < 1e-7
 
     def test_return_block_short_orbit(self):
         # E(1,2) short orbit tau=1: N = rotation by 2 pi / 2 = -I
         z = surface_point(E12, [1.0, 0.0, 0.0, 0.0])
-        _, M, _ = flow_with_monodromy(E12, z, 1.0, alpha=2.0)
+        M = flow_with_monodromy(E12, z, 1.0).monodromy
         N, S, resid = return_block(E12, z, M)
         assert resid < 1e-9
         assert np.abs(N + np.eye(2)).max() < 1e-9
@@ -510,7 +545,7 @@ class TestMonodromy:
     def test_round_orbit_block_identity(self):
         ball = ConvexBody(a=[1.0, 1.0], alpha=1.5)
         z = surface_point(ball, [1.0, 0.0, 0.0, 0.0])
-        _, M, _ = flow_with_monodromy(ball, z, 1.0, alpha=2.0)
+        M = flow_with_monodromy(ball, z, 1.0).monodromy
         N, _, _ = return_block(ball, z, M)
         assert np.abs(N - np.eye(2)).max() < 1e-9
 
