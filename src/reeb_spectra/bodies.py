@@ -18,9 +18,12 @@ hess = 2 diag(G_s) + 4 G_ss o z z^T (both lifted plane-wise).  The alpha-degree
 Hamiltonian is H = G^{alpha/2}; its Legendre dual is computed through the
 support function,
 
-    H*(w) = beta^{-1} alpha^{1-beta} h_C(w)^beta,   beta = alpha/(alpha-1),
+    H*(w) = beta^{-1} alpha^{1-beta} h_C(w)^beta,   beta = alpha/(alpha-1).
 
-closed-form for quadrics and by Newton on the tangency system otherwise.
+The support maximizer is read in the plane radii too: each radius is the
+closed-form root of a cubic in one multiplier t, and t solves one convex
+increasing scalar equation by Newton, which needs no step on a quadric
+(`support`); no linear system is solved.
 
 G is convex in the plane radii, so the pinching radii are exact: max G sits
 on a coordinate circle, and min G is the root of a convex function of one
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -285,74 +289,99 @@ class ConvexBody:
         """Holder conjugate of alpha; homogeneity degree of the dual."""
         return self.alpha / (self.alpha - 1.0)
 
-    def _support_quadric(self, w: np.ndarray):
-        w = np.asarray(w, dtype=float)
-        c2 = np.repeat(self._c, 2)  # per coordinate
-        h = np.sqrt(np.sum(w * w / c2, axis=-1))
-        return h, (w / c2) / h[..., None]
+    @cached_property
+    def _support_root(self):
+        """(kappa, amplitude, slope) of the support's plane radii: on a plane
+        with e_h > 0, kappa_h = 3 sqrt(6 e_h / c_h) / (4 c_h) and the
+        amplitude 2 sqrt(c_h / (6 e_h)) = 3 / (2 c_h kappa_h); on the others,
+        the slope 1 / (2 c_h) of the linear root.  Built on the first support
+        solve, so that constructing a body does not pay for it."""
+        quartic_planes = self._e > 0.0
+        kappa = 0.75 / self._c * np.sqrt(6.0 * self._e / self._c)
+        amplitude = np.divide(1.5 / self._c, kappa, out=np.zeros(self.n), where=quartic_planes)
+        return kappa, amplitude, np.where(quartic_planes, 0.0, 0.5 / self._c)
+
+    def _support_radii(self, t: np.ndarray, vn: np.ndarray):
+        """(rho^2, phi): the squared plane radii of the support maximizer at
+        multiplier t (m,) for directions with plane norms vn (m, n), and
+        phi(t) = F(rho).  rho_h is the real root of
+        4 e_h rho^3 + 2 c_h rho = t |w_h|, in the sinh form
+        2 sqrt(c_h / (6 e_h)) sinh(asinh(x_h) / 3), x_h = kappa_h t |w_h|,
+        which tends to the linear root t |w_h| / (2 c_h) as e_h -> 0 and is
+        that root on a plane with e_h = 0.
+        """
+        kappa, amplitude, slope = self._support_root
+        x = t[:, None] * vn
+        rho = amplitude * np.sinh(np.arcsinh(kappa * x) / 3.0) + slope * x
+        r2 = rho * rho
+        return r2, (r2 * (self._c + self._e * r2)).sum(-1)
 
     def support(self, w: np.ndarray):
-        """Support function h_C(w) = max{<z, w> : z in C} and its maximizer.
+        """Support function h_C(w) = max{<z, w> : z in C} and its maximizer u.
 
-        Closed form for quadrics, Newton on the tangency system
-        w = lam grad G(u), G(u) = 1 for perturbed bodies (initialized at the
-        quadric maximizer; max_iter 50, tol 1e-12 on the residual).  Each
-        Newton step evaluates the body once: the residual that decides
-        convergence also gives the next step's Jacobian.
+        On Sigma = {F = 1}, F = sum_h c_h s_h + e_h s_h^2, the tangency
+        w = lam grad F(u) reads plane by plane
+        u_h = t w_h / (2 c_h + 4 e_h rho_h^2) with t = 1/lam, where the plane
+        radius rho_h = |u_h| solves 4 e_h rho^3 + 2 c_h rho = t |w_h|
+        (`_support_radii`).  That leaves one scalar equation
+        phi(t) = F(rho(t)) = 1, with
+        phi'(t) = t sum_h |w_h|^2 / (2 c_h + 12 e_h rho_h^2).
+        phi is increasing and convex: the sign of phi'' reduces to
+        4 c_h^2 + 48 e_h^2 rho_h^4 > 0.  Newton starts at the quadric root
+        t = 2 / sqrt(sum_h |w_h|^2 / c_h).  There phi <= 1, since the linear
+        radius rho + 2 e_h rho^3 / c_h has c_h (rho + 2 e_h rho^3 / c_h)^2 >=
+        c_h rho^2 + e_h rho^4, so the first step lands at or above the root and
+        the later ones decrease monotonically to it; a quadric needs no step.
+        It stops at |phi - 1| <= SUPPORT_TOL and raises `SupportSolveError`
+        (with h and |phi - 1| of the first unconverged direction) after
+        SUPPORT_MAX_ITER steps.
+
+        h_C is 1-homogeneous and u 0-homogeneous, so each direction is first
+        scaled to max_i |w_i| = 1; a zero or non-finite direction is refused.
         """
         w = np.asarray(w, dtype=float)
         single = w.ndim == 1
         W = w.reshape(-1, self.dim)
-        hq, uq = self._support_quadric(W)
-        if self.epsilon == 0.0:
-            if single:
-                return float(hq[0]), uq[0]
-            return hq, uq
-        U = self.project_to_surface(uq)
-        lam = np.sum(W * U, axis=-1) / 2.0
-        idx = np.arange(len(W))  # the directions still iterating
-        res, jac = self._support_kkt(W, U, lam)
+        scale = np.max(np.abs(W), axis=-1, initial=0.0)
+        # written as "not positive and finite" so that a NaN row is refused
+        bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0)))
+        if len(bad):
+            raise ValueError(f"support direction {bad[0]} must be finite and non-zero, "
+                             f"got {W[bad[0]].tolist()}")
+        V = W / scale[:, None]
+        v2 = V[:, 0::2] ** 2 + V[:, 1::2] ** 2
+        vn = np.sqrt(v2)
+        t = 2.0 / np.sqrt(v2 @ (1.0 / self._c))
+        r2, phi = self._support_radii(t, vn)
+        live = ~(np.abs(phi - 1.0) <= SUPPORT_TOL)
         for _ in range(SUPPORT_MAX_ITER):
-            if len(idx) == 0:
+            if not live.any():
                 break
-            step = np.linalg.solve(jac, res[..., None])[..., 0]
-            U[idx] -= step[:, : self.dim]
-            lam[idx] -= step[:, self.dim]
-            res, jac = self._support_kkt(W[idx], U[idx], lam[idx])
+            dphi = t * (v2 / (2.0 * self._c + 12.0 * self._e * r2)).sum(-1)
+            t = np.where(live, t - (phi - 1.0) / dphi, t)
+            r2, phi = self._support_radii(t, vn)
             # written as "not converged" so that a NaN residual keeps iterating
-            keep = ~(np.linalg.norm(res, axis=-1) < SUPPORT_TOL * np.maximum(
-                1.0, np.linalg.norm(W[idx], axis=-1)
-            ))
-            idx, res, jac = idx[keep], res[keep], jac[keep]
-        if len(idx):
-            bad = idx[0]
+            live = ~(np.abs(phi - 1.0) <= SUPPORT_TOL)
+        U = ((t[:, None] / (2.0 * self._c + 4.0 * self._e * r2))[..., None]
+             * V.reshape(-1, self.n, 2)).reshape(W.shape)
+        h = scale * np.sum(V * U, axis=-1)
+        if live.any():
+            bad = np.argmax(live)
             raise SupportSolveError(
-                f"support Newton did not converge for {len(idx)} direction(s)",
-                best_value=float(np.sum(W[bad] * U[bad])),
-                grad_norm=float(np.linalg.norm(res[0])),
+                f"support Newton did not converge for {live.sum()} direction(s)",
+                best_value=float(h[bad]),
+                grad_norm=float(abs(phi[bad] - 1.0)),
             )
-        h = np.sum(W * U, axis=-1)
         if single:
             return float(h[0]), U[0]
         return h, U
-
-    def _support_kkt(self, W, U, lam):
-        m = len(W)
-        G, g, hess = self._gauge2_derivatives(U)
-        res = np.empty((m, self.dim + 1))
-        res[:, : self.dim] = lam[:, None] * g - W
-        res[:, self.dim] = G - 1.0
-        jac = np.zeros((m, self.dim + 1, self.dim + 1))
-        jac[:, : self.dim, : self.dim] = lam[:, None, None] * hess
-        jac[:, : self.dim, self.dim] = g
-        jac[:, self.dim, : self.dim] = g
-        return res, jac
 
     def _legendre_with_grad(self, W: np.ndarray):
         """(H*(W), grad H*(W)) for a batch (m, 2n) from one support solve."""
         vals = np.zeros(len(W))
         grads = np.zeros_like(W)
-        nz = np.linalg.norm(W, axis=-1) > 0
+        # H*(0) = 0; `support` refuses a non-finite row
+        nz = ~np.all(W == 0.0, axis=-1)
         if np.any(nz):
             h, u = self.support(W[nz])
             beta = self.beta

@@ -196,7 +196,8 @@ def _unpack(x: np.ndarray, K: int, d: int) -> np.ndarray:
 
 def _descend(body: ConvexBody, coeffs: np.ndarray, grid_size: int, maxiter: int):
     """One L-BFGS-B descent of Psi from the loop with these coefficients:
-    (Psi, max |grad Psi|, coefficients) at its end."""
+    (Psi, max |grad Psi|, coefficients) at its end and the number of Psi
+    evaluations it made."""
     from scipy.optimize import minimize as scipy_minimize
 
     K, d = coeffs.shape
@@ -207,7 +208,7 @@ def _descend(body: ConvexBody, coeffs: np.ndarray, grid_size: int, maxiter: int)
 
     res = scipy_minimize(fun, _pack(coeffs), jac=True, method="L-BFGS-B",
                          options={"maxiter": maxiter, "gtol": GTOL, "ftol": 1e-16})
-    return res.fun, float(np.abs(res.jac).max()), _unpack(res.x, K, d)
+    return res.fun, float(np.abs(res.jac).max()), _unpack(res.x, K, d), int(res.nfev)
 
 
 def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> MinimizeResult:
@@ -241,7 +242,8 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
         starts.append(random_loop(d, K, M, rng, amplitude=0.3 * base_amp))
 
     results = [_descend(body, loop.coeffs, M, cfg.maxiter) for loop in starts]
-    ok = [(v, g, c) for v, g, c in results if v < 0 and g < 1e-6]
+    psi_evaluations = sum(r[3] for r in results)
+    ok = [(v, g, c) for v, g, c, _ in results if v < 0 and g < 1e-6]
     if not ok:
         best = min(results, key=lambda r: r[0])
         raise MinimizationError(
@@ -268,7 +270,8 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     if cfg.double_check:
         c2 = np.zeros((2 * K, d), dtype=complex)
         c2[:K] = c_min
-        psi2 = _descend(body, c2, 2 * M, cfg.maxiter)[0]
+        psi2, _, _, nfev = _descend(body, c2, 2 * M, cfg.maxiter)
+        psi_evaluations += nfev
         sys2 = renormalized_action(psi2, alpha) if psi2 < 0 else np.inf
         diagnostics["systole_doubled_modes"] = sys2
         rel = abs(sys2 - systole) / max(abs(systole), 1e-300)
@@ -279,6 +282,9 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
                 "result may be under-resolved"
             )
 
+    # one support solve each; the count moves with the rounding of the
+    # descents' ulp-level stop
+    diagnostics["psi_evaluations"] = psi_evaluations
     orbit = reconstruct_orbit(body, loop_min, systole)
     return MinimizeResult(
         systole=float(systole),

@@ -399,6 +399,69 @@ class TestSupportAndDual:
             bodies_mod.SUPPORT_MAX_ITER = old
 
 
+def _sweep_body(rng):
+    """A seeded body: n 1-4, eps 0 or log-uniform in [1e-5, 1e2], a in
+    [0.5, 4], and about one plane in four with q_h = 0."""
+    n = int(rng.integers(1, 5))
+    eps = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-5.0, 2.0))
+    quartic = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.25)
+    return ConvexBody(rng.uniform(0.5, 4.0, n), epsilon=eps, quartic=quartic)
+
+
+def _sweep_directions(rng, dim, count=8):
+    """Gaussian directions, the later half with one or more zero planes (never all)."""
+    W = rng.normal(size=(count, dim))
+    for w in W[count // 2:]:
+        planes = np.flatnonzero(rng.random(dim // 2) < 0.5)[: dim // 2 - 1]
+        w.reshape(-1, 2)[planes] = 0.0
+    return W
+
+
+class TestSupportSweep:
+    """Seeded property sweep of `support`, checked through the G form of the
+    body (`_gauge2_derivatives`), independently of the scalar solve."""
+
+    def test_tangency_maximality_steps_and_scaling(self, monkeypatch):
+        import reeb_spectra.bodies as bodies_mod
+
+        monkeypatch.setattr(bodies_mod, "SUPPORT_MAX_ITER", 6)
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            body = _sweep_body(rng)
+            W = _sweep_directions(rng, body.dim)
+            h, u = body.support(W)  # SupportSolveError past 6 Newton steps
+            G, grad, _ = body._gauge2_derivatives(u)
+            assert np.abs(G - 1.0).max() <= 1e-12, body
+            kkt = np.linalg.norm(W - 0.5 * h[:, None] * grad, axis=-1)
+            assert np.all(kkt <= 1e-11 * np.linalg.norm(W, axis=-1)), body
+            Z = body.project_to_surface(rng.normal(size=(256, body.dim)))
+            assert np.all(h[:, None] >= W @ Z.T - 1e-13 * h[:, None]), body
+            for s in (1e-200, 1e-8, 1e8, 1e200):
+                hs, us = body.support(s * W)
+                assert np.allclose(hs, s * h, rtol=1e-14, atol=0.0), (body, s)
+                assert np.abs(us - u).max() <= 1e-14, (body, s)
+
+    @pytest.mark.parametrize("name", ["e12", "perturbed"])
+    def test_bad_directions_refused_by_name(self, name, request):
+        body = request.getfixturevalue(name)
+        for w in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0], [np.inf, 0.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="support direction 0 must be finite and non-zero"):
+                body.support(np.array(w))
+        with pytest.raises(ValueError, match="support direction 1 "):
+            body.support(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            body.legendre_dual(np.array([np.nan, 0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            body.grad_legendre(np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]))
+        assert body.legendre_dual(np.zeros((2, 4))).tolist() == [0.0, 0.0]
+        assert np.array_equal(body.grad_legendre(np.zeros(4)), np.zeros(4))
+
+    def test_tiny_direction_on_a_quadric(self, e12):
+        h, u = e12.support(np.array([1e-200, 0.0, 0.0, 0.0]))
+        assert abs(h - 1e-200 / np.sqrt(np.pi)) <= 1e-15 * h
+        assert np.allclose(u, [1.0 / np.sqrt(np.pi), 0.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
+
+
 class TestPinchingRadii:
     def test_ball(self):
         rho = 0.9
@@ -535,13 +598,13 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestWorkCounts:
-    """One body jet per Newton step, counted against the steps' linear algebra."""
+    """The support solve is one scalar Newton per direction in the plane radii."""
 
-    def test_support_one_jet_per_newton_step(self, perturbed, monkeypatch):
+    @pytest.mark.parametrize("name", ["e12", "perturbed"])
+    def test_support_solves_no_linear_system(self, name, request, monkeypatch):
+        body = request.getfixturevalue(name)
         W = np.random.default_rng(0).normal(size=(64, 4))
         jets = _count_calls(monkeypatch, ConvexBody, "_gauge2_jet")
-        steps = _count_calls(monkeypatch, np.linalg, "solve")
-        perturbed.support(W)
-        # one evaluation at the quadric start, then one after each step
-        assert len(steps) > 0
-        assert len(jets) == len(steps) + 1
+        solves = _count_calls(monkeypatch, np.linalg, "solve")
+        body.support(W)
+        assert (len(jets), len(solves)) == (0, 0)

@@ -192,6 +192,24 @@ class TestMinimize:
         res = minimize(body, MinimizeConfig(modes=8, starts=2, seed=4, double_check=False))
         assert abs(res.systole - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("double_check", [True, False])
+    def test_psi_evaluations_counted(self, double_check, monkeypatch):
+        import reeb_spectra.clarke as clarke_mod
+
+        calls = []
+        original = clarke_mod.psi_with_grad
+
+        def counted(body, loop):
+            calls.append(loop.grid_size)
+            return original(body, loop)
+
+        monkeypatch.setattr(clarke_mod, "psi_with_grad", counted)
+        body = ConvexBody(a=[1.0, 2.0], epsilon=1e-2, quartic=[1.0, 1.0], alpha=1.5)
+        res = minimize(body, MinimizeConfig(modes=8, starts=1, seed=2, double_check=double_check))
+        assert res.diagnostics["psi_evaluations"] == len(calls) > 0
+        # the doubling descent runs on twice the grid
+        assert (128 in calls) == double_check
+
     def test_reconstruct_orbit_helper(self):
         body = ConvexBody(a=[np.pi, np.pi], alpha=1.5)
         lp = circle_loop(body, 0, 16, 128)
