@@ -24,9 +24,9 @@ B = Omega J K, Omega the rates lifted to R^{2n}.
 `_alpha_flow` builds this flow from one jet of G per start, and every
 caller reads it: `integrate_reeb` (the sampling Besse test's flow) is its z
 part at alpha = 2; the seed scan is its z part from all seeds at once;
-each Newton trial, the minimal period's winding numbers, the
-deduplication's Reeb trajectory and the index path read its (z, Y) over
-one period (`flow_with_monodromy`, a `PeriodFlow`); and the Reeb monodromy
+each Newton trial, the winding vector that gives an orbit's minimal
+period and names its family, and the index path read its (z, Y) over one
+period (`flow_with_monodromy`, a `PeriodFlow`); and the Reeb monodromy
 M_2 is the same closed form at alpha = 2.  No ODE is solved.
 """
 
@@ -47,7 +47,6 @@ from .symplectic import SymplecticPath, apply_J, standard_J, symplectic_defect
 log = logging.getLogger(__name__)
 
 TOL_ORBIT = 1e-9
-TOL_DEDUP = 1e-6
 TOL_SUBPERIOD = 1e-5
 # time samples of the seed scan over (0, t_max]
 SCAN_POINTS = 4000
@@ -322,48 +321,35 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
                        monodromy=flow_with_monodromy(body, z, tau).monodromy, flow=flow)
 
 
-def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
-    """The orbit at its minimal period.
-
-    The flow turns plane h at the fixed rate omega_h, so over its period an
-    orbit winds round(span omega_h / 2 pi) times round each plane it
+def _winding(orbit: ClosedOrbit) -> tuple[int, ...]:
+    """The orbit's turn counts round(span omega_h / 2 pi) on the planes it
     occupies (|z_h| >= TOL_SUBPERIOD / 2; the residual below TOL_ORBIT puts
-    these counts within 1e-4 of integers), and it covers a primitive orbit k
-    times, k the gcd of those turn counts.  For k >= 2 the Newton polish at
-    tau/k, started from the orbit's own flow (`orbit.flow`) over tau/k,
-    gives the primitive orbit with its own flow; a polish that fails keeps
-    the orbit.
-    """
+    them within 1e-4 of integers), 0 on the others.  Every accepted body is
+    a convex toric domain, on which this vector fixes the face of Omega the
+    orbit sits over, and so its family (Gutt-Hutchings, Algebr. Geom. Topol.
+    18 (2018))."""
     flow = orbit.flow
     turns = flow.span * flow.flow.rates / (2.0 * np.pi)
     occupied = np.linalg.norm(orbit.initial_point.reshape(-1, 2), axis=1) >= 0.5 * TOL_SUBPERIOD
-    k = math.gcd(*(round(x) for x in turns[occupied]))
+    return tuple(round(x) if on else 0 for x, on in zip(turns, occupied))
+
+
+def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
+    """The orbit at its minimal period.
+
+    The flow turns plane h at the fixed rate omega_h, so an orbit covers a
+    primitive orbit k times, k the gcd of its winding vector (`_winding`).
+    For k >= 2 the Newton polish at tau/k, started from the orbit's own flow
+    (`orbit.flow`) over tau/k, gives the primitive orbit with its own flow;
+    a polish that fails keeps the orbit.
+    """
+    k = math.gcd(*_winding(orbit))
     if k < 2:
         return orbit
     tau = orbit.period / k
     polished = _newton_polish(body, orbit.initial_point, tau, t_max=orbit.period,
-                              start=PeriodFlow(flow.flow, tau))
+                              start=PeriodFlow(orbit.flow.flow, tau))
     return orbit if polished is None else polished
-
-
-def _orbit_distance(z: np.ndarray, other: ClosedOrbit) -> float:
-    """min over time shift of |phi^t(other) - z|, refined continuously, with
-    phi^t read off the other orbit's flow."""
-    from scipy.optimize import minimize_scalar
-
-    reeb = other.flow.reeb
-    ts = np.linspace(0.0, other.period, 257)
-    d = np.linalg.norm(reeb(ts) - z, axis=1)
-    i = int(np.argmin(d))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    res = minimize_scalar(
-        lambda t: float(np.linalg.norm(reeb(t) - z)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.fun)
 
 
 def find_closed_orbits(
@@ -384,11 +370,12 @@ def find_closed_orbits(
     (within TOL_SUBPERIOD of its initial point) closes at its period p, and
     its near-returns within two scan steps of k p, k >= 2, are covers of
     that orbit and are not polished; a polish that moved away from the seed
-    skips nothing.  Each candidate is reduced to its minimal period (the gcd
-    of its winding numbers, `_minimal_period`), and its Reeb trajectory over
-    that period, read off its flow, is used to deduplicate the candidates
-    after it by trajectory distance.  The orbits are listed by period, and
-    integer multiples within the window are listed in meta["multiples"].
+    skips nothing.  Taken by period, each candidate is reduced to its
+    minimal period (`_minimal_period`), and its winding vector (`_winding`)
+    names its family: the first candidate on a key represents the family,
+    with the key in meta["winding"], the number of candidates on it in
+    meta["copies"] and its integer multiples within the window in
+    meta["multiples"].  The families are listed by period.
 
     Every closed orbit of a body containing B(r) has action at least pi r^2
     (`pinching_radii`), so the scan resolves the shortest ones only while
@@ -428,16 +415,18 @@ def find_closed_orbits(
         if orb.period <= t_max * (1 + 1e-9):
             candidates.append(orb)
 
-    unique: list[ClosedOrbit] = []
+    families: dict[tuple[int, ...], ClosedOrbit] = {}
     for orb in sorted(candidates, key=lambda o: o.period):
         orb = _minimal_period(body, orb)
-        if not any(abs(prev.period - orb.period) < 1e-6 * max(1.0, prev.period)
-                   and _orbit_distance(orb.initial_point, prev) < TOL_DEDUP for prev in unique):
-            orb.meta["multiples"] = [
-                float(k * orb.period) for k in range(1, int(t_max / orb.period) + 1)
-            ]
-            unique.append(orb)
-    return sorted(unique, key=lambda o: o.period)
+        key = _winding(orb)
+        if key in families:
+            families[key].meta["copies"] += 1
+            continue
+        orb.meta.update(winding=list(key), copies=1, multiples=[
+            float(k * orb.period) for k in range(1, int(t_max / orb.period) + 1)
+        ])
+        families[key] = orb
+    return sorted(families.values(), key=lambda o: o.period)
 
 
 # -- monodromy, block decomposition and indices ------------------------------

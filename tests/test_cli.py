@@ -357,6 +357,12 @@ class TestColdStart:
                "--attest-coverage", "--delta-sq", "1.5"]
         assert self._scipy_modules_after([run]) == []
 
+    def test_orbits_on_the_ball_load_no_scipy(self):
+        # the ball's two circles share a period, and their winding keys
+        # (1, 0) and (0, 1) tell them apart without comparing trajectories
+        run = ["orbits", "--ellipsoid", "1,1", "--tmax", "1.5", "--seeds", "2"]
+        assert self._scipy_modules_after([run]) == []
+
     def test_besse_test_on_a_body_solves_no_ode(self, tmp_path):
         # the sampling Besse test flows its samples in closed form.  Its
         # Sobol sampler imports scipy.stats, which loads scipy.integrate

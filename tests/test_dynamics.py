@@ -306,6 +306,40 @@ class TestFindClosedOrbits:
         assert len(plane1) == 1
         assert plane1[0].meta["multiples"][1] == pytest.approx(2 * plane1[0].period, abs=1e-12)
 
+    def test_one_row_per_winding_key(self):
+        # the seeds return to the v = (2, 1) family dozens of times in this
+        # window, and every copy lands on its one row
+        orbits = find_closed_orbits(PERTURBED, t_max=100.0, n_seeds=3, seed=0)
+        assert [o.meta["winding"] for o in orbits] == [[1, 0], [0, 1], [2, 1]]
+        assert [o.period for o in orbits] == pytest.approx([0.9998987, 1.9991901, 1.9998379],
+                                                           abs=1e-7)
+        assert sum(o.meta["copies"] for o in orbits) > 3
+
+    def test_families_do_not_depend_on_the_seed_count(self):
+        runs = [find_closed_orbits(PERTURBED, t_max=3.0, n_seeds=n) for n in (16, 32, 64)]
+        periods = [o.period for o in runs[0]]
+        for orbits in runs:
+            assert [o.meta["winding"] for o in orbits] == [[1, 0], [0, 1], [2, 1]]
+            assert [o.period for o in orbits] == pytest.approx(periods, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-7, 1e-6, 3e-6, 5e-6, 7e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("plane", [0, 1])
+    def test_seed_off_a_coordinate_circle(self, plane, offset, monkeypatch):
+        # one seed on a circle, moved into the other plane by about the
+        # occupancy threshold TOL_SUBPERIOD / 2 of the winding key: every
+        # polish lands on the circle's family
+        from test_clarke import planar_period_oracle
+
+        raw = np.zeros(4)
+        raw[2 * plane], raw[2 * (1 - plane)] = 1.0, offset
+        start = surface_point(PERTURBED, raw)
+        monkeypatch.setattr(dynamics, "_default_seeds", lambda body, extra, seed: [start])
+        orbits = find_closed_orbits(PERTURBED, t_max=3.0, n_seeds=1)
+        key = [0, 0]
+        key[plane] = 1
+        assert [o.meta["winding"] for o in orbits] == [key]
+        assert abs(orbits[0].period - planar_period_oracle([1.0, 2.0][plane], 1e-3, 1.0)) < 1e-9
+
     def test_orbits_listed_by_period(self):
         # the 3-fold cover at 9 reduces to 3 after the orbit at 7 is listed
         body = ConvexBody(a=[1.0, 1.5, 7 / 3], alpha=1.5)

@@ -1,5 +1,8 @@
 """End-to-end workflows across modules on one perturbed body."""
 
+import numpy as np
+from scipy.optimize import minimize_scalar
+
 from reeb_spectra.bodies import ConvexBody
 from reeb_spectra.certify import besse_by_invariants, zoll_by_pinching
 from reeb_spectra.clarke import MinimizeConfig, minimize
@@ -9,6 +12,18 @@ from test_clarke import planar_period_oracle
 
 EPS = 1e-3
 BODY = ConvexBody(a=[1.0, 2.0], epsilon=EPS, quartic=[1.0, 1.0], alpha=1.5)
+
+
+def orbit_distance(z, orbit):
+    """min over t of |phi_R^t(orbit) - z|: the closest of 257 points of the
+    orbit's Reeb trajectory, refined between its neighbours."""
+    reeb = orbit.flow.reeb
+    ts = np.linspace(0.0, orbit.period, 257)
+    i = int(np.argmin(np.linalg.norm(reeb(ts) - z, axis=1)))
+    res = minimize_scalar(lambda t: float(np.linalg.norm(reeb(t) - z)),
+                          bounds=(ts[max(i - 1, 0)], ts[min(i + 1, 256)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(res.fun)
 
 
 def test_systole_shooting_and_besse_verdicts_agree():
@@ -21,9 +36,7 @@ def test_systole_shooting_and_besse_verdicts_agree():
 
     # the Clarke minimizer's initial point lies on the short shooting orbit
     short = [o for o in orbits if abs(o.period - sys_shooting) < 1e-9][0]
-    from reeb_spectra.dynamics import _orbit_distance
-
-    assert _orbit_distance(res.orbit.initial_point, short) < 1e-6
+    assert orbit_distance(res.orbit.initial_point, short) < 1e-6
 
     # indices of the shooting orbit match the unperturbed short orbit
     monodromy_and_index(BODY, short, alpha=1.5)
