@@ -4,15 +4,18 @@ The action spectrum is the set of positive multiples of the parameters a_h;
 with the multiplicity m_j = #{h : tau_j / a_h integer} each value tau_j
 carries Morse index 2 sum_h (ceil(tau_j/a_h) - 1), nullity 2 m_j - 1 and
 Conley-Zehnder index morse + n.  Rational parameter vectors are handled on
-Python ints over the common denominator D (a_h = P_h / D): invariants come
-from the counting function N(X) = sum_h floor(X / P_h) by integer bisection
-and a walk of the merged progressions k P_h.  A spectrum table is computed
-once, as columns (`SpectrumTable`: tau, multiplicity and Morse index as
-arrays): exact tables hold tau as scaled integers over D, enumerated in int64
-numpy or, where int64 could overflow, in object arrays of Python ints; float
-tables merge the sorted multiples at a relative tolerance in array passes and
-flag merges of unequal values.  A table of more than MAX_TABLE_MULTIPLES raw
-multiples is refused.  `action_spectrum` is the row view of a table.
+integers over the common denominator D (a_h = P_h / D), and their one engine
+is the sorted array of multiples k P_h: a run of equal multiples is one
+spectrum value, its length the multiplicity, and twice its start the Morse
+index; an invariant window is a slice of it from c_lo, found by integer
+bisection of the counting function N(X) = sum_h floor(X / P_h).  A spectrum
+table is computed once, as columns (`SpectrumTable`: tau, multiplicity and
+Morse index as arrays): exact tables hold tau as scaled integers over D, in
+int64 numpy or, where int64 could overflow, in object arrays of Python ints;
+float tables merge the sorted multiples at a relative tolerance in array
+passes and flag merges of unequal values.  A table or window of more than
+MAX_TABLE_MULTIPLES raw multiples is refused.  `action_spectrum` is the row
+view of a table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ TOL_SURFACE = 1e-12
 TOL_MERGE = 1e-9  # relative, float mode
 CF_MAX_DENOMINATOR = 10**6
 CF_BIG_QUOTIENT = 10**8
-# a spectrum table costs about 120 MB of peak memory per 10^6 raw multiples
+# per 10^6 raw multiples, an exact table peaks at about 40 MB and a float one
+# at about 170 MB, before any output text
 MAX_TABLE_MULTIPLES = 2 * 10**6
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -162,41 +166,28 @@ def reeb_flow(E: Ellipsoid, z: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _scaled_multiples(P: list[int], start: int, stop: int) -> np.ndarray:
+    """The multiples k P_h (k >= 1) in [start, stop], sorted, repeats kept.
+
+    int64, or Python ints in an object array where int64 could overflow.
+    """
+    dtype = object if stop > 2**62 or any(p > 2**32 for p in P) else np.int64
+    parts = [np.arange(-(-start // p), stop // p + 1, dtype=dtype) * p for p in P]
+    return np.sort(np.concatenate(parts))
+
+
 def _scaled_spectrum(P: list[int], bound_scaled: int):
     """(values, multiplicities, morse indices) of the scaled integer spectrum.
 
-    Exact integer arithmetic: int64 arrays, or Python ints in object arrays
-    for the values where int64 could overflow.
+    A run of equal multiples k P_h <= bound_scaled is one value and its length
+    the multiplicity; its Morse index 2 sum_h (ceil(v / P_h) - 1) is twice the
+    number of multiples below v, the position where the run starts.
     """
-    dtype = object if bound_scaled > 2**62 or any(p > 2**32 for p in P) else np.int64
-    kmax = [bound_scaled // p for p in P]
-    if not any(kmax):
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, empty
-    vals = np.unique(
-        np.concatenate(
-            [np.arange(1, k + 1, dtype=dtype) * p for k, p in zip(kmax, P) if k]
-        )
-    )
-    P_arr = np.array(P, dtype=dtype)
-    mult = (vals[:, None] % P_arr[None, :] == 0).sum(axis=1).astype(np.int64, copy=False)
-    # ceil(v / p) = (v + p - 1) // p on positive ints
-    ceil = (vals[:, None] + P_arr[None, :] - 1) // P_arr[None, :]
-    morse = 2 * (ceil - 1).sum(axis=1).astype(np.int64, copy=False)
-    return vals, mult, morse
-
-
-def _walk(P: list[int], start: int):
-    """Yield (v, multiplicity, morse index) for the scaled values v >= start >= 1.
-
-    Ceil counters k_h = ceil(v / P_h): v = min_h k_h P_h, Morse 2 sum_h (k_h - 1).
-    """
-    k = [-(-start // p) for p in P]
-    while True:
-        v = min(kh * p for kh, p in zip(k, P))
-        hit = [kh * p == v for kh, p in zip(k, P)]
-        yield v, sum(hit), 2 * sum(kh - 1 for kh in k)
-        k = [kh + h for kh, h in zip(k, hit)]
+    vals = _scaled_multiples(P, 1, bound_scaled)
+    first = np.ones(len(vals), dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return vals[starts], np.diff(starts, append=len(vals)), 2 * starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +250,6 @@ class SpectrumTable:
         ]
 
 
-def _table_exact(E: Ellipsoid, max_action: Fraction) -> SpectrumTable:
-    P, D = E.scaled_integer_params()
-    return SpectrumTable(E.n, *_scaled_spectrum(P, int(max_action * D)), denominator=D)
-
-
 def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
     """Sorted multiples k a_h merged at TOL_MERGE relative to each cluster's anchor.
 
@@ -317,6 +303,13 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
     return table
 
 
+def _refuse_over_cap(multiples: int) -> None:
+    if multiples > MAX_TABLE_MULTIPLES:
+        raise ValueError(
+            f"max_action asks for more than the {MAX_TABLE_MULTIPLES} multiples k a_h a table may hold"
+        )
+
+
 def spectrum_table(E: Ellipsoid, max_action) -> SpectrumTable:
     """All distinct spectrum values k a_h <= max_action, with index data, as columns.
 
@@ -332,13 +325,10 @@ def spectrum_table(E: Ellipsoid, max_action) -> SpectrumTable:
         bound = _to_fraction(max_action)
     if bound <= 0:
         raise ValueError("max_action must be positive and finite")
-    raw = sum(bound // Fraction(ah) for ah in E.a)
-    if raw > MAX_TABLE_MULTIPLES:
-        raise ValueError(
-            f"max_action asks for more than the {MAX_TABLE_MULTIPLES} multiples k a_h a table may hold"
-        )
+    _refuse_over_cap(sum(bound // Fraction(ah) for ah in E.a))
     if E.exact:
-        return _table_exact(E, bound)
+        P, D = E.scaled_integer_params()
+        return SpectrumTable(E.n, *_scaled_spectrum(P, int(bound * D)), denominator=D)
     return _table_float(E, float(max_action))
 
 
@@ -362,9 +352,12 @@ def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:
     """c_lo, ..., c_hi without materializing the prefix c_0, ..., c_{lo-1}.
 
     Exact mode bisects for c_lo = min{X : N(X) >= lo + 1}, always a spectrum
-    value whose first slot is N(c_lo - 1), then walks up to c_hi: O(n (log(P_1
-    lo) + hi - lo)) integer operations whatever the index.  Float mode repeats
-    the values of the float table up to a_1 (hi + 1) by their multiplicities.
+    value whose first slot is N(c_lo - 1), and slices the window out of the
+    sorted multiples in [c_lo, c_lo + (hi - lo) P_1]: O(n log(P_1 lo)) integer
+    operations and about n (hi - lo + 1) multiples whatever the index.  A
+    window of more than MAX_TABLE_MULTIPLES multiples is refused with
+    ValueError.  Float mode repeats the values of the float table up to
+    a_1 (hi + 1) by their multiplicities.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
@@ -381,12 +374,11 @@ def invariant_window(E: Ellipsoid, lo: int, hi: int) -> list:
         else:
             left = mid
     slot = sum((right - 1) // p for p in P)
-    out = []
-    for v, m, _ in _walk(P, right):
-        out.extend([Fraction(v, D)] * (min(slot + m, hi + 1) - max(slot, lo)))
-        slot += m
-        if slot > hi:
-            return out
+    # c_lo's run holds slot lo; plane 1 alone adds the hi - lo multiples above it
+    stop = right + (hi - lo) * P[0]
+    _refuse_over_cap(sum(stop // p for p in P) - slot)
+    window = _scaled_multiples(P, right, stop)[lo - slot : hi - slot + 1]
+    return [Fraction(v, D) for v in window.tolist()]
 
 
 @dataclass(frozen=True)

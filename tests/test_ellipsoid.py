@@ -17,7 +17,6 @@ from reeb_spectra import cli
 from reeb_spectra.ellipsoid import (
     TOL_MERGE,
     SpectrumEntry,
-    _walk,
     action_spectrum,
     besse_cz_index,
     classify,
@@ -65,6 +64,34 @@ def brute_force_spectrum(a, max_action):
     return out
 
 
+def _walk(P: list[int], start: int):
+    """Yield (v, multiplicity, morse index) for the scaled values v >= start >= 1.
+
+    Ceil counters k_h = ceil(v / P_h): v = min_h k_h P_h, Morse 2 sum_h (k_h - 1).
+    """
+    k = [-(-start // p) for p in P]
+    while True:
+        v = min(kh * p for kh, p in zip(k, P))
+        hit = [kh * p == v for kh, p in zip(k, P)]
+        yield v, sum(hit), 2 * sum(kh - 1 for kh in k)
+        k = [kh + h for kh, h in zip(k, hit)]
+
+
+def walk_window(a, lo, hi):
+    """c_lo, ..., c_hi from the ceil-counter walk, with no bisection: the walk
+    starts at s with N(s - 1) <= lo, and a value's first slot is morse / 2."""
+    E = ellipsoid(a)
+    P, D = E.scaled_integer_params()
+    start = 1 + int(F(lo) / sum(F(1, p) for p in P))  # N(X) <= X sum_h 1 / P_h
+    out = []
+    for v, m, morse in _walk(P, start):
+        slot = morse // 2
+        assert slot <= lo or out, "the walk started above c_lo"
+        if slot > hi:
+            return out
+        out.extend([F(v, D)] * (min(slot + m, hi + 1) - max(slot, lo)))
+
+
 def spectrum_float_oracle(E, max_action: float):
     """The float spectrum as a sequential sort-and-merge loop over (value, plane)
     pairs, one cluster at a time; the engine's array merge must agree with it."""
@@ -106,6 +133,14 @@ def spectrum_float_oracle(E, max_action: float):
             "multiplicities are tolerance-dependent"
         )
     return entries
+
+
+# parameter vectors whose scaled values leave int64 for Python ints
+OBJECT_VECTORS = [
+    [2**62 + 1, 3 * 2**63],
+    [F(2**63 + 5, 3), F(2**64 - 1, 2), 3 * 2**63],
+    [1, F(3 * 2**63, 2**63 - 1)],
+]
 
 
 def _rows_and_warning(fn, *args):
@@ -264,11 +299,7 @@ class TestSpectrumColumns:
         assert list(zip(table.tau.tolist(), m, morse)) == walk
         assert table.tau_text() == [str(t) for t in table.values()]
 
-    @pytest.mark.parametrize("a", [
-        [2**62 + 1, 3 * 2**63],
-        [F(2**63 + 5, 3), F(2**64 - 1, 2), 3 * 2**63],
-        [1, F(3 * 2**63, 2**63 - 1)],
-    ])
+    @pytest.mark.parametrize("a", OBJECT_VECTORS)
     def test_object_columns_match_walk(self, a):
         # scaled bounds past 2^62 enumerate in Python ints, values equal to the walk's
         E = ellipsoid(a)
@@ -347,6 +378,45 @@ class TestSpectralInvariants:
         c = spectral_invariants(ellipsoid([1e-6, 1.0]), 25)
         assert time.perf_counter() - t0 < 1.0
         assert np.allclose(c, [(k + 1) * 1e-6 for k in range(25)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("a", OBJECT_VECTORS)
+    @pytest.mark.parametrize("lo", [0, 1, 7, 38, 500])
+    def test_object_window_matches_walk(self, a, lo):
+        # scaled parameters past 2^32 send the window's multiples to Python ints
+        assert max(ellipsoid(a).scaled_integer_params()[0]) > 2**32
+        for hi in (lo, lo + 1, lo + 9):
+            assert invariant_window(ellipsoid(a), lo, hi) == walk_window(a, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_high_index_window_matches_walk(self, seed):
+        # acceptance-style vectors (n in 2..6, a_h = p/q <= 10) at the
+        # benchmark's high-index band of slots
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(8):
+            n = int(rng.integers(2, 7))
+            q = rng.integers(1, 5, size=n)
+            a = sorted(F(int(rng.integers(1, 10 * qh + 1)), int(qh)) for qh in q)
+            lo = int(rng.integers(6 * 10**4, 12 * 10**4 + 1))
+            hi = lo + int(rng.choice([0, n - 1, n + 1, 40]))
+            assert invariant_window(ellipsoid(a), lo, hi) == walk_window(a, lo, hi)
+
+    def test_huge_window_refused_before_allocation(self, capsys):
+        # 1.5M invariants of the round E(1, 1) take 3M multiples
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="multiples"):
+            spectral_invariants(ellipsoid([1, 1]), 1_500_000)
+        assert time.perf_counter() - t0 < 1.0
+        assert cli.main(["invariants", "--ellipsoid", "1,1", "--count", "1500000"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    def test_window_cap_counts_multiples(self, monkeypatch):
+        # c_0..c_9 of E(1, 2) slice the 10 + 5 multiples in [1, 10]
+        ellipsoid_mod = sys.modules[invariant_window.__module__]
+        monkeypatch.setattr(ellipsoid_mod, "MAX_TABLE_MULTIPLES", 15)
+        assert spectral_invariants(ellipsoid([1, 2]), 10) == brute_force_invariants([1, 2], 10)
+        monkeypatch.setattr(ellipsoid_mod, "MAX_TABLE_MULTIPLES", 14)
+        with pytest.raises(ValueError, match="multiples"):
+            spectral_invariants(ellipsoid([1, 2]), 10)
 
     def test_float_window_high_index_against_oracle(self):
         E = ellipsoid([0.5, 2.75, 4.75])
