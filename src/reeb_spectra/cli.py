@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -115,11 +114,74 @@ def _meta(exact: bool, **extra) -> dict:
 
 
 _SPECTRUM_FIELDS = ("tau", "multiplicity", "morse_index", "nullity", "cz_index")
-# one table row as json.dumps(payload, indent=2) lays it out inside "entries"
-_JSON_ROW = (
-    '    {\n      "tau": %s,\n      "multiplicity": %d,\n      "morse_index": %d,\n'
-    '      "nullity": %d,\n      "cz_index": %d\n    }'
-)
+# the text of a table row around its tau, Morse and CZ cells, as
+# json.dumps(indent=2) lays out one entry of "entries" and csv.DictWriter writes
+# one row: the row's opening, the text after tau (%d the multiplicity), after the
+# Morse index (%d the nullity) and after cz, and the separator between two rows
+_ROW_TEXT = {
+    "json": ('    {\n      "tau": ', ',\n      "multiplicity": %d,\n      "morse_index": ',
+             ',\n      "nullity": %d,\n      "cz_index": ', "\n    }", ",\n"),
+    "csv": ("", ",%d,", ",%d,", "\r\n", ""),
+}
+# rows of a spectrum table per write, so that the text of one block, not of the
+# whole table, is alive at a time
+_BLOCK_ROWS = 1 << 14
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _tau_cells(table, rows: slice, after_m: list[str]):
+    """A block's tau strings, the fragments that follow them, and each row's
+    index into those fragments.
+
+    An exact tau is its numerator over the reduced denominator q, and each
+    distinct q of the block prefixes its "/q" to the n + 1 fragments.
+    """
+    m = table.multiplicity[rows]
+    if not table.exact:
+        return map(float.__repr__, table.tau[rows].tolist()), after_m, m
+    D = table.denominator
+    # the gcd with a denominator past int64 takes Python ints
+    v = table.tau[rows] if D <= _INT64_MAX else table.tau[rows].astype(object)
+    g = np.gcd(v, D)
+    dens, which = np.unique(D // g, return_inverse=True)
+    after = [("" if q == 1 else f"/{q}") + text for q in dens.tolist() for text in after_m]
+    return map(str, (v // g).tolist()), after, which * len(after_m) + m
+
+
+def _spectrum_blocks(table, out: str):
+    """The rows of a spectrum table as `out` text, in blocks of _BLOCK_ROWS rows.
+
+    Each block turns every column into strings once, by map over its values:
+    exact tau as the reduced numerator, float tau by float.__repr__, Morse and
+    CZ by str.  Multiplicity and nullity depend only on m <= n, so the text
+    around them is looked up from n + 1 fragments, which also hold an exact
+    tau's "/q" suffix and JSON quotes.  The columns are interleaved into one
+    list by strided slice assignment, and each block is one join.
+    """
+    opening, after_tau, after_morse, close, sep = _ROW_TEXT[out]
+    # an exact tau is a JSON string; its quotes go in the fixed text
+    quote = '"' if table.exact and out == "json" else ""
+    opening += quote
+    after_m = [quote + after_tau % m for m in range(table.n + 1)]
+    after_null = [after_morse % (2 * m - 1) for m in range(table.n + 1)]
+    between = close + sep + opening
+    n_rows = len(table)
+    if n_rows:
+        yield opening
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, n_rows))
+        tau, after, keys = _tau_cells(table, rows, after_m)
+        morse = table.morse_index[rows]
+        # six cells a row, the last the text between this row and the next
+        flat = [between] * (6 * len(morse))
+        flat[0::6] = tau
+        flat[1::6] = map(after.__getitem__, keys.tolist())
+        flat[2::6] = map(str, morse.tolist())
+        flat[3::6] = map(after_null.__getitem__, table.multiplicity[rows].tolist())
+        flat[4::6] = map(str, (morse + table.n).tolist())  # cz = morse + n
+        if rows.stop == n_rows:
+            flat[-1] = close
+        yield "".join(flat)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -128,7 +190,9 @@ _JSON_ROW = (
 def cmd_spectrum(args) -> int:
     """The spectrum table, written from the columns of `spectrum_table`:
     byte for byte what json.dumps(indent=2) and csv.DictWriter make of the
-    `action_spectrum` rows, without building a row object."""
+    `action_spectrum` rows.  The rows are one join over column strings per
+    block of _BLOCK_ROWS rows (`_spectrum_blocks`), each written as it is
+    made, so the text in memory does not grow with the table."""
     from .ellipsoid import spectrum_table
 
     E = _parse_ellipsoid(args.ellipsoid)
@@ -145,22 +209,23 @@ def cmd_spectrum(args) -> int:
         series = {"spectrum": (taus, table.multiplicity), "morse_index": (taus, table.morse_index)}
         _emit(payload, [], series, args)
         return EXIT_OK
-    tau = table.tau_text() if table.exact else table.tau.tolist()
-    ints = [c.tolist() for c in (table.multiplicity, table.morse_index, table.nullity, table.cz_index)]
+    write = sys.stdout.write
     if out == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(_SPECTRUM_FIELDS)
-        w.writerows(zip(tau, *ints))
-        return EXIT_OK
-    text = json.dumps(payload, indent=2)
-    if len(table):
+        write(",".join(_SPECTRUM_FIELDS) + "\r\n")
+        tail = ""
+    else:
+        text = json.dumps(payload, indent=2) + "\n"
+        if not len(table):
+            write(text)
+            return EXIT_OK
         # JSON escapes newlines and quotes inside strings, so this marker is
         # the "entries" key itself
         head, tail = text.split('\n  "entries": []', 1)
-        scalars = map(encode_basestring_ascii if table.exact else float.__repr__, tau)
-        rows = ",\n".join(map(_JSON_ROW.__mod__, zip(scalars, *ints)))
-        text = head + '\n  "entries": [\n' + rows + "\n  ]" + tail
-    print(text)
+        write(head + '\n  "entries": [\n')
+        tail = "\n  ]" + tail
+    for block in _spectrum_blocks(table, out):
+        write(block)
+    write(tail)
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ CF_BIG_QUOTIENT = 10**8
 # per 10^6 raw multiples, an exact table peaks at about 40 MB and a float one
 # at about 170 MB, before any output text
 MAX_TABLE_MULTIPLES = 2 * 10**6
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _to_fraction(x) -> Fraction:
@@ -235,13 +234,6 @@ class SpectrumTable:
             return [Fraction(v, self.denominator) for v in self.tau.tolist()]
         return self.tau.tolist()
 
-    def tau_text(self) -> list[str]:
-        """str(Fraction(tau, D)) of every exact value, reduced by one array gcd."""
-        D = self.denominator
-        v = self.tau if D <= _INT64_MAX else self.tau.astype(object)
-        g = np.gcd(v, D)
-        return [str(p) if q == 1 else f"{p}/{q}" for p, q in zip((v // g).tolist(), (D // g).tolist())]
-
     def entries(self) -> list[SpectrumEntry]:
         n = self.n
         return [
@@ -256,7 +248,7 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
     A cluster starts at the smallest value not yet taken, tau, and takes every
     raw value with raw - tau <= TOL_MERGE max(tau, 1); its multiplicity is the
     number of distinct planes in it.  A plane whose ratio tau / a_h lies within
-    TOL_MERGE of an integer k counts k - 1 earlier iterates, otherwise
+    TOL_MERGE of an integer k >= 1 counts k - 1 earlier iterates, otherwise
     ceil(tau / a_h) - 1.  A cluster of values that are not all equal makes the
     multiplicity tolerance-dependent, and is reported in one warning.
     """
@@ -292,7 +284,10 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
     planes[np.cumsum(anchor[:N]) - 1, plane] = True
     r = tau[:, None] / a
     k_near = np.rint(r)
-    k = np.where(np.abs(r - k_near) <= TOL_MERGE * np.maximum(r, 1.0), k_near, np.ceil(r))
+    # a ratio within TOL_MERGE of 0 is a plane far above tau: its first
+    # iterate, ceil(r) = 1, is not below tau
+    near = (k_near >= 1) & (np.abs(r - k_near) <= TOL_MERGE * np.maximum(r, 1.0))
+    k = np.where(near, k_near, np.ceil(r))
     table = SpectrumTable(E.n, tau, planes.sum(axis=1), 2 * (k.astype(np.int64) - 1).sum(axis=1))
     ambiguous = tau[raw[end[starts] - 1] != tau]
     if ambiguous.size:

@@ -7,6 +7,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import reeb_spectra
 from reeb_spectra import cli
 from reeb_spectra.bodies import ConvexBody
 from reeb_spectra.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from reeb_spectra.ellipsoid import action_spectrum
+from reeb_spectra.ellipsoid import action_spectrum, spectrum_table
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,35 @@ class TestClassify:
         direct = json.loads(out3)
         assert reingested["hits"] == direct["invariant_hits"]
         assert reingested["besse"] and not reingested["zoll"]
+
+    def test_spectrum_json_reingests_to_the_direct_hits(self, capsys, tmp_path):
+        # acceptance-style vectors (n in 2..6, a_h = p/q <= 10, some round);
+        # the table up to count a_1 holds the first count invariants
+        rng = np.random.default_rng(4242)
+        count, with_hits = 40, 0
+        for j in range(16):
+            n = int(rng.integers(2, 7))
+            if j % 4 == 0:
+                a = [Fraction(int(rng.integers(1, 41)), int(rng.integers(1, 5)))] * n
+            else:
+                q = rng.integers(1, 5, size=n)
+                a = sorted(Fraction(int(rng.integers(1, 10 * qh + 1)), int(qh)) for qh in q)
+            spec = ",".join(map(str, a))
+            code, out, _ = run_cli(capsys, "spectrum", "--ellipsoid", spec, "--max", str(count * a[0]))
+            assert code == EXIT_OK
+            spectrum_file = tmp_path / f"spec{j}.json"
+            spectrum_file.write_text(out)
+            code, out, _ = run_cli(capsys, "classify", "--from-spectrum", str(spectrum_file), "--count", str(count))
+            assert code == EXIT_OK
+            reingested = json.loads(out)
+            code, out, _ = run_cli(capsys, "classify", "--ellipsoid", spec, "--count", str(count))
+            direct = json.loads(out)
+            assert reingested["meta"]["count"] == count
+            assert reingested["hits"] == direct["invariant_hits"], spec
+            assert reingested["zoll"] == direct["zoll_by_invariant_equality"]
+            assert reingested["besse"] == bool(direct["invariant_hits"])
+            with_hits += bool(direct["invariant_hits"])
+        assert with_hits > 4  # the four round vectors and some others
 
     def test_numerical_besse_on_body(self, capsys, tmp_path):
         body = tmp_path / "body.json"
@@ -435,6 +465,45 @@ def _reference_spectrum_output(argv) -> str:
     return buf.getvalue()
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, reporting the first difference instead of a diff of two
+    texts of up to a few MB"""
+    at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    near = slice(max(at - 60, 0), at + 60)
+    same = got == want
+    assert same, f"differ at {at} of {len(got)}/{len(want)}: {got[near]!r} vs {want[near]!r}"
+
+
+def _sweep_cases():
+    """(ellipsoid, max) pairs of the byte-identity sweep: seeded rational
+    vectors with n = 1..6, spelled exact and float, the round E(1, ..., 1)
+    with n = 10 (multiplicity 10, nullity 19), tables past int64, and empty
+    and one-row tables."""
+    rng = np.random.default_rng(2028)
+    cases = []
+    for n in range(1, 7):
+        for j in range(2):
+            q = rng.integers(1, 5, size=n)
+            a = sorted(Fraction(int(rng.integers(1, 10 * qh + 1)), int(qh)) for qh in q)
+            top = a[0] * int(rng.integers(1, 80)) + Fraction(1, 7)
+            cases.append(pytest.param(",".join(map(str, a)), str(top), id=f"exact-n{n}-{j}"))
+            cases.append(pytest.param(",".join(repr(float(x)) for x in a), repr(float(top)), id=f"float-n{n}-{j}"))
+    cases += [
+        pytest.param(",".join(["1"] * 10), "20", id="exact-round-n10"),
+        pytest.param(",".join(["1.0"] * 10), "20.0", id="float-round-n10"),
+        # scaled parameters past 2^32 (Python ints), an integer vector past
+        # int64, and a common denominator 3^40 past int64 over int64 values
+        pytest.param("8589934593/3,17179869191/5,34359738368/7", str(2**36), id="object-tau"),
+        pytest.param("9223372036854775809,27670116110564327424", "55340232221128654848", id="object-integers"),
+        pytest.param(f"{2**31}/{3**40},{2**31 + 1}/{3**40}", f"{20 * 2**31}/{3**40}", id="denominator-past-int64"),
+        pytest.param("5", "4", id="exact-empty-n1"),
+        pytest.param("2,3", "2", id="exact-one-row"),
+        pytest.param("2.0,3.0", "2.5", id="float-one-row"),
+        pytest.param("2.0,3.0,7.5", "1.5", id="float-empty-n3"),
+    ]
+    return cases
+
+
 class TestFormatting:
     @pytest.mark.filterwarnings("ignore:action values merged within tol")
     @pytest.mark.parametrize(
@@ -455,6 +524,55 @@ class TestFormatting:
         assert code == EXIT_OK
         assert out.count("\n") > rows
         assert out == _reference_spectrum_output(argv)
+
+    @pytest.mark.filterwarnings("ignore:action values merged within tol")
+    @pytest.mark.parametrize("ellipsoid,top", _sweep_cases())
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_seeded_sweep_matches_reference_formatter(self, ellipsoid, top, fmt, capsys):
+        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", top, "--out", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        _assert_same_text(out, _reference_spectrum_output(argv))
+
+    @pytest.mark.parametrize(
+        "ellipsoid,top,extra",
+        [
+            ("1,2", "{}", 0), ("1,2", "{}", 1),
+            ("1/3,2/3", "{}/3", 0), ("1/3,2/3", "{}/3", 1),  # denominators 1 and 3 in a block
+            ("1.0,2.0", "{}.0", 0), ("1.0,2.0", "{}.0", 1),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_block_and_one_more_row(self, ellipsoid, top, extra, fmt, capsys):
+        rows = cli._BLOCK_ROWS + extra
+        top = top.format(rows)
+        assert len(spectrum_table(cli._parse_ellipsoid(ellipsoid), cli._parse_value(top))) == rows
+        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", top, "--out", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        _assert_same_text(out, _reference_spectrum_output(argv))
+
+    @pytest.mark.filterwarnings("ignore:action values merged within tol")
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "ellipsoid,top",
+        [("1,3/2,7/3", "30"), ("1.0,1.0000000005,2.5", "30"), ("8589934593/3,17179869191/5,34359738368/7", str(2**36))],
+        ids=["exact", "float", "object-tau"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_small_blocks_write_block_by_block(self, block, ellipsoid, top, fmt, monkeypatch):
+        # every write holds at most one block of rows, and the writes add up
+        # to the reference text
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", top, "--out", fmt)
+        assert main(list(argv)) == EXIT_OK
+        monkeypatch.undo()
+        row_end = '"cz_index"' if fmt == "json" else "\r\n"
+        rows = [w.count(row_end) for w in writes[1:]]
+        assert max(rows) == block and sum(rows) > 3 * block
+        _assert_same_text("".join(writes), _reference_spectrum_output(argv))
 
     def test_empty_csv_table_is_the_header(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--ellipsoid", "2,3", "--max", "1", "--out", "csv")

@@ -122,7 +122,8 @@ def spectrum_float_oracle(E, max_action: float):
         for ah in a:
             r = tau / ah
             k_near = round(r)
-            morse += 2 * ((k_near if abs(r - k_near) <= TOL_MERGE * max(r, 1.0) else math.ceil(r)) - 1)
+            near = k_near >= 1 and abs(r - k_near) <= TOL_MERGE * max(r, 1.0)
+            morse += 2 * ((k_near if near else math.ceil(r)) - 1)
         entries.append(
             SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + n)
         )
@@ -275,12 +276,38 @@ class TestSpectrumColumns:
         assert (rows, error, warned) == _rows_and_warning(spectrum_float_oracle, E, 3.0)
         assert warned and error is None and [r[1] for r in rows] == [2, 2, 1]  # 3 (1 + 5e-10) > 3
 
-    def test_negative_morse_refused_like_the_oracle(self):
-        # tau / a_2 = 1e-10 rounds to the iterate 0 within TOL_MERGE
+    def test_sub_tolerance_ratio_counts_no_iterate(self):
+        # tau / a_2 = k 1e-10 lies within TOL_MERGE of 0, which is no iterate:
+        # plane 2 counts ceil(tau / a_2) - 1 = 0 below tau, not -1
         E = ellipsoid([1e-10, 1.0])
         got = _rows_and_warning(action_spectrum, E, 1e-9)
         assert got == _rows_and_warning(spectrum_float_oracle, E, 1e-9)
-        assert got[1] == "Morse index must be even and non-negative"
+        assert got[1] is None and [row[2] for row in got[0]] == [2 * k for k in range(len(got[0]))]
+
+    @pytest.mark.parametrize(
+        "a,top",
+        [
+            (["1", "2863311531"], 5),
+            (["1", "2863311531"], 40),
+            (["1/2", "3000000001"], 30),
+            (["1", "2001/2", "3000000000"], 3000),
+            (["1/4", "3/2", "5000000000", "7000000000"], 25),
+            (["1/1024", "4398046511104"], 2),
+        ],
+    )
+    def test_float_table_and_window_match_exact_when_spread_past_1e9(self, a, top):
+        # every plane above max_action has a ratio tau / a_h below TOL_MERGE;
+        # the parameters and their multiples are exact in binary, so the
+        # float values equal the exact ones
+        exact, floating = ellipsoid(a), ellipsoid([float(F(x)) for x in a])
+        assert float(exact.a[-1] / exact.a[0]) > 1e9
+        want = [(float(e.tau), e.multiplicity, e.morse_index) for e in action_spectrum(exact, top)]
+        assert want == brute_force_spectrum(exact.a, top)
+        got = [(e.tau, e.multiplicity, e.morse_index) for e in action_spectrum(floating, float(top))]
+        assert got == want
+        count = len(want) + 5
+        assert spectral_invariants(floating, count) == [float(c) for c in spectral_invariants(exact, count)]
+        assert invariant_window(floating, 3, count) == [float(c) for c in invariant_window(exact, 3, count)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -297,7 +324,8 @@ class TestSpectrumColumns:
         walk = list(itertools.takewhile(lambda r: r[0] <= top * D, _walk(P, 1)))
         assert table.denominator == D
         assert list(zip(table.tau.tolist(), m, morse)) == walk
-        assert table.tau_text() == [str(t) for t in table.values()]
+        text = "".join(cli._spectrum_blocks(table, "csv"))
+        assert [row.split(",")[0] for row in text.splitlines()] == [str(t) for t in table.values()]
 
     @pytest.mark.parametrize("a", OBJECT_VECTORS)
     def test_object_columns_match_walk(self, a):
