@@ -258,18 +258,8 @@ class ConvexBody:
         return bool(np.all(np.abs(self.gauge2(z) - 1.0) <= tol))
 
     def surface_samples(self, count: int, seed: int | None = 0) -> np.ndarray:
-        """Quasi-uniform boundary points: Sobol directions projected radially."""
-        from scipy.stats import qmc
-
-        m = int(count)
-        sob = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
-        u = sob.random(1 << (m - 1).bit_length())[:m]
-        from scipy.special import ndtri
-
-        dirs = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        dirs /= norms
+        """Boundary points: Gaussian directions, uniform on the sphere, projected radially."""
+        dirs = np.random.default_rng(seed).standard_normal((int(count), self.dim))
         return self.project_to_surface(dirs)
 
     def _validate_convexity(self):

@@ -7,6 +7,7 @@ zoll_by_pinching decides the Zoll property of a delta-pinched body from its
 action spectrum on the window (sys, delta^2 sys).  besse_sufficient_eh runs
 the same equality scan on exact capacity values under a discreteness
 attestation and labels its verdict as a sufficient condition only.
+Exact values are compared exactly, float values by `ellipsoid.same_action`.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bodies import ConvexBody
-from .ellipsoid import Ellipsoid, ellipsoid
-
-TOL_EQ = 1e-9  # relative, float invariant lists
+from .ellipsoid import Ellipsoid, ellipsoid, same_action
 
 
 @dataclass(frozen=True)
@@ -28,18 +27,19 @@ class BesseHit:
     mu: int
 
 
-def _values_equal(x, y, exact: bool) -> bool:
-    if exact:
-        return x == y
-    scale = max(abs(float(x)), abs(float(y)), 1.0)
-    return abs(float(x) - float(y)) <= TOL_EQ * scale
+def _equal(x, y, exact: bool) -> bool:
+    return x == y if exact else bool(same_action(float(x), float(y)))
+
+
+def _at_most(x, y, exact: bool) -> bool:
+    return x <= y or _equal(x, y, exact)
 
 
 def besse_by_invariants(c: list, n: int, exact: bool | None = None) -> list[BesseHit]:
     """All i with c_i = c_{i+n-1}; hits carry tau = c_i and mu = 2i + n.
 
-    Exact (Fraction) lists are compared exactly; float lists at 1e-9
-    relative.  The input must be non-decreasing and of length >= n.
+    Exact (Fraction) lists are compared exactly, float lists by
+    `same_action`.  The input must be non-decreasing and of length >= n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -47,14 +47,10 @@ def besse_by_invariants(c: list, n: int, exact: bool | None = None) -> list[Bess
         raise ValueError(f"need at least n = {n} invariants, got {len(c)}")
     if exact is None:
         exact = all(isinstance(x, (Fraction, int)) for x in c)
-    for a, b in zip(c, c[1:]):
-        if float(b) < float(a) - (0.0 if exact else TOL_EQ * max(abs(float(a)), 1.0)):
-            raise ValueError("invariant list must be non-decreasing")
-    hits = []
-    for i in range(len(c) - n + 1):
-        if _values_equal(c[i], c[i + n - 1], exact):
-            hits.append(BesseHit(i=i, tau=c[i], mu=2 * i + n))
-    return hits
+    if not all(_at_most(a, b, exact) for a, b in zip(c, c[1:])):
+        raise ValueError("invariant list must be non-decreasing")
+    return [BesseHit(i=i, tau=c[i], mu=2 * i + n)
+            for i in range(len(c) - n + 1) if _equal(c[i], c[i + n - 1], exact)]
 
 
 @dataclass(frozen=True)
@@ -74,6 +70,20 @@ def _plain(v):
     return v
 
 
+def pinching_delta_sq(delta=None, delta_sq=None):
+    """delta^2 from delta_sq, or else from delta; a delta that is not positive
+    and finite, or a delta_sq that is not finite, is refused with ValueError."""
+    if delta is not None and not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if delta_sq is not None and not math.isfinite(delta_sq):
+        raise ValueError(f"delta_sq must be finite, got {delta_sq}")
+    if delta_sq is None:
+        if delta is None:
+            raise ValueError("supply delta or delta_sq")
+        delta_sq = float(delta) ** 2
+    return delta_sq
+
+
 def zoll_by_pinching(
     body: Ellipsoid | ConvexBody,
     partial_spectrum: list,
@@ -89,7 +99,8 @@ def zoll_by_pinching(
     certificate holds iff no spectrum value lies in the OPEN interval
     (sys, delta^2 sys); boundary values do not block.  When an invariant
     list is supplied, the internal bound chain c_{n-1} <= pi R^2 <
-    delta^2 pi r^2 <= delta^2 sys is checked and reported.
+    delta^2 pi r^2 <= delta^2 sys is checked and reported; in floats, a link
+    x <= y also holds when x and y are the same action (`same_action`).
 
     An ellipsoid, an `Ellipsoid` or a quadric `ConvexBody`, pinches on its
     parameters, pi r^2 = a_1 and pi R^2 = a_n; any other body on its
@@ -104,11 +115,7 @@ def zoll_by_pinching(
         )
     if not partial_spectrum:
         raise ValueError("empty spectrum")
-    if delta_sq is None:
-        if delta is None:
-            raise ValueError("supply delta or delta_sq")
-        delta_sq = float(delta) ** 2
-    dsq = delta_sq  # Fraction stays exact, float stays float
+    dsq = pinching_delta_sq(delta, delta_sq)  # Fraction stays exact, float stays float
     if float(dsq) <= 1.0 or float(dsq) > 2.0 + 1e-15:
         return PinchingResult(
             status="not-applicable",
@@ -153,11 +160,9 @@ def zoll_by_pinching(
             raise ValueError("invariant list shorter than n")
         c_nm1 = invariants_c[n - 1]
         # the middle link pi R^2 < delta^2 pi r^2 is the hypothesis above
-        if all(isinstance(v, Fraction) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val)):
-            chain = c_nm1 <= pi_R2 and dsq * pi_r2 <= dsq * sys_val
-        else:
-            c, R2, r2, d, s = (float(v) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
-            chain = c <= R2 + 1e-12 and d * r2 <= d * s + 1e-12
+        exact = all(isinstance(v, Fraction) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
+        c, R2, r2, d, s = (v if exact else float(v) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
+        chain = _at_most(c, R2, exact) and _at_most(d * r2, d * s, exact)
         detail["bound_chain"] = {
             "c_{n-1}": c_nm1,
             "pi_R^2": pi_R2,

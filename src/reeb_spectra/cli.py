@@ -306,18 +306,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pinch(args) -> int:
-    from .certify import zoll_by_pinching
+    from .certify import pinching_delta_sq, zoll_by_pinching
     from .ellipsoid import spectral_invariants, spectrum_table
 
     delta_sq = _parse_value(args.delta_sq) if args.delta_sq else None
     delta = float(args.delta) if args.delta else None
     if delta is None and delta_sq is None:
         raise ValueError("supply --delta or --delta-sq")
+    dsq = pinching_delta_sq(delta, delta_sq)
     if args.ellipsoid:
         # the certificate reads pi r^2 and pi R^2 off the ellipsoid's parameters
         body = E = _parse_ellipsoid(args.ellipsoid)
-        dsq_f = float(delta_sq) if delta_sq is not None else float(delta) ** 2
-        upper = dsq_f * float(E.a[0]) * 1.0001
+        upper = float(dsq) * float(E.a[0]) * 1.0001
         spectrum = spectrum_table(E, upper).values()
         invariants = spectral_invariants(E, E.n)
         attested = True  # exact ellipsoid spectra are complete on the window
@@ -329,8 +329,7 @@ def cmd_pinch(args) -> int:
     res = zoll_by_pinching(
         body,
         spectrum,
-        delta=delta,
-        delta_sq=delta_sq,
+        delta_sq=dsq,
         coverage_attested=attested,
         invariants_c=invariants,
     )

@@ -12,8 +12,10 @@ bisection of the counting function N(X) = sum_h floor(X / P_h).  A spectrum
 table is computed once, as columns (`SpectrumTable`: tau, multiplicity and
 Morse index as arrays): exact tables hold tau as scaled integers over D, in
 int64 numpy or, where int64 could overflow, in object arrays of Python ints;
-float tables merge the sorted multiples at a relative tolerance in array
-passes and flag merges of unequal values.  A table or window of more than
+float tables take the runs of the sorted float multiples by the same step,
+a run ending where a multiple is not the same action (`same_action`, the one
+rule for float actions, here and in `certify`) as its first, and flag runs
+of unequal values.  A table or window of more than
 MAX_TABLE_MULTIPLES raw multiples is refused.  `action_spectrum` is the row
 view of a table.
 """
@@ -32,8 +34,8 @@ TOL_SURFACE = 1e-12
 TOL_MERGE = 1e-9  # relative, float mode
 CF_MAX_DENOMINATOR = 10**6
 CF_BIG_QUOTIENT = 10**8
-# per 10^6 raw multiples, an exact table peaks at about 40 MB and a float one
-# at about 170 MB, before any output text
+# per 10^6 raw multiples, an exact table peaks at about 35 MB and a float one
+# at about 72 MB, before any output text (E(1, 3/2, 23/10) up to 950000)
 MAX_TABLE_MULTIPLES = 2 * 10**6
 
 
@@ -175,18 +177,21 @@ def _scaled_multiples(P: list[int], start: int, stop: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _scaled_spectrum(P: list[int], bound_scaled: int):
-    """(values, multiplicities, morse indices) of the scaled integer spectrum.
+def _runs(vals: np.ndarray, first: np.ndarray):
+    """(values, multiplicities, morse indices) of the sorted multiples `vals`
+    cut into runs where `first` is set: a run is one value v, its length the
+    multiplicity, and its Morse index 2 sum_h (ceil(v / a_h) - 1) twice the
+    number of multiples below v, the position where the run starts."""
+    starts = np.flatnonzero(first)
+    return vals[starts], np.diff(starts, append=len(vals)), 2 * starts
 
-    A run of equal multiples k P_h <= bound_scaled is one value and its length
-    the multiplicity; its Morse index 2 sum_h (ceil(v / P_h) - 1) is twice the
-    number of multiples below v, the position where the run starts.
-    """
+
+def _scaled_spectrum(P: list[int], bound_scaled: int):
+    """The runs of equal multiples k P_h <= bound_scaled (`_runs`)."""
     vals = _scaled_multiples(P, 1, bound_scaled)
     first = np.ones(len(vals), dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return vals[starts], np.diff(starts, append=len(vals)), 2 * starts
+    return _runs(vals, first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,31 +247,33 @@ class SpectrumTable:
         ]
 
 
-def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
-    """Sorted multiples k a_h merged at TOL_MERGE relative to each cluster's anchor.
+def same_action(x, y):
+    """Whether two float actions (or arrays of them) are the same:
+    |x - y| <= TOL_MERGE min(|x|, |y|), relative and free of scale, as
+    c_i(lambda Sigma) = lambda c_i(Sigma) is."""
+    return abs(x - y) <= TOL_MERGE * np.minimum(abs(x), abs(y))
 
-    A cluster starts at the smallest value not yet taken, tau, and takes every
-    raw value with raw - tau <= TOL_MERGE max(tau, 1); its multiplicity is the
-    number of distinct planes in it.  A plane whose ratio tau / a_h lies within
-    TOL_MERGE of an integer k >= 1 counts k - 1 earlier iterates, otherwise
-    ceil(tau / a_h) - 1.  A cluster of values that are not all equal makes the
-    multiplicity tolerance-dependent, and is reported in one warning.
+
+def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
+    """The runs (`_runs`) of the sorted float multiples k a_h, each run the
+    multiples that are the same action (`same_action`) as its first, tau.
+
+    Two multiples k a_h < k' a_h of one plane are never the same while
+    k < 1 / TOL_MERGE, and MAX_TABLE_MULTIPLES keeps k below that: a run's
+    length is the number of distinct planes in it.  A run of values that are
+    not all equal makes the multiplicity tolerance-dependent, and is reported
+    in one warning.
     """
-    a = E.floats
-    counts = [int(max_action / ah) for ah in a]
-    raw = np.concatenate([np.arange(1, c + 1) * ah for c, ah in zip(counts, a)])
-    order = np.argsort(raw, kind="stable")
-    raw, plane = raw[order], np.repeat(np.arange(E.n), counts)[order]
+    raw = np.sort(np.concatenate([np.arange(1, int(max_action / ah) + 1) * ah for ah in E.floats]))
     N = len(raw)
-    # end[i]: one past the cluster anchored at i; raw is sorted, so the
-    # anchored test holds on a prefix of raw[i + 1:] and end grows one step
-    # per round, as many rounds as the largest cluster has values
-    tol = TOL_MERGE * np.maximum(raw, 1.0)
+    # end[i]: one past the run anchored at i; raw is sorted, so the anchored
+    # test holds on a prefix of raw[i + 1:] and end grows one step per round,
+    # as many rounds as the longest run has values
     end = np.arange(1, N + 1)
     grow = np.arange(N)
     while grow.size:
         grow = grow[end[grow] < N]
-        grow = grow[raw[end[grow]] - raw[grow] <= tol[grow]]
+        grow = grow[same_action(raw[grow], raw[end[grow]])]
         end[grow] += 1
     # the anchors are 0, end[0], end[end[0]], ...: pointer doubling marks the
     # first 2^(k+1) of them in round k
@@ -278,18 +285,8 @@ def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
         if jump[0] == N:
             break
         jump = jump[jump]
-    starts = np.flatnonzero(anchor[:N])
-    tau = raw[starts]
-    planes = np.zeros((len(starts), E.n), dtype=bool)
-    planes[np.cumsum(anchor[:N]) - 1, plane] = True
-    r = tau[:, None] / a
-    k_near = np.rint(r)
-    # a ratio within TOL_MERGE of 0 is a plane far above tau: its first
-    # iterate, ceil(r) = 1, is not below tau
-    near = (k_near >= 1) & (np.abs(r - k_near) <= TOL_MERGE * np.maximum(r, 1.0))
-    k = np.where(near, k_near, np.ceil(r))
-    table = SpectrumTable(E.n, tau, planes.sum(axis=1), 2 * (k.astype(np.int64) - 1).sum(axis=1))
-    ambiguous = tau[raw[end[starts] - 1] != tau]
+    table = SpectrumTable(E.n, *_runs(raw, anchor[:N]))
+    ambiguous = table.tau[raw[end[anchor[:N]] - 1] != table.tau]
     if ambiguous.size:
         warnings.warn(
             f"action values merged within tol but not exactly equal near {ambiguous[:3].tolist()}; "
@@ -440,22 +437,19 @@ def classify(E: Ellipsoid) -> Classification:
 
 
 def besse_cz_index(E: Ellipsoid, tau) -> int:
-    """mu = 2 (tau/a_1 + ... + tau/a_n) - n for a common period tau."""
-    n = E.n
+    """mu = 2 (tau/a_1 + ... + tau/a_n) - n for a common period tau; a float tau
+    is one when each k = round(tau / a_h) >= 1 and tau is the same action as k a_h."""
     if E.exact:
         tau = _to_fraction(tau)
         ratios = [tau / ah for ah in E.a]
         if any(r.denominator != 1 or r <= 0 for r in ratios):
             raise ValueError(f"tau = {tau} is not a common period of {E.a}")
-        mu = 2 * sum(int(r) for r in ratios) - n
-    else:
-        tau = float(tau)
-        ratios = [tau / ah for ah in E.floats]
-        if any(abs(r - round(r)) > 1e-9 * max(r, 1.0) or r <= 0 for r in ratios):
-            raise ValueError(f"tau = {tau} is not a common period within tolerance")
-        mu = 2 * sum(round(r) for r in ratios) - n
-    assert (mu - n) % 2 == 0 and (mu - n) // 2 >= 0
-    return mu
+        return 2 * sum(int(r) for r in ratios) - E.n
+    tau = float(tau)
+    ks = [round(tau / ah) for ah in E.floats]
+    if not all(k >= 1 and same_action(tau, k * ah) for k, ah in zip(ks, E.floats)):
+        raise ValueError(f"tau = {tau} is not a common period within tolerance")
+    return 2 * sum(ks) - E.n
 
 
 @dataclass(frozen=True)
@@ -478,6 +472,7 @@ def verify_interleaving(E: Ellipsoid, tau) -> InterleavingReport:
     """Check c_{i-1} < tau = c_i = c_{i+n-1} < c_{i+n} at i = (mu - n)/2.
 
     The convention c_{-1} := 0 covers the minimal period of a Zoll sphere.
+    Float values are equal when they are the same action (`same_action`).
     """
     n = E.n
     mu = besse_cz_index(E, tau)
@@ -489,10 +484,17 @@ def verify_interleaving(E: Ellipsoid, tau) -> InterleavingReport:
         c[base + k] = v
     c_im1 = c[i - 1] if i - 1 >= 0 else (Fraction(0) if E.exact else 0.0)
     tau_cmp = _to_fraction(tau) if E.exact else float(tau)
+
+    def same(x, y):
+        return x == y if E.exact else bool(same_action(x, y))
+
+    def below(x, y):
+        return x < y and not same(x, y)
+
     checks = (
-        InterleavingCheck("c_{i-1} < tau", c_im1, tau_cmp, c_im1 < tau_cmp),
-        InterleavingCheck("c_i == tau", c[i], tau_cmp, c[i] == tau_cmp),
-        InterleavingCheck("c_i == c_{i+n-1}", c[i], c[i + n - 1], c[i] == c[i + n - 1]),
-        InterleavingCheck("c_{i+n-1} < c_{i+n}", c[i + n - 1], c[i + n], c[i + n - 1] < c[i + n]),
+        InterleavingCheck("c_{i-1} < tau", c_im1, tau_cmp, below(c_im1, tau_cmp)),
+        InterleavingCheck("c_i == tau", c[i], tau_cmp, same(c[i], tau_cmp)),
+        InterleavingCheck("c_i == c_{i+n-1}", c[i], c[i + n - 1], same(c[i], c[i + n - 1])),
+        InterleavingCheck("c_{i+n-1} < c_{i+n}", c[i + n - 1], c[i + n], below(c[i + n - 1], c[i + n])),
     )
     return InterleavingReport(i=i, tau=tau_cmp, checks=checks, passed=all(ch.passed for ch in checks))

@@ -47,6 +47,16 @@ class TestBesseByInvariants:
         hits = besse_by_invariants(c, 2)
         assert len(hits) == 1 and hits[0].i == 1
 
+    @pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
+    def test_float_scan_is_scale_free(self, k):
+        # equality, the hit and the monotonicity check read the same at every scale
+        s = 2.0**k
+        hits = besse_by_invariants([s * x for x in (1.0, 2.0, 2.0 * (1 + 5e-10), 3.0)], 2)
+        assert [(h.i, h.tau) for h in hits] == [(1, 2.0 * s)]
+        assert besse_by_invariants([s * x for x in (1.0, 1.5, 2.0, 2.5)], 2) == []
+        with pytest.raises(ValueError, match="non-decreasing"):
+            besse_by_invariants([s * x for x in (2.0, 1.0, 3.0)], 2)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_hits_exactly_at_mu_formula(self, seed):
         rng = np.random.default_rng(400 + seed)
@@ -141,6 +151,32 @@ class TestZollByPinching:
     def test_delta_required(self):
         with pytest.raises(ValueError, match="delta"):
             zoll_by_pinching(self.ball, [F(1)], coverage_attested=True)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"delta": -1.2}, "delta must"),
+        ({"delta": 0.0}, "delta must"),
+        ({"delta": float("nan")}, "delta must"),
+        ({"delta": float("inf")}, "delta must"),
+        ({"delta_sq": float("nan")}, "delta_sq must"),
+        ({"delta_sq": float("-inf")}, "delta_sq must"),
+        ({"delta": float("nan"), "delta_sq": F(3, 2)}, "delta must"),
+    ])
+    def test_bad_constants_refused_by_name(self, kwargs, name):
+        body = ConvexBody(a=[1.0, 1.2], epsilon=1e-3, quartic=[1.0, 0.8])
+        for target in (self.ball, body):
+            with pytest.raises(ValueError, match=name):
+                zoll_by_pinching(target, [1.0, 1.2], coverage_attested=True, **kwargs)
+
+    @pytest.mark.parametrize("k", [-50, 0, 50])
+    def test_float_bound_chain_is_scale_free(self, k):
+        # c_{n-1} <= pi R^2 holds when the two are the same action, and
+        # fails when c_{n-1} is above pi R^2, at every scale
+        s = 2.0**k
+        E = ellipsoid([s, 1.2 * s])
+        for c1, holds in ((1.2 * s * (1 + 5e-10), True), (1.5 * s, False)):
+            res = zoll_by_pinching(E, [s, 2 * s], delta_sq=1.5, coverage_attested=True,
+                                   invariants_c=[s, c1])
+            assert res.detail["bound_chain"]["holds"] is holds, (k, c1)
 
     def test_open_interval_boundary(self):
         # a spectrum value exactly at delta^2 * sys does not block

@@ -105,6 +105,20 @@ class TestClassify:
             with_hits += bool(direct["invariant_hits"])
         assert with_hits > 4  # the four round vectors and some others
 
+    def test_float_hits_are_scale_free(self, capsys):
+        # 3.3 a_1 is no multiple of a_1 at any scale: the equality scan finds
+        # no hit on E(1e-10, 3.3e-10) as on the exact E(1/10^10, 33/10^11)
+        for spec in ("1e-10,3.3e-10", "1/10000000000,33/100000000000", "1.0,3.3"):
+            code, out, _ = run_cli(capsys, "classify", "--ellipsoid", spec, "--count", "8")
+            data = json.loads(out)
+            assert code == EXIT_OK
+            assert data["invariant_hits"] == [] and data["zoll_by_invariant_equality"] is False, spec
+
+    def test_float_invariants_below_one_keep_their_count(self, capsys):
+        code, out, _ = run_cli(capsys, "invariants", "--ellipsoid", "1e-12,1.0", "--count", "5")
+        assert code == EXIT_OK
+        assert json.loads(out)["invariants"] == [1e-12, 2e-12, 3e-12, 4e-12, 5e-12]
+
     def test_numerical_besse_on_body(self, capsys, tmp_path):
         body = tmp_path / "body.json"
         body.write_text(json.dumps({"type": "ellipsoid", "a": [1, 2]}))
@@ -294,6 +308,12 @@ class TestExitCodes:
         (["orbits", "--body", "{body}", "--tmax", "inf"], "t_max"),
         (["orbits", "--body", "{body}", "--tmax", "4000"], "t_max"),
         (["orbits", "--body", "{body}", "--tmax", "3", "--seeds", "0"], "n_seeds"),
+        (["pinch", "--body", "{body}", "--spectrum", "1.0,2.0", "--attest-coverage", "--delta", "-1.2"], "delta"),
+        (["pinch", "--body", "{body}", "--spectrum", "1.0,2.0", "--attest-coverage", "--delta", "nan"], "delta"),
+        (["pinch", "--body", "{body}", "--spectrum", "1.0,2.0", "--attest-coverage", "--delta", "0"], "delta"),
+        (["pinch", "--ellipsoid", "1,1.2", "--delta", "nan"], "delta"),
+        (["pinch", "--ellipsoid", "1,1.2", "--delta", "inf"], "delta"),
+        (["pinch", "--ellipsoid", "1,1.2", "--delta-sq", "1e400"], "delta_sq"),
     ])
     def test_bad_numeric_input_is_refused_by_name(self, argv, name, capsys, tmp_path):
         body = tmp_path / "body.json"
@@ -394,19 +414,29 @@ class TestColdStart:
         assert self._scipy_modules_after([run]) == []
 
     def test_besse_test_on_a_body_solves_no_ode(self, tmp_path):
-        # the sampling Besse test flows its samples in closed form.  Its
-        # Sobol sampler imports scipy.stats, which loads scipy.integrate
-        # itself, so the guard counts ODE solves, not modules
+        # the sampling Besse test flows its samples in closed form, and the
+        # orbit search's scan, Newton polish and index path are the
+        # closed-form flow as well
         body = tmp_path / "e12.json"
         body.write_text(json.dumps(
             {"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]}
         ))
         besse = ["classify", "--body", str(body), "--tau", "2", "--samples", "200"]
         assert self._fresh_run([besse], self.ODE_COUNTER, "ode_starts") == []
-        # the orbit search's scan, Newton polish and index path are the
-        # closed-form flow as well
         orbits = ["orbits", "--body", str(body), "--tmax", "1.1", "--seeds", "2"]
         assert self._fresh_run([orbits], self.ODE_COUNTER, "ode_starts") == []
+
+    def test_sampling_body_jobs_load_no_scipy(self, tmp_path):
+        # surface samples are numpy Gaussian directions, so neither the
+        # Besse test nor an orbit search with more seeds than planes loads scipy
+        body = tmp_path / "e12.json"
+        body.write_text(json.dumps(
+            {"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]}
+        ))
+        besse = ["classify", "--body", str(body), "--tau", "2", "--samples", "200"]
+        orbits = ["orbits", "--body", str(body), "--tmax", "3", "--seeds", "16"]
+        assert self._scipy_modules_after([besse]) == []
+        assert self._scipy_modules_after([orbits]) == []
 
 
 class TestParserReuse:

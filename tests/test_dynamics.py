@@ -340,12 +340,17 @@ class TestFindClosedOrbits:
         assert [o.meta["winding"] for o in orbits] == [key]
         assert abs(orbits[0].period - planar_period_oracle([1.0, 2.0][plane], 1e-3, 1.0)) < 1e-9
 
-    def test_orbits_listed_by_period(self):
-        # the 3-fold cover at 9 reduces to 3 after the orbit at 7 is listed
+    def test_orbits_listed_by_period(self, monkeypatch):
+        # the three circles and one seed on the torus of planes 1 and 3, which
+        # closes at 7 = 7 a_1 = 3 a_3, after every circle's period
         body = ConvexBody(a=[1.0, 1.5, 7 / 3], alpha=1.5)
-        periods = [o.period for o in find_closed_orbits(body, t_max=10.0, n_seeds=4)]
+        seeds = [*dynamics._default_seeds(body, 0, 0), surface_point(body, [0.6, 0.2, 0, 0, 0.5, -0.3])]
+        monkeypatch.setattr(dynamics, "_default_seeds", lambda body, extra, seed: seeds)
+        orbits = find_closed_orbits(body, t_max=10.0, n_seeds=4)
+        periods = [o.period for o in orbits]
         assert periods == sorted(periods)
-        assert [round(p, 6) for p in periods] == [1.0, 1.5, 2.333333, 3.0, 7.0]
+        assert [round(p, 6) for p in periods] == [1.0, 1.5, 2.333333, 7.0]
+        assert orbits[-1].meta["winding"] == [7, 0, 3]
 
     def test_window_the_scan_cannot_resolve_is_refused(self):
         # pi r^2 = 0.9999 here: a scan step above pi r^2 / 4 aliases the

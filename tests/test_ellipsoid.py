@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeb_spectra import cli
+from reeb_spectra.certify import besse_by_invariants
 from reeb_spectra.ellipsoid import (
     TOL_MERGE,
     SpectrumEntry,
@@ -25,6 +26,7 @@ from reeb_spectra.ellipsoid import (
     lcm_fractions,
     rational_reconstruct,
     reeb_flow,
+    same_action,
     spectral_invariants,
     spectrum_table,
     verify_interleaving,
@@ -94,14 +96,13 @@ def walk_window(a, lo, hi):
 
 def spectrum_float_oracle(E, max_action: float):
     """The float spectrum as a sequential sort-and-merge loop over (value, plane)
-    pairs, one cluster at a time; the engine's array merge must agree with it."""
-    a = E.floats
-    n = E.n
-    raw = []
-    for h, ah in enumerate(a):
-        k = np.arange(1, int(max_action / ah) + 1)
-        raw.extend((k_ * ah, h) for k_ in k)
-    raw.sort()
+    pairs, one cluster at a time; the engine's array merge must agree with it.
+
+    A cluster takes every value v with |v - tau| <= TOL_MERGE min(v, tau) of
+    its first value tau, its multiplicity is the number of distinct planes in
+    it, and its Morse index is 2 sum_h #{k : k a_h < tau}."""
+    multiples = [np.arange(1, int(max_action / ah) + 1) * ah for ah in E.floats]
+    raw = sorted((v, h) for h, vals in enumerate(multiples) for v in vals.tolist())
     entries: list[SpectrumEntry] = []
     ambiguous = []
     i = 0
@@ -110,7 +111,7 @@ def spectrum_float_oracle(E, max_action: float):
         cluster = {raw[i][1]}
         j = i + 1
         exact_equal = True
-        while j < len(raw) and abs(raw[j][0] - tau) <= TOL_MERGE * max(tau, 1.0):
+        while j < len(raw) and abs(raw[j][0] - tau) <= TOL_MERGE * min(raw[j][0], tau):
             if raw[j][0] != tau:
                 exact_equal = False
             cluster.add(raw[j][1])
@@ -118,14 +119,9 @@ def spectrum_float_oracle(E, max_action: float):
         if not exact_equal:
             ambiguous.append(tau)
         m = len(cluster)
-        morse = 0
-        for ah in a:
-            r = tau / ah
-            k_near = round(r)
-            near = k_near >= 1 and abs(r - k_near) <= TOL_MERGE * max(r, 1.0)
-            morse += 2 * ((k_near if near else math.ceil(r)) - 1)
+        morse = 2 * sum(int(np.searchsorted(vals, tau, side="left")) for vals in multiples)
         entries.append(
-            SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + n)
+            SpectrumEntry(tau=tau, multiplicity=m, morse_index=morse, nullity=2 * m - 1, cz_index=morse + E.n)
         )
         i = j
     if ambiguous:
@@ -135,6 +131,10 @@ def spectrum_float_oracle(E, max_action: float):
         )
     return entries
 
+
+# three values closer than the merge tolerance in turn, whose first and last
+# are not the same action
+CHAIN = [1.0, 1 + 6e-10, 1 + 1.2e-9]
 
 # parameter vectors whose scaled values leave int64 for Python ints
 OBJECT_VECTORS = [
@@ -157,8 +157,8 @@ def _rows_and_warning(fn, *args):
 
 
 def _near_tolerance(base: float, ulps: int) -> float:
-    """base + TOL_MERGE max(base, 1), moved by `ulps` units in the last place."""
-    x = base + TOL_MERGE * max(base, 1.0)
+    """base + TOL_MERGE base, moved by `ulps` units in the last place."""
+    x = base + TOL_MERGE * base
     step = np.inf if ulps > 0 else -np.inf
     for _ in range(abs(ulps)):
         x = float(np.nextafter(x, step))
@@ -204,13 +204,26 @@ class TestActionSpectrum:
         assert action_spectrum(ellipsoid([2, 3]), F(3, 2)) == []
 
     def test_morse_recursion(self):
-        # ind(tau_j) = 2 sum_{h<j} m_h
-        for a in ([1, 2], [1, "3/2", 2], ["2/3", 1, "7/5"]):
-            entries = action_spectrum(ellipsoid(a), 12)
+        # ind(tau_j) = 2 sum_{h<j} m_h, in exact and float tables, also across
+        # a warned chain of float values closer than the merge tolerance
+        vectors = ([1, 2], [1, "3/2", 2], ["2/3", 1, "7/5"],
+                   [1.0, 2.0], [1.0, 1.5, 2.0], [2 / 3, 1.0, 1.4], CHAIN)
+        for a in vectors:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                entries = action_spectrum(ellipsoid(a), 12.0 if isinstance(a[0], float) else 12)
             acc = 0
             for e in entries:
                 assert e.morse_index == 2 * acc
                 acc += e.multiplicity
+
+    def test_chain_cluster_reads_its_runs(self):
+        # 1 + 6e-10 is the same action as 1, 1 + 1.2e-9 is not: the runs are
+        # {1, 1 + 6e-10}, {1 + 1.2e-9}, {2, 2 + 1.2e-9}, {2 + 2.4e-9}, {3, ...}
+        with pytest.warns(UserWarning, match="tolerance-dependent"):
+            table = spectrum_table(ellipsoid(CHAIN), 3.5)
+        assert table.multiplicity.tolist()[:5] == [2, 1, 2, 1, 2]
+        assert table.morse_index.tolist()[:5] == [0, 4, 6, 10, 12]
 
     def test_cz_and_nullity_fields(self):
         for e in action_spectrum(ellipsoid([1, "5/3"]), 8):
@@ -259,12 +272,12 @@ class TestSpectrumColumns:
     @example(base=3.0, ulps=None, near=[0.0], far=[6.0], count=12).via("E(3.0, 3.0, 6.0)")
     @example(base=1.0, ulps=None, near=[0.5], far=[], count=30).via("E(1.0, 1.0 + 5e-10): warns")
     @example(base=1.0, ulps=None, near=[0.6, 1.2], far=[], count=30).via("chain longer than tol")
-    @example(base=1e-10, ulps=0, near=[], far=[0.05], count=60).via("one plane twice in a cluster")
+    @example(base=1e-10, ulps=0, near=[], far=[0.05], count=60).via("multiples of a plane below 1 stay apart")
     def test_float_columns_match_oracle(self, base, ulps, near, far, count):
-        # a partner exactly at, just inside or just outside TOL_MERGE max(tau, 1)
-        # of base (ulps), values a fraction of that apart, and unrelated values
+        # a partner exactly at, just inside or just outside TOL_MERGE base of
+        # base (ulps), values a fraction of that apart, and unrelated values
         partner = [] if ulps is None else [_near_tolerance(base, ulps)]
-        a = sorted([base, *partner, *(base + off * TOL_MERGE * max(base, 1.0) for off in near), *far])
+        a = sorted([base, *partner, *(base + off * TOL_MERGE * base for off in near), *far])
         E = ellipsoid(a)
         max_action = a[0] * count
         assert _rows_and_warning(action_spectrum, E, max_action) == _rows_and_warning(
@@ -277,8 +290,8 @@ class TestSpectrumColumns:
         assert warned and error is None and [r[1] for r in rows] == [2, 2, 1]  # 3 (1 + 5e-10) > 3
 
     def test_sub_tolerance_ratio_counts_no_iterate(self):
-        # tau / a_2 = k 1e-10 lies within TOL_MERGE of 0, which is no iterate:
-        # plane 2 counts ceil(tau / a_2) - 1 = 0 below tau, not -1
+        # tau / a_2 = k 1e-10 is far below 1: plane 2 counts no multiple
+        # below tau, and the multiples of 1e-10 stay apart
         E = ellipsoid([1e-10, 1.0])
         got = _rows_and_warning(action_spectrum, E, 1e-9)
         assert got == _rows_and_warning(spectrum_float_oracle, E, 1e-9)
@@ -407,6 +420,15 @@ class TestSpectralInvariants:
         assert time.perf_counter() - t0 < 1.0
         assert np.allclose(c, [(k + 1) * 1e-6 for k in range(25)], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("a", [[1e-12, 1.0], [1e-10, 3.3e-10], [1e-6, 1.0], [1.0, 1.0 + 5e-10],
+                                   CHAIN, [0.5, 2.75, 4.75], [1, 2], ["1/1231", 2, "8/3"]])
+    def test_count_values_returned(self, a):
+        # multiples of a plane below 1 are never merged into one value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for count in (1, 5, 37):
+                assert len(spectral_invariants(ellipsoid(a), count)) == count
+
     @pytest.mark.parametrize("a", OBJECT_VECTORS)
     @pytest.mark.parametrize("lo", [0, 1, 7, 38, 500])
     def test_object_window_matches_walk(self, a, lo):
@@ -511,6 +533,16 @@ class TestBesseCzIndex:
         with pytest.raises(ValueError):
             besse_cz_index(ellipsoid([1, 2]), 1)
 
+    @pytest.mark.parametrize("a,tau", [([1.0, 1e10], 1.0), ([1.0, 2.0], 1.0), ([1.0, 2.0], 2.0 + 3e-9)])
+    def test_float_not_common_period(self, a, tau):
+        # tau / a_2 = 1e-10 rounds to 0 turns, which is no period
+        with pytest.raises(ValueError, match="common period"):
+            besse_cz_index(ellipsoid(a), tau)
+
+    def test_float_common_period_up_to_tolerance(self):
+        # 3 (0.1) = 0.30000000000000004 is the same action as 0.3
+        assert besse_cz_index(ellipsoid([0.1, 0.3]), 0.3) == 2 * (3 + 1) - 2
+
 
 class TestInterleaving:
     def test_e12_tau2(self):
@@ -555,3 +587,81 @@ class TestInterleaving:
         tau0 = classify(E).tau0
         for k in (1, 2, 3):
             assert verify_interleaving(E, k * tau0).passed
+
+    @pytest.mark.parametrize("a", [[0.1, 0.3], [0.1, 0.7], [0.3, 0.7], [1.1, 3.3]])
+    def test_float_at_classify_tau0(self, a):
+        # tau0 = a_1 lcm(...) differs from the table's k a_h in the last place
+        E = ellipsoid(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = verify_interleaving(E, classify(E).tau0)
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_acceptance_rationals_agree_with_exact(self, seed):
+        # acceptance-style rationals (n in 2..6, a_h = p/q <= 10) written as
+        # decimals: float verify_interleaving passes at classify's tau0 with
+        # the exact engine's i, or refuses a window past the multiple cap
+        rng = np.random.default_rng(700 + seed)
+        answered = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 7))
+            q = rng.integers(1, 5, size=n)
+            a = sorted(F(int(rng.integers(1, 10 * qh + 1)), int(qh)) for qh in q)
+            exact = verify_interleaving(ellipsoid(a), classify(ellipsoid(a)).tau0)
+            E = ellipsoid([float(x) for x in a])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    rep = verify_interleaving(E, classify(E).tau0)
+                except ValueError as exc:
+                    assert "multiples" in str(exc)
+                    continue
+            answered += 1
+            assert exact.passed and rep.passed and rep.i == exact.i, (a, rep)
+            assert [float(ch.lhs) for ch in exact.checks] == pytest.approx([ch.lhs for ch in rep.checks], rel=1e-12)
+        assert answered >= 10
+
+
+SCALING_VECTORS = [[1.0, 1.5], [0.1, 0.3], [0.1, 0.7], [0.3, 0.7], [1.1, 3.3], [1e-10, 3.3e-10],
+                   [1.0, 1.0 + 5e-10], CHAIN, [0.5, 2.75, 4.75]]
+
+
+class TestScaleFree:
+    """c_i(lambda Sigma) = lambda c_i(Sigma): a power of two scales every float
+    action exactly, so float mode must give the scaled answers bit for bit."""
+
+    def test_same_action_rule(self):
+        assert same_action(1.0, 1.0 + 9e-10) and same_action(1.0 + 9e-10, 1.0)
+        assert not same_action(1.0, 1.0 + 1.5e-9)
+        assert same_action(1e-12, 1e-12 * (1 + 5e-10)) and not same_action(1e-12, 2e-12)
+        assert same_action(0.0, 0.0) and not same_action(0.0, 1e-300)
+        assert same_action(np.array([1.0, 2.0]), np.array([1.0, 3.0])).tolist() == [True, False]
+
+    @pytest.mark.parametrize("a", SCALING_VECTORS)
+    def test_power_of_two_scaling(self, a):
+        def answers(E, scale):
+            table = spectrum_table(E, scale * 12 * a[0])
+            c = spectral_invariants(E, 20)
+            hits = [(h.i, h.tau, h.mu) for h in besse_by_invariants(c, E.n)]
+            tau0 = classify(E).tau0
+            try:
+                rep = verify_interleaving(E, tau0)
+                verdict = (rep.i, [ch.passed for ch in rep.checks])
+            except (TypeError, ValueError) as exc:  # no tau0, or not a common period
+                verdict = type(exc)
+            return table, c, hits, tau0, verdict
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table, c, hits, tau0, verdict = answers(ellipsoid(a), 1.0)
+            for k in range(-60, 61):
+                s = 2.0**k
+                t_k, c_k, hits_k, tau0_k, verdict_k = answers(ellipsoid([s * x for x in a]), s)
+                assert np.array_equal(t_k.tau, s * table.tau), k
+                assert np.array_equal(t_k.multiplicity, table.multiplicity), k
+                assert np.array_equal(t_k.morse_index, table.morse_index), k
+                assert c_k == [s * x for x in c], k
+                assert hits_k == [(i, s * tau, mu) for i, tau, mu in hits], k
+                assert tau0_k == (None if tau0 is None else s * tau0), k
+                assert verdict_k == verdict, k
