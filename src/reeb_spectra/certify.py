@@ -7,7 +7,9 @@ zoll_by_pinching decides the Zoll property of a delta-pinched body from its
 action spectrum on the window (sys, delta^2 sys).  besse_sufficient_eh runs
 the same equality scan on exact capacity values under a discreteness
 attestation and labels its verdict as a sufficient condition only.
-Exact values are compared exactly, float values by `ellipsoid.same_action`.
+Every comparison of two actions is `ellipsoid.same_action`, which compares
+exact values (Fraction or int) exactly and any other pair to a relative
+tolerance; the values carry their own exactness, and no caller declares it.
 """
 
 from __future__ import annotations
@@ -27,30 +29,18 @@ class BesseHit:
     mu: int
 
 
-def _equal(x, y, exact: bool) -> bool:
-    return x == y if exact else bool(same_action(float(x), float(y)))
-
-
-def _at_most(x, y, exact: bool) -> bool:
-    return x <= y or _equal(x, y, exact)
-
-
-def besse_by_invariants(c: list, n: int, exact: bool | None = None) -> list[BesseHit]:
-    """All i with c_i = c_{i+n-1}; hits carry tau = c_i and mu = 2i + n.
-
-    Exact (Fraction) lists are compared exactly, float lists by
-    `same_action`.  The input must be non-decreasing and of length >= n.
+def besse_by_invariants(c: list, n: int) -> list[BesseHit]:
+    """All i with c_i = c_{i+n-1} (`same_action`); hits carry tau = c_i and
+    mu = 2i + n.  The input must be non-decreasing and of length >= n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(c) < n:
         raise ValueError(f"need at least n = {n} invariants, got {len(c)}")
-    if exact is None:
-        exact = all(isinstance(x, (Fraction, int)) for x in c)
-    if not all(_at_most(a, b, exact) for a, b in zip(c, c[1:])):
+    if not all(a <= b or same_action(a, b) for a, b in zip(c, c[1:])):
         raise ValueError("invariant list must be non-decreasing")
     return [BesseHit(i=i, tau=c[i], mu=2 * i + n)
-            for i in range(len(c) - n + 1) if _equal(c[i], c[i + n - 1], exact)]
+            for i in range(len(c) - n + 1) if same_action(c[i], c[i + n - 1])]
 
 
 @dataclass(frozen=True)
@@ -99,14 +89,15 @@ def zoll_by_pinching(
     certificate holds iff no spectrum value lies in the OPEN interval
     (sys, delta^2 sys); boundary values do not block.  When an invariant
     list is supplied, the internal bound chain c_{n-1} <= pi R^2 <
-    delta^2 pi r^2 <= delta^2 sys is checked and reported; in floats, a link
-    x <= y also holds when x and y are the same action (`same_action`).
+    delta^2 pi r^2 <= delta^2 sys is checked and reported; a link x <= y also
+    holds when x and y are the same action (`same_action`).
 
     An ellipsoid, an `Ellipsoid` or a quadric `ConvexBody`, pinches on its
     parameters, pi r^2 = a_1 and pi R^2 = a_n; any other body on its
     `pinching_radii`.  A rational delta^2 is compared exactly: on an exact
     ellipsoid the hypothesis and the bound chain are decided in Fractions,
-    and a float area enters at its exact value.
+    and a float area enters at its exact value.  A spectrum value that is
+    not finite is refused with ValueError.
     """
     if not coverage_attested:
         raise ValueError(
@@ -115,6 +106,9 @@ def zoll_by_pinching(
         )
     if not partial_spectrum:
         raise ValueError("empty spectrum")
+    bad = [v for v in partial_spectrum if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"spectrum values must be finite, got {bad[0]}")
     dsq = pinching_delta_sq(delta, delta_sq)  # Fraction stays exact, float stays float
     if float(dsq) <= 1.0 or float(dsq) > 2.0 + 1e-15:
         return PinchingResult(
@@ -159,15 +153,16 @@ def zoll_by_pinching(
         if len(invariants_c) < n:
             raise ValueError("invariant list shorter than n")
         c_nm1 = invariants_c[n - 1]
-        # the middle link pi R^2 < delta^2 pi r^2 is the hypothesis above
-        exact = all(isinstance(v, Fraction) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
-        c, R2, r2, d, s = (v if exact else float(v) for v in (c_nm1, pi_R2, pi_r2, dsq, sys_val))
-        chain = _at_most(c, R2, exact) and _at_most(d * r2, d * s, exact)
+        # the middle link pi R^2 < delta^2 pi r^2 is the hypothesis above; a
+        # Fraction times a float is the float product of their float values
+        d_r2, d_sys = dsq * pi_r2, dsq * sys_val
+        chain = ((c_nm1 <= pi_R2 or same_action(c_nm1, pi_R2))
+                 and (d_r2 <= d_sys or same_action(d_r2, d_sys)))
         detail["bound_chain"] = {
             "c_{n-1}": c_nm1,
             "pi_R^2": pi_R2,
-            "delta^2 pi_r^2": dsq * pi_r2 if isinstance(dsq, Fraction) else float(dsq) * float(pi_r2),
-            "delta^2 sys": dsq * sys_val if isinstance(dsq, Fraction) else float(dsq) * float(sys_val),
+            "delta^2 pi_r^2": d_r2,
+            "delta^2 sys": d_sys,
             "holds": bool(chain),
         }
     if blockers:

@@ -3,7 +3,12 @@
 Subcommands: spectrum, invariants, classify, pinch, systole, orbits, cz,
 bott.  Output format is selected by --out json|csv|plot; plot emits (x, y)
 series as CSV files into --plot-dir.  Exit codes: 0 success (honest
-refusals included), 1 numerical failure, 2 input validation.
+refusals included), 1 numerical failure, 2 input validation.  A reader that
+closes stdout early (`| head`) is not a failure: the output stops, the exit
+code is 0 and nothing is written to stderr.
+
+A number is exact when Fraction reads it (integers and p/q), else a float:
+decimals and exponents, and nan and inf, which each option refuses by name.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import argparse
 import csv
 import functools
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +34,13 @@ def _parse_value(tok: str):
     tok = tok.strip()
     if "." in tok or "e" in tok.lower():
         return float(tok)
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ValueError as exc:
+        try:
+            return float(tok)  # nan and inf
+        except ValueError:
+            raise exc from None
 
 
 def _parse_ellipsoid(spec: str):
@@ -252,12 +265,11 @@ def cmd_classify(args) -> int:
         data = json.loads(Path(args.from_spectrum).read_text())
         n = len(data["ellipsoid"])
         exact = data["meta"]["mode"] == "exact"
-        conv = Fraction if exact else float
         c: list = []
         for row in data["entries"]:
-            c.extend([conv(str(row["tau"])) if exact else float(row["tau"])] * row["multiplicity"])
+            c.extend([Fraction(str(row["tau"])) if exact else float(row["tau"])] * row["multiplicity"])
         count = min(args.count, len(c))
-        hits = besse_by_invariants(c[:count], n, exact=exact)
+        hits = besse_by_invariants(c[:count], n)
         payload = {
             "source": args.from_spectrum,
             "hits": [{"i": h.i, "tau": h.tau, "mu": h.mu} for h in hits],
@@ -393,6 +405,8 @@ def cmd_cz(args) -> int:
     from .symplectic import rotation_path
 
     rates = [float(_parse_value(t)) for t in args.rotation.split(",") if t.strip()]
+    if not all(map(math.isfinite, rates)):
+        raise ValueError(f"rotation rates must be finite, got {rates}")
     warn_unresolved_rates(rates)
     path = rotation_path(rates)
     index = cz_index(path)
@@ -531,7 +545,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit does not raise again (the SIGPIPE note of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -249,11 +249,8 @@ def flow_with_monodromy(body: ConvexBody, z0: np.ndarray, tau: float,
 
 
 def _default_seeds(body: ConvexBody, extra: int, seed: int) -> list[np.ndarray]:
-    pts = []
-    for h in range(body.n):
-        z = np.zeros(body.dim)
-        z[2 * h] = 1.0
-        pts.append(body.project_to_surface(z))
+    """A point on each coordinate circle, then `extra` surface samples."""
+    pts = list(body.project_to_surface(np.eye(body.dim)[0::2]))
     if extra > 0:
         pts.extend(body.surface_samples(extra, seed=seed))
     return pts

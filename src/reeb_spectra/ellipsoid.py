@@ -13,11 +13,14 @@ table is computed once, as columns (`SpectrumTable`: tau, multiplicity and
 Morse index as arrays): exact tables hold tau as scaled integers over D, in
 int64 numpy or, where int64 could overflow, in object arrays of Python ints;
 float tables take the runs of the sorted float multiples by the same step,
-a run ending where a multiple is not the same action (`same_action`, the one
-rule for float actions, here and in `certify`) as its first, and flag runs
-of unequal values.  A table or window of more than
+a run ending where a multiple is not the same action as its first, and flag
+runs of unequal values.  A table or window of more than
 MAX_TABLE_MULTIPLES raw multiples is refused.  `action_spectrum` is the row
 view of a table.
+
+Two actions are the same by one rule, `same_action` (exact values when equal,
+any other pair to TOL_MERGE relative), and strictly ordered by `lower_action`,
+here and in `certify`; float `classify` keeps a period `besse_cz_index` accepts.
 """
 
 from __future__ import annotations
@@ -142,11 +145,7 @@ class SpectrumEntry:
 
 def surface_residual(E: Ellipsoid, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float)
-    a = E.floats
-    s = sum(
-        (z[2 * h] ** 2 + z[2 * h + 1] ** 2) / a[h] for h in range(E.n)
-    )
-    return abs(s - 1.0 / np.pi)
+    return abs(np.sum((z[0::2] ** 2 + z[1::2] ** 2) / E.floats) - 1.0 / np.pi)
 
 
 def reeb_flow(E: Ellipsoid, z: np.ndarray, t: float) -> np.ndarray:
@@ -156,14 +155,13 @@ def reeb_flow(E: Ellipsoid, z: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"point must have shape ({2*E.n},)")
     if surface_residual(E, z) > TOL_SURFACE:
         raise ValueError("point is off the ellipsoid surface beyond 1e-12")
+    turns = t / E.floats
+    ang = 2.0 * np.pi * (turns - np.floor(turns))
+    c, s = np.cos(ang), np.sin(ang)
+    x, y = z[0::2], z[1::2]
     out = np.empty_like(z)
-    for h, ah in enumerate(E.floats):
-        turns = t / ah
-        ang = 2.0 * np.pi * (turns - math.floor(turns))
-        c, s = math.cos(ang), math.sin(ang)
-        x, y = z[2 * h], z[2 * h + 1]
-        out[2 * h] = c * x - s * y
-        out[2 * h + 1] = s * x + c * y
+    out[0::2] = c * x - s * y
+    out[1::2] = s * x + c * y
     return out
 
 
@@ -248,10 +246,18 @@ class SpectrumTable:
 
 
 def same_action(x, y):
-    """Whether two float actions (or arrays of them) are the same:
+    """Whether two actions are the same: two exact values (Fraction or int)
+    when equal; any other pair, arrays of floats included, when
     |x - y| <= TOL_MERGE min(|x|, |y|), relative and free of scale, as
     c_i(lambda Sigma) = lambda c_i(Sigma) is."""
+    if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
+        return x == y
     return abs(x - y) <= TOL_MERGE * np.minimum(abs(x), abs(y))
+
+
+def lower_action(x, y) -> bool:
+    """Whether the action x lies strictly below y: x < y and not the same action."""
+    return x < y and not same_action(x, y)
 
 
 def _table_float(E: Ellipsoid, max_action: float) -> SpectrumTable:
@@ -392,7 +398,9 @@ def classify(E: Ellipsoid) -> Classification:
 
     Exact mode is definitive (tau0 = lcm of the parameters).  Float mode
     reconstructs the ratios a_h/a_1 by continued fractions up to denominator
-    1e6 and returns a flagged heuristic verdict either way.
+    1e6 and returns a flagged heuristic verdict either way: Besse or Zoll only
+    when `besse_cz_index` accepts the reconstructed tau0 = a_1 lcm(ratios) as
+    a common period, else NotBesse with the candidate as `rejected_tau0`.
     """
     if E.exact:
         if all(x == E.a[0] for x in E.a):
@@ -424,31 +432,30 @@ def classify(E: Ellipsoid) -> Classification:
             )
         recon.append(f)
     tau0 = float(a[0]) * float(lcm_fractions(recon))
+    certificate = {
+        "reconstructed_ratios": [str(f) for f in recon],
+        "denominator_bound": CF_MAX_DENOMINATOR,
+    }
+    try:
+        besse_cz_index(E, tau0)
+    except ValueError:
+        certificate["rejected_tau0"] = tau0
+        certificate["note"] = "the reconstructed period is not the same action as a multiple of every a_h"
+        return Classification(kind="NotBesse", tau0=None, heuristic=True, certificate=certificate)
     kind = "Zoll" if all(f == 1 for f in recon) else "Besse"
-    return Classification(
-        kind=kind,
-        tau0=tau0,
-        heuristic=True,
-        certificate={
-            "reconstructed_ratios": [str(f) for f in recon],
-            "denominator_bound": CF_MAX_DENOMINATOR,
-        },
-    )
+    return Classification(kind=kind, tau0=tau0, heuristic=True, certificate=certificate)
 
 
 def besse_cz_index(E: Ellipsoid, tau) -> int:
-    """mu = 2 (tau/a_1 + ... + tau/a_n) - n for a common period tau; a float tau
-    is one when each k = round(tau / a_h) >= 1 and tau is the same action as k a_h."""
-    if E.exact:
-        tau = _to_fraction(tau)
-        ratios = [tau / ah for ah in E.a]
-        if any(r.denominator != 1 or r <= 0 for r in ratios):
-            raise ValueError(f"tau = {tau} is not a common period of {E.a}")
-        return 2 * sum(int(r) for r in ratios) - E.n
-    tau = float(tau)
-    ks = [round(tau / ah) for ah in E.floats]
-    if not all(k >= 1 and same_action(tau, k * ah) for k, ah in zip(ks, E.floats)):
-        raise ValueError(f"tau = {tau} is not a common period within tolerance")
+    """mu = 2 (tau/a_1 + ... + tau/a_n) - n for a common period tau: each
+    k = round(tau / a_h) >= 1 and tau / a_h the same as k, which is tau the
+    same action as k a_h since the rule is free of scale; for exact values it
+    says that every tau / a_h is an integer."""
+    tau = _to_fraction(tau) if E.exact else float(tau)
+    ratios = [tau / ah for ah in E.a]
+    ks = [round(r) for r in ratios]
+    if not all(k >= 1 and same_action(r, k) for r, k in zip(ratios, ks)):
+        raise ValueError(f"tau = {tau} is not a common period of {E.a}")
     return 2 * sum(ks) - E.n
 
 
@@ -472,7 +479,7 @@ def verify_interleaving(E: Ellipsoid, tau) -> InterleavingReport:
     """Check c_{i-1} < tau = c_i = c_{i+n-1} < c_{i+n} at i = (mu - n)/2.
 
     The convention c_{-1} := 0 covers the minimal period of a Zoll sphere.
-    Float values are equal when they are the same action (`same_action`).
+    Equality is `same_action` and the strict order `lower_action`.
     """
     n = E.n
     mu = besse_cz_index(E, tau)
@@ -484,17 +491,10 @@ def verify_interleaving(E: Ellipsoid, tau) -> InterleavingReport:
         c[base + k] = v
     c_im1 = c[i - 1] if i - 1 >= 0 else (Fraction(0) if E.exact else 0.0)
     tau_cmp = _to_fraction(tau) if E.exact else float(tau)
-
-    def same(x, y):
-        return x == y if E.exact else bool(same_action(x, y))
-
-    def below(x, y):
-        return x < y and not same(x, y)
-
     checks = (
-        InterleavingCheck("c_{i-1} < tau", c_im1, tau_cmp, below(c_im1, tau_cmp)),
-        InterleavingCheck("c_i == tau", c[i], tau_cmp, same(c[i], tau_cmp)),
-        InterleavingCheck("c_i == c_{i+n-1}", c[i], c[i + n - 1], same(c[i], c[i + n - 1])),
-        InterleavingCheck("c_{i+n-1} < c_{i+n}", c[i + n - 1], c[i + n], below(c[i + n - 1], c[i + n])),
+        InterleavingCheck("c_{i-1} < tau", c_im1, tau_cmp, lower_action(c_im1, tau_cmp)),
+        InterleavingCheck("c_i == tau", c[i], tau_cmp, bool(same_action(c[i], tau_cmp))),
+        InterleavingCheck("c_i == c_{i+n-1}", c[i], c[i + n - 1], bool(same_action(c[i], c[i + n - 1]))),
+        InterleavingCheck("c_{i+n-1} < c_{i+n}", c[i + n - 1], c[i + n], lower_action(c[i + n - 1], c[i + n])),
     )
     return InterleavingReport(i=i, tau=tau_cmp, checks=checks, passed=all(ch.passed for ch in checks))

@@ -47,6 +47,24 @@ class TestBesseByInvariants:
         hits = besse_by_invariants(c, 2)
         assert len(hits) == 1 and hits[0].i == 1
 
+    @pytest.mark.parametrize("c, hit_is", [
+        ([F(1), F(2), F(2), F(3)], [1]),
+        ([1, 2, 2, F(3)], [1]),  # ints are exact values
+        ([F(1), F(2), F(2) + F(1, 10**20), F(3)], []),  # exact values equal only when equal
+        ([1.0, 2.0, 2.0 + 1e-12, 3.0], [1]),
+        ([F(1), F(2), 2.0 + 1e-12, F(3)], [1]),  # a mixed pair by the relative test
+        ([F(1), 2.0, F(2), 3.0], [1]),
+        ([F(1), 2.0, 2.0 + 3e-9, F(3)], []),
+    ])
+    def test_lists_carry_their_own_exactness(self, c, hit_is):
+        assert [h.i for h in besse_by_invariants(c, 2)] == hit_is
+
+    def test_mixed_list_monotone_up_to_the_rule(self):
+        # 2.0 - 1e-12 sits below F(2) but is the same action: still non-decreasing
+        assert [h.i for h in besse_by_invariants([F(1), F(2), 2.0 - 1e-12, F(3)], 2)] == [1]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            besse_by_invariants([F(1), F(2), 2.0 - 1e-6, F(3)], 2)
+
     @pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
     def test_float_scan_is_scale_free(self, k):
         # equality, the hit and the monotonicity check read the same at every scale
@@ -79,7 +97,7 @@ class TestBesseByInvariants:
     def test_irrational_no_hits(self):
         E = ellipsoid([1.0, float(np.sqrt(2))])
         c = spectral_invariants(E, 200)
-        assert besse_by_invariants(c, 2, exact=False) == []
+        assert besse_by_invariants(c, 2) == []
 
 
 class TestZollByPinching:

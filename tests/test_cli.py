@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,16 @@ class TestClassify:
             data = json.loads(out)
             assert code == EXIT_OK
             assert data["invariant_hits"] == [] and data["zoll_by_invariant_equality"] is False, spec
+
+    def test_float_candidate_that_is_no_common_period_reads_not_besse(self, capsys):
+        # the ratios reconstruct to 1, 1, 1, but 1.0000000012 is not the same
+        # action as 1.0: no Zoll verdict, and the candidate is named
+        code, out, _ = run_cli(capsys, "classify", "--ellipsoid", "1.0,1.0000000006,1.0000000012")
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["classification"], data["tau0"], data["heuristic"]) == ("NotBesse", None, True)
+        assert data["certificate"]["rejected_tau0"] == 1.0
+        assert data["invariant_hits"] == [] and data["zoll_by_invariant_equality"] is False
 
     def test_float_invariants_below_one_keep_their_count(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--ellipsoid", "1e-12,1.0", "--count", "5")
@@ -314,6 +325,16 @@ class TestExitCodes:
         (["pinch", "--ellipsoid", "1,1.2", "--delta", "nan"], "delta"),
         (["pinch", "--ellipsoid", "1,1.2", "--delta", "inf"], "delta"),
         (["pinch", "--ellipsoid", "1,1.2", "--delta-sq", "1e400"], "delta_sq"),
+        (["pinch", "--ellipsoid", "1,1.2", "--delta-sq", "nan"], "delta_sq"),
+        (["pinch", "--ellipsoid", "1,1.2", "--delta-sq", "inf"], "delta_sq"),
+        (["spectrum", "--ellipsoid", "1,2", "--max", "nan"], "max_action"),
+        (["spectrum", "--ellipsoid", "1,2", "--max", "inf"], "max_action"),
+        (["spectrum", "--ellipsoid", "1,inf", "--max", "3"], "parameters"),
+        (["invariants", "--ellipsoid", "nan,2"], "parameters"),
+        (["cz", "--rotation", "inf"], "rates"),
+        (["cz", "--rotation", "1,nan"], "rates"),
+        (["pinch", "--body", "{body}", "--spectrum", "1.0,nan", "--attest-coverage", "--delta-sq", "1.5"], "spectrum"),
+        (["pinch", "--body", "{body}", "--spectrum", "inf,1.0", "--attest-coverage", "--delta-sq", "1.5"], "spectrum"),
     ])
     def test_bad_numeric_input_is_refused_by_name(self, argv, name, capsys, tmp_path):
         body = tmp_path / "body.json"
@@ -323,6 +344,24 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert out == ""
         assert name in err
+
+    def test_parse_value_reads_nan_and_inf_as_floats(self):
+        assert math.isnan(cli._parse_value("nan")) and cli._parse_value(" -inf ") == -math.inf
+        assert cli._parse_value("3/2") == Fraction(3, 2) and cli._parse_value("1.5") == 1.5
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            cli._parse_value("1/x")
+
+    def test_closed_stdout_is_not_a_failure(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        with subprocess.Popen(
+            [sys.executable, "-m", "reeb_spectra.cli", "spectrum", "--ellipsoid", "1,3/2", "--max", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_OK
+        assert err == b""
 
     def test_pinch_without_delta_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "pinch", "--ellipsoid", "1,1")
@@ -595,7 +634,7 @@ class TestFormatting:
         # to the reference text
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         writes = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
         argv = ("spectrum", "--ellipsoid", ellipsoid, "--max", top, "--out", fmt)
         assert main(list(argv)) == EXIT_OK
         monkeypatch.undo()

@@ -25,6 +25,7 @@ from reeb_spectra.ellipsoid import (
     invariant_window,
     lcm_fractions,
     rational_reconstruct,
+    lower_action,
     reeb_flow,
     same_action,
     spectral_invariants,
@@ -514,6 +515,51 @@ class TestClassify:
         assert c.heuristic
         assert abs(c.tau0 - 3.0) < 1e-12
 
+    def test_float_chain_beyond_the_rule_is_not_zoll(self):
+        # every ratio reconstructs to 1, but a_3 = 1 + 1.2e-9 is not the same
+        # action as the candidate tau0 = a_1
+        c = classify(ellipsoid(CHAIN))
+        assert (c.kind, c.tau0, c.heuristic) == ("NotBesse", None, True)
+        assert c.certificate["rejected_tau0"] == 1.0
+        assert c.certificate["reconstructed_ratios"] == ["1", "1", "1"]
+        with pytest.raises(ValueError, match="common period"):
+            besse_cz_index(ellipsoid(CHAIN), 1.0)
+
+    def test_float_chain_within_the_rule_is_zoll(self):
+        c = classify(ellipsoid([1.0, 1 + 4e-10, 1 + 8e-10]))
+        assert (c.kind, c.tau0) == ("Zoll", 1.0)
+        assert "rejected_tau0" not in c.certificate
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_verdicts_agree_with_the_rule(self, seed):
+        # decimal rationals, irrationals and near-equal chains, n = 1..5: a
+        # reported tau0 is a common period that passes the interleaving, and
+        # Zoll means c_0 is the same action as c_{n-1}
+        rng = np.random.default_rng(900 + seed)
+        kinds = {"NotBesse": 0, "Besse": 0, "Zoll": 0}
+        for j in range(60):
+            n = j % 5 + 1
+            if j % 3 == 0:
+                a = [float(F(int(rng.integers(1, 25)), int(rng.choice([2, 4, 5, 10])))) for _ in range(n)]
+            elif j % 3 == 1:
+                a = rng.uniform(0.5, 5.0, n).tolist()
+            else:
+                step, a1 = rng.uniform(3e-10, 3e-9), rng.uniform(0.5, 3.0)
+                a = [a1 * (1 + h * step) for h in range(n)]
+            E = ellipsoid(a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                c = classify(E)
+                kinds[c.kind] += 1
+                if c.tau0 is None:
+                    continue
+                besse_cz_index(E, c.tau0)
+                assert verify_interleaving(E, c.tau0).passed, (a, c)
+                if c.kind == "Zoll":
+                    inv = spectral_invariants(E, E.n)
+                    assert same_action(inv[0], inv[-1]), (a, inv)
+        assert min(kinds.values()) > 0, kinds
+
     def test_reconstruct(self):
         assert rational_reconstruct(2 / 3) == F(2, 3)
         assert rational_reconstruct(float(np.pi)) is None
@@ -637,6 +683,27 @@ class TestScaleFree:
         assert same_action(1e-12, 1e-12 * (1 + 5e-10)) and not same_action(1e-12, 2e-12)
         assert same_action(0.0, 0.0) and not same_action(0.0, 1e-300)
         assert same_action(np.array([1.0, 2.0]), np.array([1.0, 3.0])).tolist() == [True, False]
+
+    def test_exact_and_mixed_pairs(self):
+        assert same_action(F(1, 3), F(2, 6)) and same_action(2, F(2)) and same_action(3, 3)
+        # exact values are the same only when equal, however close
+        assert not same_action(F(1), F(1) + F(1, 10**30)) and not same_action(1, 2)
+        # a pair with one float takes the relative test
+        assert same_action(F(1, 3), 1 / 3) and same_action(1.0 + 5e-10, 1)
+        assert not same_action(F(1), 1.0 + 2e-9)
+
+    def test_lower_action(self):
+        assert lower_action(F(1), F(2)) and not lower_action(F(2), F(1)) and not lower_action(F(1), F(1))
+        assert lower_action(F(1), F(1) + F(1, 10**30))
+        assert lower_action(1.0, 1.0 + 2e-9) and not lower_action(1.0, 1.0 + 5e-10)
+        assert not lower_action(F(1), 1.0 + 5e-10) and lower_action(F(1), 1.0 + 2e-9)
+        assert not lower_action(2.0, 1.0)
+
+    def test_float_arrays_stay_vectorized(self):
+        x = np.array([1.0, 2.0, 3.0, 0.0])
+        y = np.array([1.0 + 5e-10, 2.0 + 5e-9, 3.0, 0.0])
+        got = same_action(x, y)
+        assert isinstance(got, np.ndarray) and got.tolist() == [True, False, True, True]
 
     @pytest.mark.parametrize("a", SCALING_VECTORS)
     def test_power_of_two_scaling(self, a):

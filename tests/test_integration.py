@@ -75,4 +75,4 @@ def test_invariant_scan_on_measured_invariants():
     # invariant list; no Besse equality fires for n = 2 on this window
     res = minimize(BODY, MinimizeConfig(modes=16, starts=2, seed=2, double_check=False))
     c = [res.systole, planar_period_oracle(2.0, EPS, 1.0)]
-    assert besse_by_invariants(c, 2, exact=False) == []
+    assert besse_by_invariants(c, 2) == []
