@@ -13,6 +13,11 @@ quadrature on an oversampled grid (exact for band-limited integrands up to
 the guard).  Critical points with Psi < 0 are closed Reeb orbits after the
 renormalization A = (alpha/2) ((2/(alpha-2)) Psi)^{(alpha-2)/alpha}, whose
 minimum is the systole.
+
+The systole's starts descend together: a numpy L-BFGS moves the stack of
+start loops in lockstep, with one batched Psi evaluation (one irfft, one
+support solve over every grid point of every loop, one rfft) per step.
+The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,15 @@ from .symplectic import apply_J
 DEFAULT_MODES = 64
 OVERSAMPLE = 4  # quadrature grid: M = 2 K OVERSAMPLE points
 MIN_OVERSAMPLE = 2
-GTOL = 1e-12  # L-BFGS-B projected-gradient tolerance
+GTOL = 1e-12  # a descent stops at max |grad Psi| <= GTOL
+HISTORY = 10  # L-BFGS (s, y) pairs kept per start
+ARMIJO = 1e-4  # sufficient-decrease constant of the step test
+# a refused step is cut to this range of its length; the first trial, of
+# length 1, can overshoot by orders of magnitude, so the floor sits far below
+# the textbook 0.1 and only keeps a cubic fit to rounding from stalling a step
+CUT_RANGE = (1e-6, 0.5)
+ROUNDING_ULPS = 4  # an accepted step that moves Psi by no more ulps of |Psi| ends a descent
+EPS = np.finfo(float).eps
 DOUBLE_TOL = 1e-6  # relative systole change that triggers the doubling advisory
 
 
@@ -42,34 +55,36 @@ class MinimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FourierLoop:
-    """Zero-mean real loop through coefficients of frequencies 1..K."""
+    """Zero-mean real loop through coefficients of frequencies 1..K, or a
+    stack of S such loops on one grid (coefficients of shape (S, K, 2n))."""
 
-    coeffs: np.ndarray  # complex, shape (K, 2n)
+    coeffs: np.ndarray  # complex, shape (K, 2n) or (S, K, 2n)
     grid_size: int
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
-        if c.ndim != 2 or c.shape[1] % 2:
-            raise ValueError("coeffs must have shape (K, 2n)")
-        if self.grid_size < MIN_OVERSAMPLE * 2 * c.shape[0]:
+        if c.ndim not in (2, 3) or c.shape[-1] % 2:
+            raise ValueError("coeffs must have shape (K, 2n) or (S, K, 2n)")
+        K = c.shape[-2]
+        if self.grid_size < MIN_OVERSAMPLE * 2 * K:
             raise ValueError(
                 f"grid_size {self.grid_size} under the aliasing guard "
-                f"{MIN_OVERSAMPLE * 2 * c.shape[0]} for K = {c.shape[0]}"
+                f"{MIN_OVERSAMPLE * 2 * K} for K = {K}"
             )
 
     @property
     def n_modes(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def grid(self) -> np.ndarray:
         return np.arange(self.grid_size) / self.grid_size
 
     def values(self) -> np.ndarray:
-        """u(t_j) on the quadrature grid, shape (M, 2n)."""
+        """u(t_j) on the quadrature grid, shape (M, 2n), or (S, M, 2n) for a stack."""
         return _synthesize(self.coeffs, self.grid_size)
 
     def time_shift(self, s: float) -> "FourierLoop":
@@ -86,21 +101,22 @@ class FourierLoop:
 
 
 def _synthesize(coeffs: np.ndarray, M: int) -> np.ndarray:
-    K, d = coeffs.shape
-    spec = np.zeros((M // 2 + 1, d), dtype=complex)
-    spec[1 : K + 1] = coeffs
-    return np.fft.irfft(spec, n=M, axis=0, norm="forward")
+    *stack, K, d = coeffs.shape
+    spec = np.zeros((*stack, M // 2 + 1, d), dtype=complex)
+    spec[..., 1 : K + 1, :] = coeffs
+    return np.fft.irfft(spec, n=M, axis=-2, norm="forward")
 
 
-def _quadratic_part(coeffs: np.ndarray) -> float:
-    k = np.arange(1, coeffs.shape[0] + 1)
+def _quadratic_part(coeffs: np.ndarray):
+    """The quadratic part of Psi; one value per loop of a stack."""
+    k = np.arange(1, coeffs.shape[-2] + 1)
     a, b = coeffs.real, coeffs.imag
     Jb = apply_J(b)
-    return float(-np.sum(np.sum(a * Jb, axis=1) / (np.pi * k)))
+    return -np.sum(np.sum(a * Jb, axis=-1) / (np.pi * k), axis=-1)
 
 
 def _quadratic_grad(coeffs: np.ndarray) -> np.ndarray:
-    k = np.arange(1, coeffs.shape[0] + 1)[:, None]
+    k = np.arange(1, coeffs.shape[-2] + 1)[:, None]
     a, b = coeffs.real, coeffs.imag
     ga = -apply_J(b) / (np.pi * k)
     gb = apply_J(a) / (np.pi * k)
@@ -114,17 +130,23 @@ def psi(body: ConvexBody, loop: FourierLoop) -> float:
 
 def psi_with_grad(body: ConvexBody, loop: FourierLoop):
     """(Psi, dPsi/dc) with the gradient as a complex (K, 2n) array
-    holding d/dRe + i d/dIm."""
+    holding d/dRe + i d/dIm.
+
+    A stack of S loops is evaluated in one pass, one irfft, one support
+    solve over all S M grid points and one rfft, and gives Psi as an (S,)
+    array and the gradients as (S, K, 2n).  Each loop's values are those it
+    has evaluated alone.
+    """
     u = loop.values()
     M = loop.grid_size
     w = -apply_J(u)
-    dual_vals, dual_grads = body._legendre_with_grad(w)
-    grad_u = apply_J(dual_grads) / M  # d(mean H*(-Ju_j))/du_j
-    spec = np.fft.rfft(grad_u, axis=0, norm="backward")
-    grad_dual = 2.0 * spec[1 : loop.n_modes + 1]
-    value = _quadratic_part(loop.coeffs) + float(np.mean(dual_vals))
+    dual_vals, dual_grads = body._legendre_with_grad(w.reshape(-1, loop.dim))
+    grad_u = apply_J(dual_grads.reshape(u.shape)) / M  # d(mean H*(-Ju_j))/du_j
+    spec = np.fft.rfft(grad_u, axis=-2, norm="backward")
+    grad_dual = 2.0 * spec[..., 1 : loop.n_modes + 1, :]
+    value = _quadratic_part(loop.coeffs) + np.mean(dual_vals.reshape(u.shape[:-1]), axis=-1)
     grad = _quadratic_grad(loop.coeffs) + grad_dual
-    return value, grad
+    return (float(value) if u.ndim == 2 else value), grad
 
 
 def renormalized_action(psi_value: float, alpha: float) -> float:
@@ -194,28 +216,145 @@ def _unpack(x: np.ndarray, K: int, d: int) -> np.ndarray:
     return x[:half].reshape(K, d) + 1j * x[half:].reshape(K, d)
 
 
+def _psi_stack(body: ConvexBody, x: np.ndarray, K: int, grid_size: int):
+    """Psi (S,) and its gradient (S, N) for S loops stored as real rows, each
+    the interleaved real and imaginary parts of the (K, 2n) coefficients."""
+    S = len(x)
+    loop = FourierLoop(coeffs=x.view(complex).reshape(S, K, -1), grid_size=grid_size)
+    values, grads = psi_with_grad(body, loop)
+    return values, grads.view(float).reshape(S, -1)
+
+
+def _lbfgs_direction(g, hist_s, hist_y, rho, gamma, used):
+    """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4)
+    for each row, over the newest `used` history slots; an empty slot has
+    rho = 0 and leaves its row unchanged."""
+    q = g.copy()
+    a = np.zeros(rho.shape)
+    for j in range(HISTORY - 1, HISTORY - 1 - used, -1):
+        a[:, j] = rho[:, j] * np.sum(hist_s[:, j] * q, axis=-1)
+        q -= a[:, j, None] * hist_y[:, j]
+    r = gamma[:, None] * q
+    for j in range(HISTORY - used, HISTORY):
+        b = rho[:, j] * np.sum(hist_y[:, j] * r, axis=-1)
+        r += (a[:, j] - b)[:, None] * hist_s[:, j]
+    return -r
+
+
 def _descend(body: ConvexBody, coeffs: np.ndarray, grid_size: int, maxiter: int):
-    """One L-BFGS-B descent of Psi from the loop with these coefficients:
-    (Psi, max |grad Psi|, coefficients) at its end and the number of Psi
-    evaluations it made."""
-    from scipy.optimize import minimize as scipy_minimize
+    """L-BFGS descents of Psi from a stack of S loops, moved in lockstep.
 
-    K, d = coeffs.shape
+    Nocedal & Wright (2006), Alg. 7.4.  Each start keeps its own history of
+    at most HISTORY (s, y) pairs, each kept only when s.y > eps y.y, and its
+    own step length.  A step is tried at length 1 (the first at
+    1/|grad Psi|_2, as L-BFGS-B does) and accepted on sufficient decrease,
+    Psi_new <= Psi + ARMIJO alpha grad.p up to rounding; a refused step is
+    cut to the minimizer of the cubic through the values and slopes at both
+    ends, kept within CUT_RANGE of it.  Each round evaluates the trial loops
+    of the starts still descending as one stack, so a start's arithmetic is
+    the same in any batch.
 
-    def fun(x):
-        v, g = psi_with_grad(body, FourierLoop(coeffs=_unpack(x, K, d), grid_size=grid_size))
-        return v, _pack(g)
+    A start stops on the first of: max |grad Psi| <= GTOL ("gtol"); an
+    accepted step that moved Psi by at most ROUNDING_ULPS ulps of |Psi|
+    ("rounding"); maxiter accepted steps ("maxiter").
 
-    res = scipy_minimize(fun, _pack(coeffs), jac=True, method="L-BFGS-B",
-                         options={"maxiter": maxiter, "gtol": GTOL, "ftol": 1e-16})
-    return res.fun, float(np.abs(res.jac).max()), _unpack(res.x, K, d), int(res.nfev)
+    Returns per start Psi, max |grad Psi| and the coefficients (S, K, 2n)
+    at its end, its number of Psi evaluations and its stop reason.
+    """
+    S, K, d = coeffs.shape
+    x = np.array(coeffs, dtype=complex).view(float).reshape(S, -1)
+    f, g = _psi_stack(body, x, K, grid_size)
+    evaluations = np.ones(S, dtype=int)
+    end_f, end_g, end_x = np.empty(S), np.empty(S), np.empty_like(x)
+    end_reason = np.empty(S, dtype="<U8")
+
+    live = np.arange(S)  # the start of each row of the state below
+    gnorm = np.abs(g).max(axis=-1)
+    steps = np.zeros(S, dtype=int)
+    reason = np.full(S, "maxiter" if maxiter == 0 else "", dtype="<U8")
+    reason[gnorm <= GTOL] = "gtol"
+    hist_s = np.zeros((S, HISTORY, x.shape[1]))
+    hist_y = np.zeros_like(hist_s)
+    rho = np.zeros((S, HISTORY))
+    gamma = np.ones(S)
+    pairs = np.zeros(S, dtype=int)
+    p = -g
+    with np.errstate(divide="ignore"):
+        alpha = 1.0 / np.sqrt(np.sum(g * g, axis=-1))
+    while True:
+        done = reason != ""
+        if done.any():
+            ended = live[done]
+            end_f[ended], end_g[ended], end_x[ended] = f[done], gnorm[done], x[done]
+            end_reason[ended] = reason[done]
+            keep = ~done
+            live, x, f, g, gnorm, p, alpha, steps, reason = (
+                a[keep] for a in (live, x, f, g, gnorm, p, alpha, steps, reason))
+            hist_s, hist_y, rho, gamma, pairs = (
+                a[keep] for a in (hist_s, hist_y, rho, gamma, pairs))
+            if not live.size:
+                break
+        xt = x + alpha[:, None] * p
+        ft, gt = _psi_stack(body, xt, K, grid_size)
+        evaluations[live] += 1
+        slope = np.sum(g * p, axis=-1)
+        rounding = ROUNDING_ULPS * EPS * np.abs(f)
+        accept = ft <= f + ARMIJO * alpha * slope + rounding
+        if not accept.all():
+            cut_rows = ~accept
+            slope_t = np.sum(gt[cut_rows] * p[cut_rows], axis=-1)
+            s0, a0 = slope[cut_rows], alpha[cut_rows]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                d1 = s0 + slope_t - 3.0 * (ft[cut_rows] - f[cut_rows]) / a0
+                d2 = np.sqrt(d1 * d1 - s0 * slope_t)
+                cut = 1.0 - (slope_t + d2 - d1) / (slope_t - s0 + 2.0 * d2)
+            alpha[cut_rows] = a0 * np.where(np.isfinite(cut), np.clip(cut, *CUT_RANGE), 0.5)
+        if not accept.any():
+            continue
+        rows = np.flatnonzero(accept)
+        step_s = xt[rows] - x[rows]
+        step_y = gt[rows] - g[rows]
+        moved = np.abs(ft[rows] - f[rows])
+        x[rows], f[rows], g[rows] = xt[rows], ft[rows], gt[rows]
+        gnorm[rows] = np.abs(gt[rows]).max(axis=-1)
+        steps[rows] += 1
+        reason[rows] = np.where(
+            gnorm[rows] <= GTOL, "gtol",
+            np.where(moved <= rounding[rows], "rounding",
+                     np.where(steps[rows] >= maxiter, "maxiter", "")))
+        go = reason[rows] == ""
+        rows, step_s, step_y = rows[go], step_s[go], step_y[go]
+        if not rows.size:
+            continue
+        sy = np.sum(step_s * step_y, axis=-1)
+        yy = np.sum(step_y * step_y, axis=-1)
+        curved = sy > EPS * yy
+        new = rows[curved]
+        if new.size:
+            for hist, pair in ((hist_s, step_s[curved]), (hist_y, step_y[curved])):
+                hist[new, :-1] = hist[new, 1:]
+                hist[new, -1] = pair
+            rho[new, :-1] = rho[new, 1:]
+            rho[new, -1] = 1.0 / sy[curved]
+            gamma[new] = sy[curved] / yy[curved]
+            pairs[new] = np.minimum(pairs[new] + 1, HISTORY)
+        p[rows] = _lbfgs_direction(g[rows], hist_s[rows], hist_y[rows], rho[rows],
+                                   gamma[rows], int(pairs[rows].max()))
+        alpha[rows] = 1.0
+    return (end_f, end_g, end_x.view(complex).reshape(S, K, d), evaluations,
+            end_reason.tolist())
 
 
 def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start quasi-Newton minimization of Psi; returns the systole.
 
     The starts (one circle per plane, then cfg.starts random loops) descend
-    one after another; the lowest converged one gives the minimizer.
+    together by the lockstep L-BFGS of `_descend`, one batched Psi
+    evaluation per step; the lowest start that ends with Psi < 0 and
+    max |grad Psi| < 1e-6 gives the minimizer, and one more descent at 2K
+    modes checks it.  diagnostics["psi_evaluations"] counts loop
+    evaluations (the rows of the batched ones) and diagnostics["stops"]
+    how many descents ended on each rule of `_descend`.
 
     c_0(Sigma) = min A = sys(Sigma): the minimizer is the rescaled shortest
     closed Reeb orbit, reconstructed through zeta(t) = grad H*(-J u(t)) and
@@ -241,17 +380,19 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     for _ in range(cfg.starts):
         starts.append(random_loop(d, K, M, rng, amplitude=0.3 * base_amp))
 
-    results = [_descend(body, loop.coeffs, M, cfg.maxiter) for loop in starts]
-    psi_evaluations = sum(r[3] for r in results)
-    ok = [(v, g, c) for v, g, c, _ in results if v < 0 and g < 1e-6]
-    if not ok:
-        best = min(results, key=lambda r: r[0])
+    values, grads, coeffs, evaluations, stops = _descend(
+        body, np.stack([loop.coeffs for loop in starts]), M, cfg.maxiter)
+    psi_evaluations = int(evaluations.sum())
+    ok = np.flatnonzero((values < 0) & (grads < 1e-6))
+    if not ok.size:
+        best = int(np.argmin(values))
         raise MinimizationError(
             "all minimization starts stalled",
-            best_value=best[0],
-            best_grad_norm=best[1],
+            best_value=float(values[best]),
+            best_grad_norm=float(grads[best]),
         )
-    psi_min, grad_norm, c_min = min(ok, key=lambda r: r[0])
+    best = ok[np.argmin(values[ok])]
+    psi_min, grad_norm, c_min = float(values[best]), float(grads[best]), coeffs[best]
     loop_min = FourierLoop(coeffs=c_min, grid_size=M)
     systole = renormalized_action(psi_min, alpha)
 
@@ -270,8 +411,10 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
     if cfg.double_check:
         c2 = np.zeros((2 * K, d), dtype=complex)
         c2[:K] = c_min
-        psi2, _, _, nfev = _descend(body, c2, 2 * M, cfg.maxiter)
-        psi_evaluations += nfev
+        psi2, _, _, nfev, stops2 = _descend(body, c2[None], 2 * M, cfg.maxiter)
+        psi2 = float(psi2[0])
+        psi_evaluations += int(nfev[0])
+        stops += stops2
         sys2 = renormalized_action(psi2, alpha) if psi2 < 0 else np.inf
         diagnostics["systole_doubled_modes"] = sys2
         rel = abs(sys2 - systole) / max(abs(systole), 1e-300)
@@ -282,9 +425,9 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
                 "result may be under-resolved"
             )
 
-    # one support solve each; the count moves with the rounding of the
-    # descents' ulp-level stop
+    # loop evaluations, each M support directions of a batched solve
     diagnostics["psi_evaluations"] = psi_evaluations
+    diagnostics["stops"] = {why: stops.count(why) for why in ("gtol", "rounding", "maxiter")}
     orbit = reconstruct_orbit(body, loop_min, systole)
     return MinimizeResult(
         systole=float(systole),

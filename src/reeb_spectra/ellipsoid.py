@@ -450,12 +450,25 @@ def besse_cz_index(E: Ellipsoid, tau) -> int:
     """mu = 2 (tau/a_1 + ... + tau/a_n) - n for a common period tau: each
     k = round(tau / a_h) >= 1 and tau / a_h the same as k, which is tau the
     same action as k a_h since the rule is free of scale; for exact values it
-    says that every tau / a_h is an integer."""
+    says that every tau / a_h is an integer.
+
+    For floats the multiples k_h a_h must also make one run of the table,
+    which holds the values that are the same action as its smallest: so
+    min_h k_h a_h must be the same action as max_h k_h a_h.  Two multiples on
+    either side of tau can each pass against tau and fail against each
+    other.  The test is skipped, at no cost to exact values, when every
+    ratio equals its integer.
+    """
     tau = _to_fraction(tau) if E.exact else float(tau)
     ratios = [tau / ah for ah in E.a]
     ks = [round(r) for r in ratios]
     if not all(k >= 1 and same_action(r, k) for r, k in zip(ratios, ks)):
         raise ValueError(f"tau = {tau} is not a common period of {E.a}")
+    if not E.exact and ratios != ks:
+        multiples = [k * ah for k, ah in zip(ks, E.a)]
+        if not same_action(min(multiples), max(multiples)):
+            raise ValueError(f"tau = {tau} is not a common period of {E.a}: the multiples "
+                             f"{min(multiples)} and {max(multiples)} are not the same action")
     return 2 * sum(ks) - E.n
 
 

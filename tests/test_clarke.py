@@ -8,6 +8,7 @@ from reeb_spectra.clarke import (
     FourierLoop,
     MinimizationError,
     MinimizeConfig,
+    OVERSAMPLE,
     circle_loop,
     minimize,
     psi,
@@ -15,6 +16,7 @@ from reeb_spectra.clarke import (
     random_loop,
     reconstruct_orbit,
     renormalized_action,
+    _descend,
     _pack,
     _unpack,
 )
@@ -200,7 +202,9 @@ class TestMinimize:
         original = clarke_mod.psi_with_grad
 
         def counted(body, loop):
-            calls.append(loop.grid_size)
+            # one entry per loop of the evaluated stack
+            stack = loop.coeffs.shape[0] if loop.coeffs.ndim == 3 else 1
+            calls.extend([loop.grid_size] * stack)
             return original(body, loop)
 
         monkeypatch.setattr(clarke_mod, "psi_with_grad", counted)
@@ -215,3 +219,95 @@ class TestMinimize:
         lp = circle_loop(body, 0, 16, 128)
         orb = reconstruct_orbit(body, lp, np.pi)
         assert abs(np.linalg.norm(orb.initial_point) - 1.0) < 1e-10
+
+
+# three bodies and the Psi evaluations that scipy's L-BFGS-B, the descent
+# this one replaced, made on each at --modes 8 --starts 0 (the starts and the
+# doubling descent)
+COUNTED_BODIES = [
+    ({"a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]}, 12),
+    ({"a": [1.0, 2.0], "epsilon": 1e-2, "quartic": [1.0, 1.0]}, 31),
+    ({"a": [1.0, 1.5, 7.0 / 3.0], "epsilon": 0.3, "quartic": [1.0, 0.0, 2.0]}, 18),
+]
+
+
+def _stack_of_starts(body, K, count, seed):
+    M = 2 * K * OVERSAMPLE
+    rng = np.random.default_rng(seed)
+    loops = [circle_loop(body, h, K, M) for h in range(body.n)]
+    loops += [random_loop(body.dim, K, M, rng, amplitude=0.3) for _ in range(count)]
+    return np.stack([lp.coeffs for lp in loops]), M
+
+
+class TestLockstepDescent:
+    @pytest.mark.parametrize("spec", [COUNTED_BODIES[0][0], COUNTED_BODIES[2][0]])
+    def test_batch_invariance(self, spec):
+        # a start's arithmetic does not see the other rows of the stack, nor
+        # the starts that stopped before it
+        body = ConvexBody(alpha=1.5, **spec)
+        coeffs, M = _stack_of_starts(body, 8, 6, seed=3)
+        values, grads, ends, evaluations, stops = _descend(body, coeffs, M, 2000)
+        assert len(set(evaluations.tolist())) > 1  # starts stop at different steps
+        for i in range(len(coeffs)):
+            v1, g1, e1, n1, s1 = _descend(body, coeffs[i : i + 1], M, 2000)
+            assert abs(v1[0] - values[i]) <= 1e-15, i
+            assert (n1[0], s1[0], g1[0]) == (evaluations[i], stops[i], grads[i]), i
+            assert np.array_equal(e1[0], ends[i]), i
+
+    @pytest.mark.parametrize("spec,parent_count", COUNTED_BODIES)
+    def test_evaluations_at_most_the_l_bfgs_b_count(self, spec, parent_count):
+        body = ConvexBody(alpha=1.5, **spec)
+        res = minimize(body, MinimizeConfig(modes=8, starts=0))
+        assert res.diagnostics["psi_evaluations"] <= parent_count
+        # the circle starts and the doubling descent each stop once
+        assert sum(res.diagnostics["stops"].values()) == body.n + 1
+
+    @pytest.mark.parametrize("spec", [COUNTED_BODIES[0][0], COUNTED_BODIES[2][0]])
+    def test_systole_matches_the_plane_closed_form(self, spec):
+        body = ConvexBody(alpha=1.5, **spec)
+        res = minimize(body, MinimizeConfig(modes=8, starts=0))
+        expected = min(planar_period_oracle(a, spec["epsilon"], q)
+                       for a, q in zip(spec["a"], spec["quartic"]))
+        assert abs(res.systole - expected) < 1e-12
+        assert res.orbit.meta["el_residual"] < 1e-10
+
+    def test_random_starts_stop_on_rounding(self):
+        # at the minimizer's S^1 family the gradient of a random start stalls
+        # above GTOL; the rounding rule ends the descent instead of maxiter
+        body = ConvexBody(alpha=1.5, **COUNTED_BODIES[0][0])
+        coeffs, M = _stack_of_starts(body, 8, 4, seed=3)
+        values, grads, _, evaluations, stops = _descend(body, coeffs[body.n :], M, 2000)
+        assert stops == ["rounding"] * 4
+        assert evaluations.max() < 60
+        assert grads.max() < 1e-6
+        assert np.all(values < 0)
+
+    def test_maxiter_counts_accepted_steps(self):
+        body = ConvexBody(alpha=1.5, **COUNTED_BODIES[1][0])
+        coeffs, M = _stack_of_starts(body, 8, 2, seed=3)
+        coeffs = coeffs[body.n :]  # random starts, far from critical
+        for maxiter in (0, 1, 3):
+            _, _, _, evaluations, stops = _descend(body, coeffs, M, maxiter)
+            # maxiter = 0 evaluates each start once and takes no step
+            assert set(stops) == {"maxiter"}
+            assert evaluations.min() >= 1 + maxiter
+            if maxiter == 0:
+                assert evaluations.tolist() == [1] * len(coeffs)
+
+    def test_critical_start_stops_before_a_step(self):
+        # on a plane with q_h = 0 the circle start is the critical loop itself
+        body = ConvexBody(alpha=1.5, **COUNTED_BODIES[2][0])
+        coeffs, M = _stack_of_starts(body, 8, 0, seed=0)
+        values, grads, ends, evaluations, stops = _descend(body, coeffs[1:2], M, 2000)
+        assert (evaluations.tolist(), stops) == ([1], ["gtol"])
+        assert np.array_equal(ends[0], coeffs[1]) and grads[0] <= 1e-12
+
+    def test_stack_evaluates_each_loop_as_alone(self):
+        body = ConvexBody(alpha=1.5, **COUNTED_BODIES[2][0])
+        coeffs, M = _stack_of_starts(body, 8, 3, seed=4)
+        values, grads = psi_with_grad(body, FourierLoop(coeffs=coeffs, grid_size=M))
+        assert values.shape == (len(coeffs),) and grads.shape == coeffs.shape
+        for i, c in enumerate(coeffs):
+            v, g = psi_with_grad(body, FourierLoop(coeffs=c, grid_size=M))
+            assert v == values[i]
+            assert np.array_equal(g, grads[i])

@@ -452,6 +452,15 @@ class TestColdStart:
         run = ["orbits", "--ellipsoid", "1,1", "--tmax", "1.5", "--seeds", "2"]
         assert self._scipy_modules_after([run]) == []
 
+    def test_systole_loads_no_scipy(self, tmp_path):
+        # the Clarke descent is a numpy L-BFGS
+        body = tmp_path / "e12.json"
+        body.write_text(json.dumps(
+            {"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]}
+        ))
+        run = ["systole", "--body", str(body), "--modes", "8", "--starts", "0"]
+        assert self._scipy_modules_after([run]) == []
+
     def test_besse_test_on_a_body_solves_no_ode(self, tmp_path):
         # the sampling Besse test flows its samples in closed form, and the
         # orbit search's scan, Newton polish and index path are the

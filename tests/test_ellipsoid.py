@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import random
 import sys
 import time
 import warnings
@@ -559,6 +560,68 @@ class TestClassify:
                     inv = spectral_invariants(E, E.n)
                     assert same_action(inv[0], inv[-1]), (a, inv)
         assert min(kinds.values()) > 0, kinds
+
+    def test_float_multiples_straddling_tau0_are_not_besse(self):
+        # each k a_h is within 1e-9 of tau0 = 3, but 2 (1.4999999988) and
+        # 3.0000000024 lie 1.6e-9 apart: the table splits them into two runs,
+        # so c_i = c_{i+n-1} fails at 3 and the period is refused
+        a = [1.0, 1.4999999988, 3.0000000024]
+        E = ellipsoid(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            c = classify(E)
+            assert (c.kind, c.tau0) == ("NotBesse", None)
+            assert c.certificate["rejected_tau0"] == 3.0
+            with pytest.raises(ValueError, match="not the same action"):
+                besse_cz_index(E, 3.0)
+            hits = besse_by_invariants(spectral_invariants(E, 32), E.n)
+            assert not any(same_action(h.tau, 3.0) for h in hits)
+
+    def test_float_chain_past_one_over_the_tolerance_is_refused(self):
+        # tau0 would need k near 1e5 turns on a plane, past 1/TOL_MERGE, where
+        # two multiples of one plane are the same action and a run no longer
+        # tells planes apart: no period is reconstructed
+        c = classify(ellipsoid([1.0, 1 + 1 / 99991, 1 + 1 / 99989]))
+        assert (c.kind, c.tau0) == ("NotBesse", None)
+        assert c.certificate["irrational_ratio_index"] == 1
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_straddling_chains_agree_with_the_table(self, seed):
+        # rational chains (n = 2..5, every fifth one Zoll) with each a_h past
+        # the first moved by 1e-10 to 9e-10 relative either way: classify's
+        # tau0, besse_cz_index, verify_interleaving and the invariant scan
+        # accept or refuse the candidate period together
+        rng = random.Random(7 + seed)
+        verdicts = {True: 0, False: 0}
+        for j in range(150):
+            n = 2 + j % 4
+            a1 = rng.uniform(0.5, 3.0)
+            ratios = [F(1)] * n if j % 5 == 0 else [F(1)] + [
+                max(F(rng.randint(2, 12), rng.choice([1, 2, 3, 4])), F(1)) for _ in range(n - 1)]
+            a = sorted(a1 * float(r) * (1 + (h > 0) * rng.choice([-1, 1]) * rng.uniform(1e-10, 9e-10))
+                       for h, r in enumerate(ratios))
+            E = ellipsoid(a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                c = classify(E)
+                tau = c.tau0 if c.tau0 is not None else c.certificate.get("rejected_tau0")
+                if tau is None:  # no ratio reconstructed below the denominator bound
+                    continue
+                try:
+                    besse_cz_index(E, tau)
+                    indexed = True
+                except ValueError:
+                    indexed = False
+                try:
+                    interleaved = verify_interleaving(E, tau).passed
+                except ValueError:
+                    interleaved = False
+                i = sum(round(tau / x) for x in a) - n
+                hits = besse_by_invariants(spectral_invariants(E, i + n + 1), n)
+                scanned = any(same_action(h.tau, tau) for h in hits)
+            assert (c.tau0 is not None) == indexed == interleaved == scanned, (a, c)
+            verdicts[indexed] += 1
+        assert min(verdicts.values()) > 20, verdicts
 
     def test_reconstruct(self):
         assert rational_reconstruct(2 / 3) == F(2, 3)
