@@ -11,12 +11,12 @@ it solves G^2 - (c.s) G - sum e_h s_h^2 = 0, i.e.
 
     G = (c.s + sqrt((c.s)^2 + 4 sum e_h s_h^2)) / 2.
 
-Gradients and Hessians come from the plane-radius chain rule: one jet
-(G, G_s, G_ss) in the n plane radii, the chain rule to H = G^{alpha/2} taken
-there, and one lift to R^{2n}, grad = 2 G_s[h(i)] z_i and
-hess = 2 diag(G_s) + 4 G_ss o z z^T (both lifted plane-wise).  The alpha-degree
-Hamiltonian is H = G^{alpha/2}; its Legendre dual is computed through the
-support function,
+Derivatives come from one jet (G, G_s, G_ss) in the n plane radii, with
+the chain rule to H = G^{alpha/2} taken there (`_homogeneous_jet`, which
+`dynamics` turns into the rates and linearization of the flow); the gradient
+is lifted to R^{2n} as grad = 2 G_s[h(i)] z_i.  The alpha-degree Hamiltonian
+is H = G^{alpha/2}; its Legendre dual is computed through the support
+function,
 
     H*(w) = beta^{-1} alpha^{1-beta} h_C(w)^beta,   beta = alpha/(alpha-1).
 
@@ -32,8 +32,9 @@ variable, solved by Newton.
 Strong convexity follows from the parameters: with K = max_h e_h / c_h^2
 and Q* = 2 / (1 + sqrt(1 + 4K)), hess G >= m I on Sigma for the
 `convexity_margin` m = 2 c_min / (2 - Q*).  G(s) is c.s plus the norm of
-the linear map s -> (c.s, 2 sqrt(e_h) s_h), so g_ss >= 0 and
-hess G >= 2 diag(g_s) lifted.  On Sigma, g_h = (c_h + 2 e_h s_h) / r >= c_min / r
+the linear map s -> (c.s, 2 sqrt(e_h) s_h), so g_ss >= 0, and
+hess G = 2 diag(g_s) + 4 g_ss o z z^T (lifted plane-wise) >= 2 diag(g_s).
+On Sigma, g_h = (c_h + 2 e_h s_h) / r >= c_min / r
 with r = 2 - Q, Q = c.s, and G = 1 reads 1 - Q = sum e_h s_h^2 <= K Q^2, so
 Q >= Q*.  Quadrics have K = 0 and m = 2 pi / a_max, the exact value.
 """
@@ -95,9 +96,9 @@ def _parse_number(x) -> float:
 class ConvexBody:
     """Gauge representation of a strongly convex body with 0 in its interior.
 
-    Evaluators accept points of shape (2n,) or batches (..., 2n); Hessians
-    are batched to (..., 2n, 2n).  All evaluators are pure; instances are
-    immutable in practice and safe to share.
+    Evaluators accept points of shape (2n,) or batches (..., 2n).  All
+    evaluators are pure; instances are immutable in practice and safe to
+    share.
     """
 
     def __init__(self, a: Sequence, epsilon: float = 0.0, quartic: Sequence | None = None,
@@ -132,8 +133,6 @@ class ConvexBody:
         self._e = self.epsilon * self.quartic
         self._2e = 2.0 * self._e
         self._diag_2e = np.diag(self._2e)
-        # 2 delta_ij as (plane, coordinate, plane, coordinate)
-        self._eye2 = 2.0 * np.eye(self.dim).reshape(self.n, 2, self.n, 2)
         self.kind = "quadric" if self.epsilon == 0.0 else "perturbed"
         self._validate_convexity()
 
@@ -180,17 +179,11 @@ class ConvexBody:
         m = g_s[..., None] * (self._c - g_s)[..., None, :]
         return g, g_s, (m + m.swapaxes(-1, -2) + self._diag_2e) / r[..., None]
 
-    def _lift(self, z: np.ndarray, f_s: np.ndarray, f_ss: np.ndarray | None = None):
-        """Gradient (and Hessian, given f_ss) in z of a function of the plane
-        radii with derivatives f_s, f_ss in s: grad_i = 2 f_s[h(i)] z_i and
-        hess = 2 diag(f_s lifted) + 4 (f_ss lifted) o z z^T."""
+    def _lift(self, z: np.ndarray, f_s: np.ndarray):
+        """Gradient in z of a function of the plane radii with gradient f_s
+        in s: grad_i = 2 f_s[h(i)] z_i."""
         y = 2.0 * z.reshape(z.shape[:-1] + (self.n, 2))
-        grad = (f_s[..., None] * y).reshape(z.shape)
-        if f_ss is None:
-            return grad
-        hess = (f_ss[..., :, None, :, None] * y[..., :, :, None, None] * y[..., None, None, :, :]
-                + f_s[..., :, None, None, None] * self._eye2)
-        return grad, hess.reshape(z.shape + (self.dim,))
+        return (f_s[..., None] * y).reshape(z.shape)
 
     def gauge2(self, z: np.ndarray) -> np.ndarray:
         """G(z) = gauge(z)^2; positively 2-homogeneous with G^{-1}(1) = Sigma."""
@@ -199,16 +192,6 @@ class ConvexBody:
     def grad_gauge2(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return self._lift(z, self._plane_gradient(z)[1])
-
-    def hess_gauge2(self, z: np.ndarray) -> np.ndarray:
-        """Hessian of G at points (..., 2n), shape (..., 2n, 2n)."""
-        return self._gauge2_derivatives(z)[2]
-
-    def _gauge2_derivatives(self, z: np.ndarray):
-        """(G, grad G, hess G) at points (..., 2n) from one jet."""
-        z = np.asarray(z, dtype=float)
-        g, g_s, g_ss = self._gauge2_jet(z)
-        return (g[..., 0], *self._lift(z, g_s, g_ss))
 
     def _homogeneous_jet(self, z: np.ndarray, alpha: float):
         """(f_s, f_ss): the gradient and Hessian of f = G^{alpha/2} in the
@@ -225,22 +208,10 @@ class ConvexBody:
             g_s = p * g_s
         return g_s, g_ss
 
-    def _homogeneous_derivatives(self, z: np.ndarray, alpha: float):
-        """(grad, hess) of G^{alpha/2} at points (..., 2n), the lift of
-        `_homogeneous_jet`."""
-        z = np.asarray(z, dtype=float)
-        return self._lift(z, *self._homogeneous_jet(z, alpha))
-
     # -- alpha-degree Hamiltonian ------------------------------------------
 
     def H(self, z: np.ndarray) -> np.ndarray:
         return self.gauge2(z) ** (self.alpha / 2.0)
-
-    def grad_H(self, z: np.ndarray) -> np.ndarray:
-        return self._homogeneous_derivatives(z, self.alpha)[0]
-
-    def hess_H(self, z: np.ndarray) -> np.ndarray:
-        return self._homogeneous_derivatives(z, self.alpha)[1]
 
     def reeb_field(self, z: np.ndarray) -> np.ndarray:
         """R = J grad G on Sigma (degree-2 normalization)."""
@@ -422,10 +393,6 @@ class ConvexBody:
                 break
             g = lower
         return 1.0 / math.sqrt(float(vertex.max())), 1.0 / math.sqrt(g)
-
-    def homogenize(self, alpha: float) -> "ConvexBody":
-        """Same body with homogeneity degree alpha in (1, 2)."""
-        return ConvexBody(a=self.a, epsilon=self.epsilon, quartic=self.quartic, alpha=alpha)
 
     def __repr__(self):
         if self.kind == "quadric":

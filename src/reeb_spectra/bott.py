@@ -89,9 +89,7 @@ def bott_indices(model: CrossModel, m: int) -> tuple[int, int]:
 
 def class_degrees(model: CrossModel, m: int) -> tuple[int, int]:
     """(deg alpha_m, deg beta_m); beta_m = alpha_m cup e^{n-1}."""
-    if m < 1:
-        raise ValueError("iterate m must be >= 1")
-    deg_a = m * model.initial_index + (m - 1) * (model.n - 1)
+    deg_a = bott_indices(model, m)[0]
     return deg_a, deg_a + 2 * (model.n - 1)
 
 
@@ -135,8 +133,9 @@ def projective_space_betti(n: int) -> list[int]:
 def cohomology_rank(model: CrossModel, degree: int, quotient_betti: list[int]) -> int:
     """rank of the degree-d equivariant cohomology of the loop space pair.
 
-    rank = sum over m >= 1 of betti(d - m i(M) - (m-1)(n-1)); negative
-    shifted degrees contribute zero, and overlapping summands ADD.
+    rank = sum over m >= 1 of betti(d - ind(K^m)), with ind(K^m) from
+    `bott_indices`; negative shifted degrees contribute zero, and
+    overlapping summands ADD.
     """
     if degree < 0:
         return 0
@@ -144,7 +143,7 @@ def cohomology_rank(model: CrossModel, degree: int, quotient_betti: list[int]) -
     m = 1
     while True:
         # the shift is strictly increasing in m (i(M) + n - 1 >= 1)
-        shift = m * model.initial_index + (m - 1) * (model.n - 1)
+        shift = bott_indices(model, m)[0]
         if shift > degree:
             break
         d = degree - shift

@@ -350,9 +350,10 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
 
     The starts (one circle per plane, then cfg.starts random loops) descend
     together by the lockstep L-BFGS of `_descend`, one batched Psi
-    evaluation per step; the lowest start that ends with Psi < 0 and
-    max |grad Psi| < 1e-6 gives the minimizer, and one more descent at 2K
-    modes checks it.  diagnostics["psi_evaluations"] counts loop
+    evaluation per step.  Of the starts that end with Psi < 0 and
+    max |grad Psi| < 1e-6, those within ROUNDING_ULPS ulps of the lowest Psi
+    tie, and the one of least max |grad Psi| gives the minimizer; one more
+    descent at 2K modes checks it.  diagnostics["psi_evaluations"] counts loop
     evaluations (the rows of the batched ones) and diagnostics["stops"]
     how many descents ended on each rule of `_descend`.
 
@@ -391,7 +392,11 @@ def minimize(body: ConvexBody, config: MinimizeConfig | None = None) -> Minimize
             best_value=float(values[best]),
             best_grad_norm=float(grads[best]),
         )
-    best = ok[np.argmin(values[ok])]
+    # at the minimum the starts' Psi differ by rounding only: of those within
+    # rounding of the lowest, the one nearest critical gives the orbit
+    low = float(values[ok].min())
+    near = ok[values[ok] <= low + ROUNDING_ULPS * EPS * abs(low)]
+    best = near[np.argmin(grads[near])]
     psi_min, grad_norm, c_min = float(values[best]), float(grads[best]), coeffs[best]
     loop_min = FourierLoop(coeffs=c_min, grid_size=M)
     systole = renormalized_action(psi_min, alpha)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
+from reeb_spectra import dynamics
 from reeb_spectra.bodies import ConvexBody, SupportSolveError
+from reeb_spectra.symplectic import apply_J, standard_J
 
 
 def fd_grad(f, z, h=1e-6):
@@ -22,7 +24,8 @@ def fd_grad(f, z, h=1e-6):
 class ImplicitJetOracle:
     """Independent oracle: the body jet by implicit differentiation in the 2n
     coordinates, through Q, P, their gradients and a 2n x 2n quartic Hessian;
-    the plane-radius jet of `ConvexBody` must agree with it."""
+    the plane-radius jet of `ConvexBody`, and the flow linearization that
+    `dynamics` builds from it, must agree with it."""
 
     def __init__(self, body: ConvexBody):
         self.epsilon, self.quartic, self.dim = body.epsilon, body.quartic, body.dim
@@ -84,15 +87,25 @@ class ImplicitJetOracle:
 
 
 def sampled_restricted_min(body: ConvexBody) -> float:
-    """Smallest eigenvalue of hess G restricted to the tangent space, over
-    1000 Sobol surface points, by a per-point loop with a QR tangent basis."""
+    """Smallest eigenvalue of the oracle's hess G restricted to the tangent
+    space, over 1000 surface points from Gaussian directions, by a per-point
+    loop with a QR tangent basis."""
+    oracle = ImplicitJetOracle(body)
     worst = np.inf
     for z in body.surface_samples(1000):
-        g = body.grad_gauge2(z) / np.linalg.norm(body.grad_gauge2(z))
+        _, grad, hess = oracle._gauge2_derivatives(z)
+        g = grad / np.linalg.norm(grad)
         q, r = np.linalg.qr(np.eye(body.dim) - np.outer(g, g))
         basis = q[:, np.abs(np.diag(r)) > 1e-10][:, : body.dim - 1]
-        worst = min(worst, np.linalg.eigvalsh(basis.T @ body.hess_gauge2(z) @ basis)[0])
+        worst = min(worst, np.linalg.eigvalsh(basis.T @ hess @ basis)[0])
     return worst
+
+
+def _plane_point(s: np.ndarray) -> np.ndarray:
+    """A point z with plane radii |z_h|^2 = s_h."""
+    z = np.zeros(2 * len(s))
+    z[0::2] = np.sqrt(s)
+    return z
 
 
 @pytest.fixture
@@ -115,10 +128,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConvexBody(a=[1.0], alpha=2.0)
         with pytest.raises(ValueError):
-            e12.homogenize(1.0)
+            ConvexBody(e12.a, e12.epsilon, e12.quartic, 1.0)
 
     def test_homogenize_same_surface(self, e12):
-        other = e12.homogenize(1.3)
+        other = ConvexBody(e12.a, e12.epsilon, e12.quartic, 1.3)
         z = other.project_to_surface(np.array([0.3, 0.1, -0.2, 0.4]))
         assert abs(e12.gauge2(z) - 1.0) < 1e-12
         assert abs(other.H(z) - 1.0) < 1e-12
@@ -161,7 +174,8 @@ class TestConstruction:
             quartic = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.3)
             body = ConvexBody(a, epsilon=eps, quartic=quartic)
             z = body.project_to_surface(rng.normal(size=(4000, 2 * n)))
-            lowest = np.linalg.eigvalsh(body.hess_gauge2(z))[:, 0].min()
+            hess = ImplicitJetOracle(body)._gauge2_derivatives(z)[2]
+            lowest = np.linalg.eigvalsh(hess)[:, 0].min()
             assert lowest >= body.convexity_margin * (1.0 - 1e-12), body
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -203,64 +217,84 @@ class TestHomogenization:
             s = float(rng.uniform(0.2, 3.0))
             assert abs(body.H(s * z) - s**alpha * body.H(z)) < 1e-10 * max(1, body.H(s * z))
 
+    # f = H as a function of the plane radii s, with f_s and f_ss from
+    # `_homogeneous_jet`, the jet that `dynamics` builds the flow from
+
     def test_euler_identity(self, perturbed):
+        # f is alpha/2-homogeneous in s: s.f_s = (alpha/2) f and
+        # f_ss s = (alpha/2 - 1) f_s
         rng = np.random.default_rng(1)
+        a2 = perturbed.alpha / 2.0
         for _ in range(20):
             z = rng.normal(size=4)
-            lhs = np.dot(perturbed.grad_H(z), z)
-            assert abs(lhs - perturbed.alpha * perturbed.H(z)) < 1e-9 * max(1, abs(lhs))
+            s = z[0::2] ** 2 + z[1::2] ** 2
+            f_s, f_ss = perturbed._homogeneous_jet(z, perturbed.alpha)
+            lhs = np.dot(s, f_s)
+            assert abs(lhs - a2 * perturbed.H(z)) < 1e-9 * max(1, abs(lhs))
+            assert np.abs(f_ss @ s - (a2 - 1.0) * f_s).max() < 1e-9 * max(1, np.abs(f_s).max())
 
     def test_gradients_match_fd(self, perturbed):
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(100):
-            z = rng.normal(size=4)
-            err = np.abs(perturbed.grad_H(z) - fd_grad(perturbed.H, z)).max()
-            worst = max(worst, err / max(1.0, np.abs(perturbed.grad_H(z)).max()))
+            s = rng.uniform(0.1, 2.0, size=2)
+            f_s = perturbed._homogeneous_jet(_plane_point(s), perturbed.alpha)[0]
+            err = np.abs(f_s - fd_grad(lambda x: perturbed.H(_plane_point(x)), s)).max()
+            worst = max(worst, err / max(1.0, np.abs(f_s).max()))
         assert worst < 1e-6
 
     def test_hessians_match_fd(self, perturbed):
         rng = np.random.default_rng(3)
+
+        def f_s(x):
+            return perturbed._homogeneous_jet(_plane_point(x), perturbed.alpha)[0]
+
         for _ in range(10):
-            z = rng.normal(size=4)
-            H_fd = np.array([fd_grad(lambda y: perturbed.grad_H(y)[i], z) for i in range(4)]).T
-            assert np.abs(perturbed.hess_H(z) - H_fd).max() < 1e-5
+            s = rng.uniform(0.1, 2.0, size=2)
+            f_ss_fd = np.array([fd_grad(lambda x: f_s(x)[i], s) for i in range(2)]).T
+            f_ss = perturbed._homogeneous_jet(_plane_point(s), perturbed.alpha)[1]
+            assert np.abs(f_ss - f_ss_fd).max() < 1e-5
 
     @pytest.mark.parametrize("name", ["e12", "perturbed"])
     def test_batched_hess_gauge2_matches_points(self, name, request):
+        # both jets, G's and H's, batched over (3, 5) points equal the
+        # pointwise jets (a quadric's g_s and g_ss are unbroadcast)
         body = request.getfixturevalue(name)
         Z = np.random.default_rng(4).normal(size=(3, 5, 4))
-        H = body.hess_gauge2(Z)
-        assert H.shape == (3, 5, 4, 4)
-        assert np.array_equal(H, [[body.hess_gauge2(z) for z in row] for row in Z])
-        assert body.hess_gauge2(Z[0, 0]).shape == (4, 4)
+        for jet in (body._gauge2_jet, lambda z: body._homogeneous_jet(z, body.alpha)):
+            pointwise = [[jet(z) for z in row] for row in Z]
+            for k, part in enumerate(jet(Z)):
+                want = np.array([[p[k] for p in row] for row in pointwise])
+                assert np.array_equal(np.broadcast_to(part, want.shape), want)
+        assert body._homogeneous_jet(Z, body.alpha)[1].shape == (3, 5, 2, 2)
+        assert body._homogeneous_jet(Z[0, 0], body.alpha)[1].shape == (2, 2)
 
     @pytest.mark.parametrize("name", ["e12", "perturbed"])
     def test_gauge2_derivatives_match_evaluators(self, name, request):
         body = request.getfixturevalue(name)
         Z = np.random.default_rng(10).normal(size=(3, 5, 4))
         for z in (Z, Z[1, 2]):
-            G, grad, hess = body._gauge2_derivatives(z)
-            assert np.array_equal(G, body.gauge2(z))
-            assert np.array_equal(grad, body.grad_gauge2(z))
-            assert np.array_equal(hess, body.hess_gauge2(z))
+            g, g_s, _ = body._gauge2_jet(z)
+            assert np.array_equal(g[..., 0], body.gauge2(z))
+            assert np.array_equal(body._lift(z, g_s), body.grad_gauge2(z))
 
     @pytest.mark.parametrize("name", ["e12", "perturbed"])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
     def test_H_derivatives_match_pointwise_chain_rule(self, name, alpha, request):
-        body = request.getfixturevalue(name).homogenize(alpha)
+        body = request.getfixturevalue(name)
         Z = np.random.default_rng(11).normal(size=(6, 4))
         a2 = alpha / 2.0
-        grads, hesses = body.grad_H(Z), body.hess_H(Z)
-        for z, grad, hess in zip(Z, grads, hesses):
-            G, gradG, hessG = float(body.gauge2(z)), body.grad_gauge2(z), body.hess_gauge2(z)
-            ref_grad = a2 * G ** (a2 - 1.0) * gradG
-            ref_hess = a2 * ((a2 - 1.0) * G ** (a2 - 2.0) * np.outer(gradG, gradG)
-                             + G ** (a2 - 1.0) * hessG)
-            assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
-            assert np.abs(hess - ref_hess).max() <= 1e-14 * np.abs(ref_hess).max()
-            assert np.array_equal(body.grad_H(z), grad)
-            assert np.array_equal(body.hess_H(z), hess)
+        f_s, f_ss = body._homogeneous_jet(Z, alpha)
+        for z, fs, fss in zip(Z, f_s, f_ss):
+            g, g_s, g_ss = body._gauge2_jet(z)
+            G = float(g[0])
+            ref_s = a2 * G ** (a2 - 1.0) * g_s
+            ref_ss = a2 * ((a2 - 1.0) * G ** (a2 - 2.0) * np.outer(g_s, g_s)
+                           + G ** (a2 - 1.0) * g_ss)
+            assert np.abs(fs - ref_s).max() <= 1e-14 * np.abs(ref_s).max()
+            assert np.abs(fss - ref_ss).max() <= 1e-14 * np.abs(ref_ss).max()
+            point_s, point_ss = body._homogeneous_jet(z, alpha)
+            assert np.array_equal(point_s, fs) and np.array_equal(point_ss, fss)
 
 
 def _rel_err(got, want):
@@ -269,7 +303,18 @@ def _rel_err(got, want):
     return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
 
 
+def _flow_matrix(flow) -> np.ndarray:
+    """Y'(0) = Omega J + K of an `AlphaFlow`, Omega the rates lifted per
+    coordinate: the linearization of the flow at its starts."""
+    n = flow.rates.shape[-1]
+    return np.repeat(flow.rates, 2, axis=-1)[..., :, None] * standard_J(n) + flow.K
+
+
 class TestPlaneRadiusJet:
+    """The flow that `dynamics` builds from the plane-radius jet against the
+    oracle: its rates give z' = J grad H(z) and its linearization
+    Omega J + K is J hess H(z)."""
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), eps=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
            zero_planes=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
@@ -285,26 +330,26 @@ class TestPlaneRadiusJet:
         # points on which some planes vanish: s_h = 0
         Z[:3] *= np.repeat(rng.integers(0, 2, size=(3, n)), 2, axis=-1)
         Z = Z[np.linalg.norm(Z, axis=-1) > 0]
-        G, grad, hess = body._gauge2_derivatives(Z)
-        G_o, grad_o, hess_o = oracle._gauge2_derivatives(Z)
-        assert np.all(np.abs(G - G_o) <= 1e-14 * np.abs(G_o))
-        assert np.array_equal(G, body.gauge2(Z))
-        assert np.all(_rel_err(grad, grad_o) <= 1e-14)
-        assert np.all(_rel_err(hess, hess_o) <= 1e-14)
-        grad_H, hess_H = body._homogeneous_derivatives(Z, alpha)
+        G_o, grad_o, _ = oracle._gauge2_derivatives(Z)
+        assert np.all(np.abs(body.gauge2(Z) - G_o) <= 1e-14 * np.abs(G_o))
+        assert np.all(_rel_err(body.grad_gauge2(Z), grad_o) <= 1e-14)
+        flow = dynamics._alpha_flow(body, Z, alpha)
         grad_Ho, hess_Ho = oracle._homogeneous_derivatives(Z, alpha)
-        assert np.all(_rel_err(grad_H, grad_Ho) <= 1e-14)
-        assert np.all(_rel_err(hess_H, hess_Ho) <= 1e-14)
+        velocity = np.repeat(flow.rates, 2, axis=-1) * apply_J(Z)
+        assert np.all(_rel_err(velocity, apply_J(grad_Ho)) <= 1e-14)
+        assert np.all(_rel_err(_flow_matrix(flow), standard_J(n) @ hess_Ho) <= 1e-14)
 
     @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0], [3.0, 1.0, 2.0]])
     def test_quadric_at_origin(self, a):
+        # G's jet stays finite at z = 0 on a quadric: the flow of G there is
+        # linear, J hess G = J diag(2 pi / a_h)
         body = ConvexBody(a)
+        want = standard_J(body.n) @ np.diag(np.repeat(2.0 * np.pi / np.array(a), 2))
         for z in (np.zeros(body.dim), np.zeros((3, body.dim))):
-            G, grad, hess = body._gauge2_derivatives(z)
-            assert np.array_equal(G, np.zeros(z.shape[:-1]))
-            assert np.array_equal(grad, np.zeros(z.shape))
-            want = np.diag(np.repeat(2.0 * np.pi / np.array(a), 2))
-            assert np.array_equal(hess, np.broadcast_to(want, z.shape + (body.dim,)))
+            assert np.array_equal(body.gauge2(z), np.zeros(z.shape[:-1]))
+            assert np.array_equal(body.grad_gauge2(z), np.zeros(z.shape))
+            A = _flow_matrix(dynamics._alpha_flow(body, z, 2.0))
+            assert np.array_equal(A, np.broadcast_to(want, z.shape + (body.dim,)))
 
 
 class TestSupportAndDual:
@@ -359,9 +404,10 @@ class TestSupportAndDual:
             z = rng.normal(size=4)
             w = rng.normal(size=4)
             assert perturbed.H(z) + perturbed.legendre_dual(w) >= np.dot(z, w) - 1e-10
+        oracle = ImplicitJetOracle(perturbed)
         for _ in range(10):
             z = rng.normal(size=4)
-            w = perturbed.grad_H(z)
+            w = oracle._homogeneous_derivatives(z, perturbed.alpha)[0]  # grad H(z)
             gap = perturbed.H(z) + perturbed.legendre_dual(w) - np.dot(z, w)
             assert abs(gap) < 1e-7
 
@@ -419,7 +465,7 @@ def _sweep_directions(rng, dim, count=8):
 
 class TestSupportSweep:
     """Seeded property sweep of `support`, checked through the G form of the
-    body (`_gauge2_derivatives`), independently of the scalar solve."""
+    body (`gauge2`, `grad_gauge2`), independently of the scalar solve."""
 
     def test_tangency_maximality_steps_and_scaling(self, monkeypatch):
         import reeb_spectra.bodies as bodies_mod
@@ -430,7 +476,7 @@ class TestSupportSweep:
             body = _sweep_body(rng)
             W = _sweep_directions(rng, body.dim)
             h, u = body.support(W)  # SupportSolveError past 6 Newton steps
-            G, grad, _ = body._gauge2_derivatives(u)
+            G, grad = body.gauge2(u), body.grad_gauge2(u)
             assert np.abs(G - 1.0).max() <= 1e-12, body
             kkt = np.linalg.norm(W - 0.5 * h[:, None] * grad, axis=-1)
             assert np.all(kkt <= 1e-11 * np.linalg.norm(W, axis=-1)), body
@@ -498,7 +544,7 @@ class TestPinchingRadii:
         body = ConvexBody(a, epsilon=eps, quartic=quartic)
         r, R = body.pinching_radii()
         gmin, gmax = 1.0 / R**2, 1.0 / r**2
-        dirs = body.surface_samples(1 << 14, seed=3)  # Sobol directions
+        dirs = body.surface_samples(1 << 14, seed=3)  # Gaussian directions
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         G = body.gauge2(dirs)
         assert G.min() >= gmin - 1e-12

@@ -22,6 +22,8 @@ from reeb_spectra.clarke import (
 )
 from reeb_spectra.symplectic import apply_J
 
+from test_bodies import ImplicitJetOracle
+
 
 def planar_period_oracle(a_h: float, eps: float, q_h: float) -> float:
     """Exact period of the coordinate-plane orbit of a perturbed body.
@@ -148,7 +150,7 @@ class TestMinimize:
         body = ConvexBody(a=[1.0, 2.0], alpha=1.5)
         res = minimize(body, MinimizeConfig(modes=16, starts=4, seed=3))
         zeta = body.grad_legendre(-apply_J(res.loop.values()))
-        rhs = apply_J(body.grad_H(zeta))
+        rhs = apply_J(ImplicitJetOracle(body)._homogeneous_derivatives(zeta, body.alpha)[0])
         M = res.loop.grid_size
         spec = np.fft.rfft(zeta, axis=0, norm="forward")
         k = np.arange(M // 2 + 1)
@@ -219,6 +221,19 @@ class TestMinimize:
         lp = circle_loop(body, 0, 16, 128)
         orb = reconstruct_orbit(body, lp, np.pi)
         assert abs(np.linalg.norm(orb.initial_point) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        {"a": [1.0, 2.0]}, {"a": [np.pi, np.pi]},
+        {"a": [1.0, 2.0], "epsilon": 1e-3, "quartic": [1.0, 1.0]},
+    ], ids=["e12", "ball", "perturbed-e12"])
+    def test_orbit_from_the_start_nearest_critical(self, spec):
+        # random starts that stop on the rounding rule sit within ulps of the
+        # circle starts' Psi, some below it; the tie goes to the start of
+        # least gradient, a circle start here
+        body = ConvexBody(alpha=1.5, **spec)
+        res = minimize(body, MinimizeConfig(modes=64, starts=16, seed=5))
+        assert res.grad_norm <= 1e-12
+        assert res.orbit.meta["el_residual"] < 1e-12
 
 
 # three bodies and the Psi evaluations that scipy's L-BFGS-B, the descent

@@ -596,7 +596,13 @@ class TestRegularCrossingRule:
         # two blocks cross within 1e-8 of each other (or of t = 1): two
         # crossings, not one
         assert _closed_form([float(r) for r in rates.split(",")]) == expected
-        assert main(["cz", "--rotation", rates]) == 0
+        if rates == "1.5,3.00000001":
+            # Gamma(1) misses the identity by an angle of 6.3e-8, within 10x
+            # of TOL_KER: the empty kernel comes with the advisory
+            with pytest.warns(UserWarning, match="kernel dimension may not be converged"):
+                assert main(["cz", "--rotation", rates]) == 0
+        else:
+            assert main(["cz", "--rotation", rates]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["cz_index"], out["morse_index"]) == expected
 

@@ -23,6 +23,8 @@ from reeb_spectra.dynamics import (
 from reeb_spectra.ellipsoid import ellipsoid, reeb_flow
 from reeb_spectra.symplectic import standard_J, symplectic_defect
 
+from test_bodies import ImplicitJetOracle
+
 E12 = ConvexBody(a=[1.0, 2.0], alpha=1.5)
 E12_EXACT = ellipsoid([1, 2])
 PERTURBED = ConvexBody(a=[1.0, 2.0], epsilon=1e-3, quartic=[1.0, 1.0], alpha=1.5)
@@ -35,17 +37,16 @@ def surface_point(body, raw):
 def variational_reference(body, alpha, z, span, dense=False):
     """The test's own DOP853 solve of the degree-alpha flow and its
     linearization, (z, Y)' = (J grad H(z), J hess H(z) Y), over
-    sigma in [0, span], with H = G at alpha = 2."""
+    sigma in [0, span], with H = G at alpha = 2.  grad H and hess H come
+    from the implicit-jet oracle, which shares no code with the body's
+    plane-radius jet."""
     d = body.dim
     J = standard_J(body.n)
-    if alpha == 2.0:
-        grad, hess = body.grad_gauge2, body.hess_gauge2
-    else:
-        homogenized = body.homogenize(alpha)
-        grad, hess = homogenized.grad_H, homogenized.hess_H
+    oracle = ImplicitJetOracle(body)
 
     def rhs(_, y):
-        return np.concatenate([J @ grad(y[:d]), (J @ hess(y[:d]) @ y[d:].reshape(d, d)).ravel()])
+        grad, hess = oracle._homogeneous_derivatives(y[:d], alpha)
+        return np.concatenate([J @ grad, (J @ hess @ y[d:].reshape(d, d)).ravel()])
 
     sol = solve_ivp(rhs, (0.0, span), np.concatenate([z, np.eye(d).ravel()]), method="DOP853",
                     rtol=1e-13, atol=1e-15, dense_output=dense)
@@ -528,7 +529,7 @@ class TestMonodromy:
         # the Reeb monodromy of an orbit polished at the body's alpha, and of
         # an orbit segment that does not close, against the test's own Reeb
         # variational solve
-        body = body.homogenize(alpha)
+        body = ConvexBody(body.a, body.epsilon, body.quartic, alpha)
         orbit = _newton_polish(body, surface_point(body, [1.0, 0.0, 0.0, 0.0]), 1.0, t_max=1.5)
         assert orbit is not None
         z = surface_point(body, [0.4, 0.1, 0.3, -0.2])
@@ -553,7 +554,8 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("alpha", [1.5, 1.2])
     def test_degree_alpha_flow_matches_reference(self, alpha):
-        # reference: the variational system assembled from grad_H / hess_H
+        # reference: the variational system assembled from the oracle's
+        # grad H / hess H
         z = surface_point(PERTURBED, [0.4, 0.1, 0.3, -0.2])
         tau = 1.3
         span = 2.0 * tau / alpha
