@@ -178,17 +178,16 @@ class MinimizeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def circle_loop(body: ConvexBody, plane: int, modes: int, grid_size: int,
-                tau: float | None = None) -> FourierLoop:
+def circle_loop(body: ConvexBody, plane: int, modes: int, grid_size: int) -> FourierLoop:
     """Single-mode loop seeded on the coordinate-plane circle of the body.
 
     The amplitude is the exact critical one for the quadric part: the
-    rescaled orbit zeta has radius (2 tau / alpha)^{1/(alpha-2)} r_plane.
+    rescaled orbit zeta has radius (2 tau / alpha)^{1/(alpha-2)} r_plane,
+    with tau = a_h the plane's period.
     """
     alpha = body.alpha
     r_plane = float(np.sqrt(body.a[plane] / np.pi))
-    if tau is None:
-        tau = float(body.a[plane])
+    tau = float(body.a[plane])
     rho = (2.0 * tau / alpha) ** (1.0 / (alpha - 2.0)) * r_plane
     c = np.zeros((modes, body.dim), dtype=complex)
     # zeta(t) = rho e^{2 pi J t} in the plane -> u has c_1 = pi rho (i, 1)

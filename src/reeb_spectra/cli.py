@@ -98,7 +98,10 @@ def _emit(payload: dict, rows: list[dict], series: dict, args) -> None:
         w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
         w.writeheader()
         for r in rows:
-            w.writerow({k: _fmt(v) for k, v in r.items()})
+            # a nested list or dict is one cell of JSON text
+            cells = {k: _fmt(v) for k, v in r.items()}
+            w.writerow({k: json.dumps(v) if isinstance(v, (list, dict)) else v
+                        for k, v in cells.items()})
     elif out == "plot":
         plot_dir = Path(getattr(args, "plot_dir", None) or "plots")
         plot_dir.mkdir(parents=True, exist_ok=True)
@@ -381,7 +384,7 @@ def cmd_systole(args) -> int:
 def cmd_orbits(args) -> int:
     from .dynamics import TOL_ORBIT, find_closed_orbits, monodromy_and_index
 
-    body = _load_body(args, alpha=args.alpha)
+    body = _load_body(args)
     orbits = find_closed_orbits(body, t_max=args.tmax, n_seeds=args.seeds, seed=args.seed)
     for orb in orbits:
         monodromy_and_index(body, orb, alpha=args.alpha)
@@ -464,6 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_* function replaced on the module after the parser was built (a
     test's monkeypatch, a profiler's wrapper) still takes effect.
     """
+    from .bodies import DEFAULT_ALPHA
+    from .clarke import MinimizeConfig
+    from .dynamics import BESSE_SAMPLES, N_SEEDS
+
     p = argparse.ArgumentParser(
         prog="reeb-spectra",
         description="Action spectra, spectral invariants and Besse/Zoll certificates "
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--body", help="JSON body spec (with --tau: numerical test)")
     sp.add_argument("--count", type=int, default=32, help="invariants to scan")
     sp.add_argument("--tau", type=float, default=None, help="numerical Besse test period")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=int, default=BESSE_SAMPLES)
     sp.add_argument("--from-spectrum", default=None, help="re-ingest a spectrum JSON file")
     add_out(sp)
 
@@ -506,11 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("systole", help="Clarke-dual systole minimization")
     sp.add_argument("--ellipsoid")
     sp.add_argument("--body")
-    sp.add_argument("--alpha", type=float, default=1.5)
-    sp.add_argument("--modes", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=16)
-    sp.add_argument("--maxiter", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    sp.add_argument("--modes", type=int, default=MinimizeConfig.modes)
+    sp.add_argument("--starts", type=int, default=MinimizeConfig.starts)
+    sp.add_argument("--maxiter", type=int, default=MinimizeConfig.maxiter)
+    sp.add_argument("--seed", type=int, default=MinimizeConfig.seed)
     sp.add_argument("--no-double-check", action="store_true")
     add_out(sp)
 
@@ -518,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ellipsoid")
     sp.add_argument("--body")
     sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--seeds", type=int, default=16)
+    sp.add_argument("--seeds", type=int, default=N_SEEDS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--alpha", type=float, default=1.5)
+    sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="alpha of the index path")
     add_out(sp)
 
     sp = sub.add_parser("cz", help="Conley-Zehnder index of a rotation path")

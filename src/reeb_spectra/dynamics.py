@@ -21,13 +21,13 @@ exactly symplectic.
 Its derivative is Rot(sigma omega)(A + sigma B) with A = Omega J + K and
 B = Omega J K, Omega the rates lifted to R^{2n}.
 
-`_alpha_flow` builds this flow from one jet of G per start, and every
-caller reads it: `integrate_reeb` (the sampling Besse test's flow) is its z
-part at alpha = 2; the seed scan is its z part from all seeds at once;
-each Newton trial, the winding vector that gives an orbit's minimal
-period and names its family, and the index path read its (z, Y) over one
-period (`flow_with_monodromy`, a `PeriodFlow`); and the Reeb monodromy
-M_2 is the same closed form at alpha = 2.  No ODE is solved.
+`_alpha_flow` builds this flow from one jet of G per start.  The search and
+the orbit's `flow` are the Reeb flow, alpha = 2: the seed scan is its z part
+from all seeds at once, each Newton trial its (z, M_2) over one period
+(`flow_with_monodromy`, a `PeriodFlow`), and the accepted trial's flow gives
+the orbit's winding vector; `integrate_reeb` is its z part too.  alpha in
+(1, 2) enters only the index path, the degree-alpha path `cz_index` counts,
+and Clarke.  No ODE is solved.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import conley_zehnder as cz
-from .bodies import ConvexBody
+from .bodies import DEFAULT_ALPHA, ConvexBody
 from .symplectic import SymplecticPath, apply_J, standard_J, symplectic_defect
 
 log = logging.getLogger(__name__)
@@ -50,6 +50,8 @@ TOL_ORBIT = 1e-9
 TOL_SUBPERIOD = 1e-5
 # time samples of the seed scan over (0, t_max]
 SCAN_POINTS = 4000
+N_SEEDS = 16  # seeds of the orbit search
+BESSE_SAMPLES = 2000  # surface samples of the sampling Besse test
 BESSE_TOL_FACTOR = 1e-6  # scaled by the surface diameter
 
 
@@ -181,20 +183,23 @@ class PeriodFlow:
 class ClosedOrbit:
     """A (numerically) closed Reeb orbit with its linearized-flow data.
 
-    `flow` is the degree-alpha flow over one period that the search (or
-    `monodromy_and_index`) last read on it, None on an orbit built by hand
-    or by the Clarke reconstruction.
+    `flow` is the Reeb flow (alpha = 2) over one period, set by the search
+    and by `monodromy_and_index`, and None on an orbit built by hand or by
+    the Clarke reconstruction; `monodromy` is its M_2, None without it.
     """
 
     initial_point: np.ndarray
     period: float
     residual: float
-    monodromy: np.ndarray | None = None
     cz_index: int | None = None
     morse_index: int | None = None
     nullity: int | None = None
     meta: dict = field(default_factory=dict)
     flow: PeriodFlow | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def monodromy(self) -> np.ndarray | None:
+        return None if self.flow is None else self.flow.monodromy
 
     def as_dict(self) -> dict:
         out = {
@@ -262,15 +267,13 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
     with a phase condition along the Reeb field at the seed; the closed orbit
     or None.
 
-    The residual is read off the body's degree-alpha flow: on Sigma it is
-    phi_H^{2 tau/alpha}(z) - z, with z-Jacobian M_alpha - I and tau-column
-    X_G(z_end).  `start`, the seed's flow over tau_guess that the caller
-    built anyway (the seed scan's, or the orbit's own), gives the first
-    residual and Jacobian; without it the seed's flow is built here.  Any
-    alpha serves there: the M_alpha agree on the tangent space of Sigma
-    (module docstring), and the row grad G(z) fixes the normal part of the
-    step.  The accepted trial's flow becomes the orbit's `flow`, and its
-    monodromy is the Reeb M_2, the closed form at alpha = 2.
+    Each trial is the Reeb flow over tau (`flow_with_monodromy` at
+    alpha = 2): the residual is phi_R^tau(z) - z, with z-Jacobian M_2 - I
+    and tau-column X_G(z_end).  `start`, the seed's Reeb flow over tau_guess
+    that the caller built anyway (the seed scan's, or the orbit's own), gives
+    the first residual and Jacobian; without it the seed's flow is built
+    here.  The accepted trial's flow becomes the orbit's `flow`, and so its
+    monodromy.
     """
     d = body.dim
     z = np.asarray(z_seed, float).copy()
@@ -284,7 +287,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
         r[d + 1] = phase_dir @ (z - z_seed)
         return r
 
-    flow = start if start is not None else flow_with_monodromy(body, z, tau, body.alpha)
+    flow = start if start is not None else flow_with_monodromy(body, z, tau)
     r = residual(z, flow)
     rnorm = np.linalg.norm(r)
     for _ in range(30):
@@ -303,7 +306,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             if not (0.0 < tau_try <= 1.5 * t_max):
                 lam *= 0.5
                 continue
-            flow_try = flow_with_monodromy(body, z_try, tau_try, body.alpha)
+            flow_try = flow_with_monodromy(body, z_try, tau_try)
             r_try = residual(z_try, flow_try)
             if np.linalg.norm(r_try) < rnorm:
                 z, tau, r, flow = z_try, tau_try, r_try, flow_try
@@ -314,8 +317,7 @@ def _newton_polish(body: ConvexBody, z_seed: np.ndarray, tau_guess: float, t_max
             return None
     if rnorm >= TOL_ORBIT:
         return None
-    return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm),
-                       monodromy=flow_with_monodromy(body, z, tau).monodromy, flow=flow)
+    return ClosedOrbit(initial_point=z, period=tau, residual=float(rnorm), flow=flow)
 
 
 def _winding(orbit: ClosedOrbit) -> tuple[int, ...]:
@@ -352,13 +354,13 @@ def _minimal_period(body: ConvexBody, orbit: ClosedOrbit) -> ClosedOrbit:
 def find_closed_orbits(
     body: ConvexBody,
     t_max: float,
-    n_seeds: int = 16,
+    n_seeds: int = N_SEEDS,
     seed: int = 0,
 ) -> list[ClosedOrbit]:
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
     Seeds are the coordinate-plane circles plus low-discrepancy surface
-    samples.  The closed-form degree-alpha flow from all seeds at once gives
+    samples.  The closed-form Reeb flow from all seeds at once gives
     each seed's displacement at SCAN_POINTS Reeb times in (0, t_max]; each
     near-return (a local minimum of the displacement below half the
     circumradius) is polished by a damped least-squares Newton on (z, tau)
@@ -389,9 +391,9 @@ def find_closed_orbits(
                          f"{SCAN_POINTS * np.pi * r * r / 4.0:g} (r = {r:g}, the inradius): "
                          "the seed scan's step would alias the shortest periods")
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
-    flow = _alpha_flow(body, seeds, body.alpha)
+    flow = _alpha_flow(body, seeds, 2.0)
     ts, step = np.linspace(0.0, t_max, SCAN_POINTS + 1, retstep=True)
-    disp = np.linalg.norm(flow.z(ts * (2.0 / body.alpha)) - seeds, axis=-1)
+    disp = np.linalg.norm(flow.z(ts) - seeds, axis=-1)
     inner = disp[1:-1]
     near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
 
@@ -467,9 +469,9 @@ def return_block(body: ConvexBody, z0: np.ndarray, M: np.ndarray):
 def monodromy_and_index(
     body: ConvexBody,
     orbit: ClosedOrbit,
-    alpha: float = 1.5,
+    alpha: float = DEFAULT_ALPHA,
 ) -> ClosedOrbit:
-    """Fill the Reeb monodromy and (cz, morse, nullity) on a found orbit.
+    """Fill the Reeb flow and (cz, morse, nullity) on a found orbit.
 
     The CZ index is computed on the full linearized degree-alpha flow path
     (alpha in (1,2); the value is alpha-independent).  The nullity is
@@ -479,9 +481,8 @@ def monodromy_and_index(
     E^omega, and the shear block adds exactly one kernel direction, so the
     nullity is 1 + dim ker(N - I).  The residual of that reconstruction of
     the endpoint is recorded in meta and flagged with a warning above 1e-6.
-    The path and Gamma_alpha(1) are the closed-form flow at alpha, which
-    becomes the orbit's flow; the Reeb monodromy M_2, the same closed form
-    at alpha = 2, becomes `orbit.monodromy`.
+    The Reeb flow over the period becomes the orbit's `flow`, and its M_2
+    `orbit.monodromy`; the degree-alpha flow is built only for the index.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -490,14 +491,13 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    flow = flow_with_monodromy(body, z0, tau, alpha)
-    M2 = flow_with_monodromy(body, z0, tau).monodromy
-    sdef = symplectic_defect(M2)
+    reeb = flow_with_monodromy(body, z0, tau)
+    sdef = symplectic_defect(reeb.monodromy)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")
 
-    N, S, resid_inv = return_block(body, z0, M2)
-    M_alpha_full, path_alpha = flow.monodromy, flow.path
+    N, S, resid_inv = return_block(body, z0, reeb.monodromy)
+    alpha_flow = flow_with_monodromy(body, z0, tau, alpha)
 
     # assemble Gamma_alpha(1) from the closed-form shear and N, then compare
     u1 = body.reeb_field(z0)
@@ -507,28 +507,18 @@ def monodromy_and_index(
     assembled[:2, :2] = shear
     assembled[2:, 2:] = N
     M_assembled = B @ assembled @ np.linalg.inv(B)
-    block_resid = float(np.abs(M_assembled - M_alpha_full).max())
+    block_resid = float(np.abs(M_assembled - alpha_flow.monodromy).max())
 
-    index = cz.cz_index(path_alpha)
-    orbit.flow = flow
-    orbit.monodromy = M2
+    index = cz.cz_index(alpha_flow.path)
+    orbit.flow = reeb
     orbit.cz_index = int(index)
     orbit.morse_index = int(index) - n
-    orbit.nullity = cz.cz_nullity(path_alpha)
-    orbit.meta.update(
-        {
-            "alpha": alpha,
-            "symplectic_defect": sdef,
-            "block_residual": block_resid,
-            "invariance_residual": resid_inv,
-            "block_decomposition_ok": block_resid <= 1e-6,
-        }
-    )
+    orbit.nullity = cz.cz_nullity(alpha_flow.path)
+    orbit.meta.update(alpha=alpha, symplectic_defect=sdef, block_residual=block_resid,
+                      invariance_residual=resid_inv, block_decomposition_ok=block_resid <= 1e-6)
     if block_resid > 1e-6:
-        warnings.warn(
-            f"block decomposition residual {block_resid:.2e} above 1e-6; "
-            "raw monodromy reported"
-        )
+        warnings.warn(f"block decomposition residual {block_resid:.2e} above 1e-6; "
+                      "raw monodromy reported")
     return orbit
 
 
@@ -549,7 +539,7 @@ class BesseTestResult:
 def numerical_besse_test(
     body: ConvexBody,
     tau: float,
-    samples: int = 10000,
+    samples: int = BESSE_SAMPLES,
     seed: int = 0,
 ) -> BesseTestResult:
     """Sample Sigma, flow to time tau, report the worst displacement.

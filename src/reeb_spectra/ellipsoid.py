@@ -438,9 +438,9 @@ def classify(E: Ellipsoid) -> Classification:
     }
     try:
         besse_cz_index(E, tau0)
-    except ValueError:
+    except ValueError as exc:
         certificate["rejected_tau0"] = tau0
-        certificate["note"] = "the reconstructed period is not the same action as a multiple of every a_h"
+        certificate["note"] = str(exc)
         return Classification(kind="NotBesse", tau0=None, heuristic=True, certificate=certificate)
     kind = "Zoll" if all(f == 1 for f in recon) else "Besse"
     return Classification(kind=kind, tau0=tau0, heuristic=True, certificate=certificate)
@@ -457,11 +457,15 @@ def besse_cz_index(E: Ellipsoid, tau) -> int:
     min_h k_h a_h must be the same action as max_h k_h a_h.  Two multiples on
     either side of tau can each pass against tau and fail against each
     other.  The test is skipped, at no cost to exact values, when every
-    ratio equals its integer.
+    ratio equals its integer.  A float k_h >= 1 / TOL_MERGE is refused: there
+    k a_h and (k + 1) a_h are the same action, and no run is resolved.
     """
     tau = _to_fraction(tau) if E.exact else float(tau)
     ratios = [tau / ah for ah in E.a]
     ks = [round(r) for r in ratios]
+    if not E.exact and max(ks) >= 1 / TOL_MERGE:
+        raise ValueError(f"tau = {tau} needs the multiple k = {max(ks)}, past 1/TOL_MERGE = "
+                         f"{1 / TOL_MERGE:g}, where k a_h and (k + 1) a_h are the same action")
     if not all(k >= 1 and same_action(r, k) for r, k in zip(ratios, ks)):
         raise ValueError(f"tau = {tau} is not a common period of {E.a}")
     if not E.exact and ratios != ks:

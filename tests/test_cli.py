@@ -493,6 +493,28 @@ class TestParserReuse:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
 
+    def test_defaults_are_the_library_defaults(self):
+        import inspect
+
+        from reeb_spectra.clarke import MinimizeConfig
+        from reeb_spectra.dynamics import (find_closed_orbits, monodromy_and_index,
+                                           numerical_besse_test)
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        parse = build_parser().parse_args
+        systole = parse(["systole", "--ellipsoid", "1,2"])
+        cfg = MinimizeConfig()
+        assert (systole.modes, systole.starts, systole.maxiter, systole.seed) == (
+            cfg.modes, cfg.starts, cfg.maxiter, cfg.seed)
+        assert systole.alpha == ConvexBody([1.0, 2.0]).alpha
+        orbits = parse(["orbits", "--ellipsoid", "1,2", "--tmax", "3"])
+        assert orbits.seeds == default(find_closed_orbits, "n_seeds")
+        assert orbits.alpha == default(monodromy_and_index, "alpha") == systole.alpha
+        classify = parse(["classify", "--body", "b.json", "--tau", "2"])
+        assert classify.samples == default(numerical_besse_test, "samples") == 2000
+
     def test_sequence_matches_a_fresh_run(self, capsys):
         code_a, _, _ = run_cli(capsys, "invariants", "--ellipsoid", "1,2", "--count", "5")
         code_b, out_b, _ = run_cli(capsys, "cz", "--rotation", "2.5,0.7")
@@ -664,3 +686,22 @@ class TestFormatting:
         assert code == EXIT_OK
         assert json.loads(out)["entries"] == []
         assert '"entries": [],' in out
+
+    def test_nested_csv_cells_are_json(self, capsys, tmp_path):
+        # a list or dict cell is JSON text; scalar cells are as they were
+        code, out, _ = run_cli(capsys, "pinch", "--ellipsoid", "1,1", "--delta-sq", "3/2",
+                               "--out", "csv")
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert json.loads(row["interval"]) == ["1", "3/2"]
+        assert json.loads(row["bound_chain"])["holds"] is True
+        assert (row["status"], row["delta_sq"]) == ("certified-zoll", "3/2")
+        spec = tmp_path / "e12.json"
+        spec.write_text('{"type": "perturbed", "a": [1.0, 2.0], "epsilon": 1e-3, '
+                        '"quartic": [1.0, 1.0]}')
+        code, out, _ = run_cli(capsys, "orbits", "--body", str(spec), "--tmax", "3",
+                               "--seeds", "3", "--out", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [json.loads(r["winding"]) for r in rows] == [[1, 0], [0, 1]]
+        assert [r["cz"] for r in rows] == ["2", "4"]

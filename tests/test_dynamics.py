@@ -415,12 +415,14 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n_seeds", [2, 5])
     def test_one_solve_for_the_seed_sweep(self, n_seeds, flows, ode_starts):
-        # the scan is one flow from all seeds at once, built before any polish
+        # the scan is one Reeb flow from all seeds at once, built before any
+        # polish, and every flow the search builds is a Reeb flow
         built, jets = flows
         dynamics.find_closed_orbits(E12, t_max=2.5, n_seeds=n_seeds, seed=0)
         scans = [b for b in built if b[0] == "find_closed_orbits"]
-        assert scans == [("find_closed_orbits", (n_seeds, E12.dim), E12.alpha)]
+        assert scans == [("find_closed_orbits", (n_seeds, E12.dim), 2.0)]
         assert built[0] == scans[0]
+        assert {b[2] for b in built} == {2.0}
         assert len(jets) == len(built)
         assert ode_starts == []
 
@@ -442,9 +444,11 @@ class TestWorkCounts:
         assert {b[0] for b in built} == {"find_closed_orbits", "_newton_polish",
                                          "monodromy_and_index"}
         # the polish reads the seed's residual and Jacobian off the scan's
-        # flow, and the index reads its path at alpha and M_2 at alpha = 2
-        assert built[0] == ("find_closed_orbits", (2, 4), 1.5)
-        assert [b[2] for b in built if b[0] == "monodromy_and_index"] == [1.5, 2.0]
+        # Reeb flow and tries Reeb flows only; the index builds the orbit's
+        # Reeb flow and its path at alpha
+        assert built[0] == ("find_closed_orbits", (2, 4), 2.0)
+        assert {b[2] for b in built if b[0] == "_newton_polish"} == {2.0}
+        assert [b[2] for b in built if b[0] == "monodromy_and_index"] == [2.0, 1.5]
 
     def test_index_at_another_alpha_solves_once(self, flows, ode_starts):
         from test_clarke import planar_period_oracle
@@ -458,12 +462,12 @@ class TestWorkCounts:
         for alpha in (1.3, 1.7):
             del built[:], jets[:]
             dynamics.monodromy_and_index(PERTURBED, orbit, alpha=alpha)
-            # the path at alpha, and M_2 at alpha = 2
-            assert built == [("monodromy_and_index", (4,), alpha),
-                             ("monodromy_and_index", (4,), 2.0)]
+            # the orbit's Reeb flow, and the path at alpha
+            assert built == [("monodromy_and_index", (4,), 2.0),
+                             ("monodromy_and_index", (4,), alpha)]
             assert len(jets) == 2
             assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == want
-            assert orbit.flow.alpha == alpha
+            assert orbit.flow.alpha == 2.0
         assert ode_starts == []
 
     def test_minimal_period_polishes_once(self, monkeypatch, polishes):
@@ -516,10 +520,39 @@ class TestSeedScan:
         assert len(polishes) >= 3
         d = body.dim
         for z, t, start in polishes:
-            fresh = variational_reference(body, body.alpha, z, 2.0 * t / body.alpha)
-            assert start.alpha == body.alpha
+            fresh = variational_reference(body, 2.0, z, t)
+            assert start.alpha == 2.0
             assert np.abs(start.end - fresh.y[:d, -1]).max() < 1e-8
             assert np.abs(start.monodromy - fresh.y[d:, -1].reshape(d, d)).max() < 1e-8
+
+
+class TestOneReebFlow:
+    """The search and the orbit record hold the Reeb flow; alpha enters only
+    the index path."""
+
+    def test_search_does_not_depend_on_alpha(self):
+        runs = []
+        for alpha in (1.3, 1.7):
+            body = ConvexBody(PERTURBED.a, PERTURBED.epsilon, PERTURBED.quartic, alpha)
+            orbits = find_closed_orbits(body, t_max=3.0, n_seeds=16)
+            runs.append([(o.period, o.initial_point.tolist(), o.meta["copies"]) for o in orbits])
+        assert len(runs[0]) == 3
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.7])
+    def test_index_leaves_the_reeb_flow_on_the_orbit(self, alpha):
+        orbit = find_closed_orbits(PERTURBED, t_max=1.1, n_seeds=2)[0]
+        monodromy_and_index(PERTURBED, orbit, alpha=alpha)
+        assert orbit.flow.alpha == 2.0
+        assert orbit.monodromy is orbit.flow.monodromy
+        assert orbit.meta["alpha"] == alpha
+
+    def test_orbit_without_a_flow_has_no_monodromy(self):
+        from reeb_spectra.dynamics import ClosedOrbit
+
+        orbit = ClosedOrbit(initial_point=surface_point(E12, [1.0, 0.0, 0.0, 0.0]),
+                            period=1.0, residual=0.0)
+        assert orbit.monodromy is None and "monodromy_eigenvalues" not in orbit.as_dict()
 
 
 class TestMonodromy:

@@ -585,6 +585,18 @@ class TestClassify:
         assert (c.kind, c.tau0) == ("NotBesse", None)
         assert c.certificate["irrational_ratio_index"] == 1
 
+    def test_float_period_past_the_merge_resolution_is_refused(self):
+        # every ratio reconstructs, but tau0 = 1.197e10 needs k_h > 1e9 =
+        # 1/TOL_MERGE turns, where k a_h and (k + 1) a_h are the same action:
+        # the period would be a guess, so it is refused by name
+        E = ellipsoid([1.0, 1 + 1 / 10007, 1 + 1 / 10009, 1 + 1 / 10037])
+        c = classify(E)
+        assert (c.kind, c.tau0, c.heuristic) == ("NotBesse", None, True)
+        assert abs(c.certificate["rejected_tau0"] - 1.197e10) < 1e7
+        assert "TOL_MERGE" in c.certificate["note"]
+        with pytest.raises(ValueError, match="TOL_MERGE"):
+            besse_cz_index(E, c.certificate["rejected_tau0"])
+
     @pytest.mark.parametrize("seed", range(2))
     def test_straddling_chains_agree_with_the_table(self, seed):
         # rational chains (n = 2..5, every fifth one Zoll) with each a_h past
