@@ -19,15 +19,19 @@ W = d omega/ds = 2 f_ss.  Since grad omega_h^T J z0_k = 2 W_hk z0_k^T J z0_k
 = 0, K^2 = 0, and J K = -sum_h z0_h grad omega_h^T is symmetric, so Y is
 exactly symplectic.
 Its derivative is Rot(sigma omega)(A + sigma B) with A = Omega J + K and
-B = Omega J K, Omega the rates lifted to R^{2n}.
+B = Omega J K, Omega the rates lifted to R^{2n}.  Since plane h only turns,
+by theta_h = sigma omega_h, the distance travelled needs no trajectory:
+|z(sigma) - z0|^2 = 4 sum_h |z0_h|^2 sin^2(theta_h / 2).
 
 `_alpha_flow` builds this flow from one jet of G per start.  The search and
-the orbit's `flow` are the Reeb flow, alpha = 2: the seed scan is its z part
-from all seeds at once, each Newton trial its (z, M_2) over one period
-(`flow_with_monodromy`, a `PeriodFlow`), and the accepted trial's flow gives
-the orbit's winding vector; `integrate_reeb` is its z part too.  alpha in
-(1, 2) enters only the index path, the degree-alpha path `cz_index` counts,
-and Clarke.  No ODE is solved.
+the orbit's `flow` are the Reeb flow, alpha = 2: the seed scan reads its
+displacement from all seeds at once (`AlphaFlow.displacement`), each Newton
+trial its (z, M_2) over one period (`flow_with_monodromy`, a `PeriodFlow`),
+and the accepted trial's flow gives the orbit's winding vector and is the
+index path's Reeb flow.  The sampling Besse test reads the same displacement
+at tau, and `integrate_reeb` is the flow's z part.  alpha in (1, 2) enters
+only the index path, the degree-alpha path `cz_index` counts, and Clarke.
+No ODE is solved.
 """
 
 from __future__ import annotations
@@ -95,12 +99,23 @@ class AlphaFlow:
              * planes[..., None, None, :, :])
         return K.reshape(self.z0.shape + self.z0.shape[-1:])
 
-    def _rotations(self, sigma):
-        """(cos, sin) of the plane angles sigma omega, each reduced as
-        2 pi frac(sigma omega / 2 pi) so that a long span stays accurate."""
+    def _turns(self, sigma):
+        """frac(sigma omega / 2 pi), shape S + rates.shape: the plane angles
+        sigma omega in turns, reduced so that a long span stays accurate."""
         turns = np.multiply.outer(np.asarray(sigma, dtype=float), self.rates) / (2.0 * np.pi)
-        angle = 2.0 * np.pi * (turns - np.floor(turns))
+        return turns - np.floor(turns)
+
+    def _rotations(self, sigma):
+        """(cos, sin) of the plane angles, each 2 pi `_turns`."""
+        angle = 2.0 * np.pi * self._turns(sigma)
         return np.cos(angle), np.sin(angle)
+
+    def displacement(self, sigma) -> np.ndarray:
+        """|z(sigma) - z0|, shape S + z0.shape[:-1], with no trajectory built:
+        plane h turns by the angle theta_h = 2 pi `_turns` and keeps its
+        radius s_h = |z0_h|^2, so |z(sigma) - z0|^2 = 4 sum s_h sin^2(theta_h / 2)."""
+        s = np.sum(self.z0.reshape(self.rates.shape + (2,)) ** 2, axis=-1)
+        return 2.0 * np.sqrt(np.sum(s * np.sin(np.pi * self._turns(sigma)) ** 2, axis=-1))
 
     def z(self, sigma) -> np.ndarray:
         cos, sin = self._rotations(sigma)
@@ -142,9 +157,8 @@ class PeriodFlow:
     """The closed-form flow from one point on Sigma over one Reeb period
     tau, i.e. over sigma in [0, 2 tau/alpha].
 
-    `end` and `monodromy` are z and Gamma_alpha at the end of the span,
-    `path` is Gamma_alpha on [0, 1] with its exact speed, and `reeb` the
-    Reeb trajectory.
+    `end` and `monodromy` are z and Gamma_alpha at the end of the span, and
+    `path` is Gamma_alpha on [0, 1] with its exact speed.
     """
 
     flow: AlphaFlow
@@ -172,11 +186,6 @@ class PeriodFlow:
         flow, span = self.flow, self.span
         return SymplecticPath(dim=flow.z0.shape[-1], eval_batch=lambda ts: flow.Y(ts * span),
                               speed=span * flow.peak_speed(span))
-
-    def reeb(self, t):
-        """phi_R^t of the start for Reeb times t, z at sigma = 2t/alpha:
-        shape (2n,) for a scalar t, (T, 2n) for T times."""
-        return self.flow.z(np.asarray(t, dtype=float) * (2.0 / self.alpha))
 
 
 @dataclass
@@ -245,7 +254,7 @@ def flow_with_monodromy(body: ConvexBody, z0: np.ndarray, tau: float,
     the degree-alpha Hamiltonian flow over [0, 2 tau/alpha].  The PeriodFlow
     carries the endpoint, the monodromy, the path on [0, 1] with its exact
     speed (span times the larger of |A|_2 and |A + span B|_2, module
-    docstring) and the Reeb trajectory.
+    docstring).
     """
     return PeriodFlow(_alpha_flow(body, z0, alpha), float(tau))
 
@@ -359,10 +368,11 @@ def find_closed_orbits(
 ) -> list[ClosedOrbit]:
     """Shooting + Newton search for closed Reeb orbits with period in (0, t_max].
 
-    Seeds are the coordinate-plane circles plus low-discrepancy surface
-    samples.  The closed-form Reeb flow from all seeds at once gives
-    each seed's displacement at SCAN_POINTS Reeb times in (0, t_max]; each
-    near-return (a local minimum of the displacement below half the
+    Seeds are a point on each coordinate circle plus surface samples
+    (Gaussian directions projected radially).  The closed-form Reeb flow from
+    all seeds at once gives each seed's displacement at SCAN_POINTS Reeb
+    times in (0, t_max] with no trajectory built (`AlphaFlow.displacement`);
+    each near-return (a local minimum of the displacement below half the
     circumradius) is polished by a damped least-squares Newton on (z, tau)
     with a phase condition killing the time-shift, started from the seed's
     flow over that time.  A seed that lies on the orbit its polish found
@@ -393,7 +403,7 @@ def find_closed_orbits(
     seeds = np.array(_default_seeds(body, n_seeds - body.n, seed))
     flow = _alpha_flow(body, seeds, 2.0)
     ts, step = np.linspace(0.0, t_max, SCAN_POINTS + 1, retstep=True)
-    disp = np.linalg.norm(flow.z(ts) - seeds, axis=-1)
+    disp = flow.displacement(ts)
     inner = disp[1:-1]
     near = (inner <= disp[:-2]) & (inner <= disp[2:]) & (inner < 0.5 * R)
 
@@ -482,7 +492,9 @@ def monodromy_and_index(
     nullity is 1 + dim ker(N - I).  The residual of that reconstruction of
     the endpoint is recorded in meta and flagged with a warning above 1e-6.
     The Reeb flow over the period becomes the orbit's `flow`, and its M_2
-    `orbit.monodromy`; the degree-alpha flow is built only for the index.
+    `orbit.monodromy`: the orbit's own `flow` when it is that flow (alpha 2,
+    from `initial_point` over `period`, as the search leaves it), else one
+    built here.  The degree-alpha flow is built only for the index.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
@@ -491,7 +503,10 @@ def monodromy_and_index(
     d = body.dim
     n = d // 2
 
-    reeb = flow_with_monodromy(body, z0, tau)
+    reeb = orbit.flow
+    if (reeb is None or reeb.alpha != 2.0 or reeb.tau != tau
+            or not np.array_equal(reeb.flow.z0, z0)):
+        reeb = flow_with_monodromy(body, z0, tau)
     sdef = symplectic_defect(reeb.monodromy)
     if sdef > 1e-7:
         warnings.warn(f"monodromy symplecticity defect {sdef:.2e} above 1e-7")
@@ -542,18 +557,19 @@ def numerical_besse_test(
     samples: int = BESSE_SAMPLES,
     seed: int = 0,
 ) -> BesseTestResult:
-    """Sample Sigma, flow to time tau, report the worst displacement.
+    """Sample Sigma, report the worst displacement |phi_R^tau(z) - z|.
 
-    The verdict is numerical evidence at the stated tolerance and sample
-    density, never a proof: Besse at tau requires fix(phi_R^tau) = Sigma.
+    The displacements are the Reeb flow's closed form
+    (`AlphaFlow.displacement`), so no endpoint is built.  The verdict is
+    numerical evidence at the stated tolerance and sample density, never a
+    proof: Besse at tau requires fix(phi_R^tau) = Sigma.
     """
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     Z = body.surface_samples(samples, seed=seed)
-    Z_end = integrate_reeb(body, Z, tau)
-    disp = np.linalg.norm(Z_end - Z, axis=1)
+    disp = _alpha_flow(body, Z, 2.0).displacement(tau)
     worst = int(np.argmax(disp))
     _, R = body.pinching_radii()
     tol = BESSE_TOL_FACTOR * 2.0 * R

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from reeb_spectra import conley_zehnder as cz
 from reeb_spectra import dynamics
-from reeb_spectra.bodies import ConvexBody
+from reeb_spectra.bodies import DEFAULT_ALPHA, ConvexBody
 from reeb_spectra.dynamics import (
     _minimal_period,
     _newton_polish,
@@ -151,13 +151,13 @@ class TestIntegrateReeb:
         assert abs(PERTURBED.gauge2(integrate_reeb(PERTURBED, z, 50.0)) - 1.0) < 1e-9
 
     def test_dense_interpolant_matches_endpoints(self):
-        # the Reeb trajectory of the degree-alpha period flow ends where
-        # integrate_reeb does
+        # the degree-alpha period flow over Reeb time 1.7 (sigma = 2 t / alpha)
+        # ends where integrate_reeb does
         Z = PERTURBED.surface_samples(3, seed=2)
-        reeb = flow_with_monodromy(PERTURBED, Z, 1.7, alpha=PERTURBED.alpha).reeb
+        flow = flow_with_monodromy(PERTURBED, Z, 1.7, alpha=PERTURBED.alpha)
         ends = integrate_reeb(PERTURBED, Z, 1.7)
-        assert np.abs(reeb(1.7) - ends).max() < 1e-12
-        assert np.array_equal(reeb(0.0), Z)
+        assert np.abs(flow.end - ends).max() < 1e-12
+        assert np.array_equal(flow.flow.z(0.0), Z)
 
     def test_off_surface_rejected(self):
         with pytest.raises(ValueError):
@@ -174,14 +174,15 @@ class TestIntegrateReeb:
             assert np.abs(out[i] - integrate_reeb(E12, Z[i], 0.8)).max() < 1e-9
 
     def test_dense_shapes(self):
-        # PeriodFlow.reeb: times first, then the shape of the starts
+        # the Reeb flow's z (alpha = 2, so sigma = t): times first, then the
+        # shape of the starts
         Z = PERTURBED.surface_samples(3, seed=2)
-        reeb = flow_with_monodromy(PERTURBED, Z, 1.0, alpha=PERTURBED.alpha).reeb
+        reeb = flow_with_monodromy(PERTURBED, Z, 1.0).flow.z
         ts = np.array([0.0, 0.4, 1.0])
         assert reeb(0.4).shape == Z.shape
         assert reeb(ts).shape == (len(ts),) + Z.shape
         assert np.array_equal(reeb(ts)[1], reeb(0.4))
-        single = flow_with_monodromy(PERTURBED, Z[0], 1.0, alpha=PERTURBED.alpha).reeb
+        single = flow_with_monodromy(PERTURBED, Z[0], 1.0).flow.z
         assert single(ts).shape == (len(ts), PERTURBED.dim)
         assert np.array_equal(single(ts), reeb(ts)[:, 0])
 
@@ -216,7 +217,48 @@ class TestReebCrossCheck:
         radii = path[..., 0::2] ** 2 + path[..., 1::2] ** 2
         assert np.abs(radii - radii[0]).max() < 1e-10
         assert np.abs(integrate_reeb(body, Z, t) - path[-1]).max() < 1e-9
-        assert np.abs(flow_with_monodromy(body, Z, t).reeb(ts) - path).max() < 1e-9
+        flow = flow_with_monodromy(body, Z, t).flow
+        assert np.abs(flow.z(ts) - path).max() < 1e-9
+        # and the distance travelled, which builds no trajectory
+        assert np.abs(flow.displacement(ts) - np.linalg.norm(path - Z, axis=-1)).max() < 1e-9
+
+
+def _displacement_case(case: int):
+    """Seeded (flow, times): n = 1-3, a quadric or a perturbed body with some
+    q_h = 0, alpha 2 or 1.5, one start or five, a plane of every start
+    vanishing in some cases, and a scalar, a row or a grid of times up to
+    1e4 of either sign."""
+    rng = np.random.default_rng([34, case])
+    n = 1 + case % 3
+    a = np.sort(rng.uniform(0.5, 3.0, n))
+    if case % 2:
+        q = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+        body = ConvexBody(a=a, epsilon=float(10.0 ** rng.uniform(-3.0, 0.0)), quartic=q)
+    else:
+        body = ConvexBody(a=a)
+    raw = rng.standard_normal((5, body.dim))
+    if n > 1 and case % 4 >= 2:
+        h = int(rng.integers(n))
+        raw[:, 2 * h:2 * h + 2] = 0.0
+    Z = body.project_to_surface(raw)
+    flow = dynamics._alpha_flow(body, Z if case % 5 else Z[0], [2.0, 1.5][case % 7 % 2])
+    sigma = 10.0 ** rng.uniform(-2.0, 4.0, size=[(), (7,), (3, 4)][case % 3])
+    sigma = sigma * rng.choice([-1.0, 1.0], size=sigma.shape)
+    return flow, sigma if sigma.shape else float(sigma)
+
+
+class TestDisplacement:
+    """|z(sigma) - z0| in closed form against the flow's own trajectory."""
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_matches_the_trajectory(self, case):
+        flow, sigma = _displacement_case(case)
+        got = flow.displacement(sigma)
+        want = np.linalg.norm(flow.z(sigma) - flow.z0, axis=-1)
+        assert got.shape == np.shape(sigma) + flow.z0.shape[:-1]
+        # both read the same reduced angles, so they agree to rounding even
+        # at sigma = 1e4, where an unreduced angle is off by about 1e-12
+        assert np.abs(got - want).max() < 1e-14
 
 
 SWEEP_BODIES = {
@@ -375,7 +417,7 @@ class TestFindClosedOrbits:
         assert np.array_equal(orbit.flow.flow.z0, orbit.initial_point)
         assert orbit.flow.tau == orbit.period
         assert np.linalg.norm(orbit.flow.end - orbit.initial_point) < 1e-8
-        assert np.linalg.norm(orbit.flow.reeb(orbit.period) - orbit.initial_point) < 1e-8
+        assert np.linalg.norm(orbit.flow.flow.z(orbit.period) - orbit.initial_point) < 1e-8
 
     def test_minimal_period_of_a_cover_a_hair_short(self):
         # a cover's period just below 3 T still winds 3 times round plane 1
@@ -444,11 +486,11 @@ class TestWorkCounts:
         assert {b[0] for b in built} == {"find_closed_orbits", "_newton_polish",
                                          "monodromy_and_index"}
         # the polish reads the seed's residual and Jacobian off the scan's
-        # Reeb flow and tries Reeb flows only; the index builds the orbit's
-        # Reeb flow and its path at alpha
+        # Reeb flow and tries Reeb flows only; the index reuses the orbit's
+        # Reeb flow and builds only its path at alpha
         assert built[0] == ("find_closed_orbits", (2, 4), 2.0)
         assert {b[2] for b in built if b[0] == "_newton_polish"} == {2.0}
-        assert [b[2] for b in built if b[0] == "monodromy_and_index"] == [2.0, 1.5]
+        assert [b[2] for b in built if b[0] == "monodromy_and_index"] == [1.5]
 
     def test_index_at_another_alpha_solves_once(self, flows, ode_starts):
         from test_clarke import planar_period_oracle
@@ -462,13 +504,59 @@ class TestWorkCounts:
         for alpha in (1.3, 1.7):
             del built[:], jets[:]
             dynamics.monodromy_and_index(PERTURBED, orbit, alpha=alpha)
-            # the orbit's Reeb flow, and the path at alpha
-            assert built == [("monodromy_and_index", (4,), 2.0),
-                             ("monodromy_and_index", (4,), alpha)]
-            assert len(jets) == 2
+            # the orbit's own Reeb flow, and one build: the path at alpha
+            assert built == [("monodromy_and_index", (4,), alpha)]
+            assert len(jets) == 1
             assert (orbit.cz_index, orbit.morse_index, orbit.nullity) == want
             assert orbit.flow.alpha == 2.0
         assert ode_starts == []
+
+    @pytest.mark.parametrize("change", ["hand-built", "moved", "other-period", "degree-alpha"])
+    def test_index_builds_the_reeb_flow_the_orbit_lacks(self, change, flows):
+        # orbit.flow serves the index only as the Reeb flow from the orbit's
+        # own initial point over its own period; otherwise the index builds
+        # that flow, and the indices are the search's
+        built, _ = flows
+        found = find_closed_orbits(PERTURBED, t_max=1.1, n_seeds=2)[0]
+        orbit = dataclasses.replace(found, meta={})
+        monodromy_and_index(PERTURBED, found)
+        if change == "hand-built":
+            orbit.flow = None
+        elif change == "moved":
+            # a quarter period along the orbit: the same orbit
+            orbit.initial_point = orbit.flow.flow.z(0.25 * orbit.period)
+        elif change == "other-period":
+            orbit.flow = dynamics.PeriodFlow(orbit.flow.flow, 2.0 * orbit.period)
+        else:
+            orbit.flow = flow_with_monodromy(PERTURBED, orbit.initial_point, orbit.period,
+                                             alpha=DEFAULT_ALPHA)
+        del built[:]
+        dynamics.monodromy_and_index(PERTURBED, orbit)
+        assert built == [("monodromy_and_index", (4,), 2.0),
+                         ("monodromy_and_index", (4,), DEFAULT_ALPHA)]
+        assert orbit.flow.alpha == 2.0 and orbit.flow.tau == orbit.period
+        assert np.array_equal(orbit.flow.flow.z0, orbit.initial_point)
+        got = (orbit.cz_index, orbit.morse_index, orbit.nullity)
+        assert got == (found.cz_index, found.morse_index, found.nullity) == (2, 0, 1)
+
+    @pytest.mark.parametrize("run", ["scan", "besse"])
+    def test_no_trajectory_for_a_displacement(self, run, monkeypatch):
+        # the seed scan reads z only at single times (the polish's ends), and
+        # the sampling Besse test not at all
+        sizes = []
+        z = dynamics.AlphaFlow.z
+
+        def spy(self, sigma):
+            sizes.append(np.size(sigma))
+            return z(self, sigma)
+
+        monkeypatch.setattr(dynamics.AlphaFlow, "z", spy)
+        if run == "scan":
+            assert len(find_closed_orbits(PERTURBED, t_max=3.0, n_seeds=16)) == 3
+            assert sizes and max(sizes) == 1
+        else:
+            numerical_besse_test(PERTURBED, 2.0, samples=200)
+            assert sizes == []
 
     def test_minimal_period_polishes_once(self, monkeypatch, polishes):
         # the cover's winding number gives k: one polish at tau / k from the
@@ -524,6 +612,39 @@ class TestSeedScan:
             assert start.alpha == 2.0
             assert np.abs(start.end - fresh.y[:d, -1]).max() < 1e-8
             assert np.abs(start.monodromy - fresh.y[d:, -1].reshape(d, d)).max() < 1e-8
+
+
+class TestScanNearReturns:
+    """The closed-form scan marks the near-returns a scan of the trajectory
+    marks: the same (seed, grid time) pairs are polished, to the bit, and the
+    same families listed."""
+
+    @pytest.mark.parametrize("body, t_max, n_seeds", [
+        (PERTURBED, 20.0, 16),
+        (ConvexBody(a=[1.0, 1.5, 7 / 3], epsilon=0.3, quartic=[1.0, 0.0, 2.0]), 6.0, 6),
+        (E12, 10.0, 4),
+        (ConvexBody(a=[1.0, 1.0]), 3.0, 4),
+    ], ids=["perturbed", "three-planes", "quadric", "ball"])
+    def test_same_near_returns_as_the_trajectory(self, body, t_max, n_seeds, monkeypatch):
+        def search(trajectory):
+            calls = []
+            polish = dynamics._newton_polish
+
+            def spy(body, z_seed, tau_guess, t_max, start=None):
+                calls.append((z_seed.tolist(), tau_guess))
+                return polish(body, z_seed, tau_guess, t_max, start=start)
+
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_newton_polish", spy)
+                if trajectory:
+                    m.setattr(dynamics.AlphaFlow, "displacement",
+                              lambda self, ts: np.linalg.norm(self.z(ts) - self.z0, axis=-1))
+                orbits = find_closed_orbits(body, t_max=t_max, n_seeds=n_seeds)
+            return calls, [(o.period, o.initial_point.tolist(), o.meta) for o in orbits]
+
+        closed_form, trajectory = search(False), search(True)
+        assert closed_form[0]
+        assert closed_form == trajectory
 
 
 class TestOneReebFlow:

@@ -17,7 +17,7 @@ BODY = ConvexBody(a=[1.0, 2.0], epsilon=EPS, quartic=[1.0, 1.0], alpha=1.5)
 def orbit_distance(z, orbit):
     """min over t of |phi_R^t(orbit) - z|: the closest of 257 points of the
     orbit's Reeb trajectory, refined between its neighbours."""
-    reeb = orbit.flow.reeb
+    reeb = orbit.flow.flow.z  # the Reeb flow: sigma = t
     ts = np.linspace(0.0, orbit.period, 257)
     i = int(np.argmin(np.linalg.norm(reeb(ts) - z, axis=1)))
     res = minimize_scalar(lambda t: float(np.linalg.norm(reeb(t) - z)),
